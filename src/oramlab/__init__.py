@@ -49,7 +49,6 @@ from .orams import (
 )
 from .partition import (
     CertificateError,
-    DensityQuery,
     Partition,
     PartitionCertificate,
     brute_force_dense_partition,

@@ -5,7 +5,8 @@ graph-export.  Every randomized command needs an explicit seed, either
 --seed or the ORAMLAB_SEED environment variable; there is no ambient
 entropy anywhere, so any output can be regenerated bit for bit.
 
-Exit codes: 0 success, 1 usage error, 2 model violation, 3 I/O error.
+Exit codes: 0 success, 1 usage error (including malformed trace files),
+2 model violation (including engine and audit failures), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from fractions import Fraction
 
 from ._util import ModelViolationError, as_fraction
 from .adversary import dense_partition_frequency, estimate_advantage
-from .codec import alice_encode, block_data, bob_decode
+from .codec import DecodeError, alice_encode, block_data, bob_decode
 from .core import OramConfig, gen_write_read_blocks, instantiate_workload, parse_workload_spec
 from .graph import build_access_graph
-from .orams import ENGINE_NAMES, run_sequence
+from .orams import ENGINE_NAMES, StashOverflowError, run_sequence
 from .partition import CertificateError
 from .traceio import ExperimentReport, TraceFile, analyze_trace, read_trace, write_trace
 
@@ -293,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"oramlab: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelViolationError, CertificateError) as exc:
+    except (ModelViolationError, CertificateError, StashOverflowError, DecodeError) as exc:
         print(f"oramlab: model violation: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except ValueError as exc:

@@ -9,6 +9,7 @@ trace always has at least as many probes as its graph has edges.
 Construction is lazy: the graph keeps the address array and materializes the
 predecessor/successor arrays on first use (one stable sort), so analyses that
 scan only a prefix of a huge trace never pay for the whole thing.
+``consecutive_pairs`` is the only place edges are derived from addresses.
 """
 
 from __future__ import annotations
@@ -16,6 +17,19 @@ from __future__ import annotations
 import numpy as np
 
 from .server import AccessSequence
+
+
+def consecutive_pairs(addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (u, v) of the access graph of addrs, as parallel index arrays.
+
+    A stable sort lists each address's timestamps in increasing order, so
+    adjacent equal keys are exactly the consecutive occurrences.  The pairs
+    come out grouped by address, not ordered by v.
+    """
+    order = np.argsort(addrs, kind="stable")
+    sorted_a = addrs[order]
+    same = sorted_a[1:] == sorted_a[:-1]
+    return order[:-1][same], order[1:][same]
 
 
 class AccessGraph:
@@ -35,13 +49,9 @@ class AccessGraph:
     def pred(self) -> np.ndarray:
         """pred[v] = previous timestamp of A[v], or -1 if v is its first occurrence."""
         if self._pred is None:
-            n = self.N
-            pred = np.full(n, -1, dtype=np.int64)
-            if n:
-                order = np.lexsort((np.arange(n), self.A))
-                sorted_a = self.A[order]
-                same = sorted_a[1:] == sorted_a[:-1]
-                pred[order[1:][same]] = order[:-1][same]
+            pred = np.full(self.N, -1, dtype=np.int64)
+            u, v = consecutive_pairs(self.A)
+            pred[v] = u
             self._pred = pred
         return self._pred
 

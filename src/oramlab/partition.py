@@ -9,6 +9,11 @@ live here:
   where some cut reaches the threshold.  Feasibility of a part is monotone in
   its right boundary (widening a window only adds edges), so the earliest
   close is never a mistake and the greedy is complete as well as sound.
+  Monotonicity also means the earliest close can be searched for: window
+  lengths gallop upward from 2*ceil(ell) (a cut crossed by t edges needs 2t
+  vertices) until one is feasible, then bisection finds the smallest.  Each
+  probe derives the window's edges with one stable sort and reads every cut's
+  crossing count off a prefix sum, so only the windows examined are touched.
 * ``brute_force_dense_partition`` searches all monotone boundary sequences.
   Exponential, capped at N <= 18, and kept free of any greedy logic so the
   two can audit each other.
@@ -22,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._util import as_fraction, ceil_log4, floor_log4, frac_ceil, is_power_of_4, powers_of_4_up_to
-from .graph import AccessGraph
+from .graph import AccessGraph, consecutive_pairs
 
 BRUTE_FORCE_CAP = 18
 
@@ -58,18 +65,6 @@ class Partition:
         return [(bs[2 * i], bs[2 * i + 1], bs[2 * i + 2]) for i in range(self.k)]
 
 
-@dataclass(frozen=True)
-class DensityQuery:
-    k: int
-    ell: Fraction
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("need k >= 1")
-        if self.ell < 0:
-            raise ValueError("need ell >= 0")
-
-
 def is_dense(graph: AccessGraph, partition: Partition, ell) -> bool:
     """Re-verify a partition part by part against the graph."""
     ell = as_fraction(ell)
@@ -82,98 +77,51 @@ def _trivial_partition(k: int, n: int) -> Partition:
     return Partition((0,) * (2 * k) + (n,))
 
 
-class _RangeAddMaxTree:
-    """Lazy segment tree (range add, global max) over a rightward-growing range.
-
-    Leaf i covers position origin + i.  Growth doubles the capacity and
-    re-seats the old tree as the left subtree, so amortized cost stays
-    logarithmic while a part's scan window expands.
-    """
-
-    __slots__ = ("cap", "mx", "lz")
-
-    def __init__(self):
-        self.cap = 1
-        self.mx = [0, 0]
-        self.lz = [0, 0]
-
-    def _grow(self) -> None:
-        old_cap, mx, lz = self.cap, self.mx, self.lz
-        new_mx = [0] * (4 * old_cap)
-        new_lz = [0] * (4 * old_cap)
-        new_mx[1] = mx[1]
-        # old node i (level L) becomes new node i + 2^L: contiguous per level
-        lo = 1
-        while lo <= old_cap:
-            hi = lo * 2
-            new_mx[2 * lo : lo + hi] = mx[lo:hi]
-            new_lz[2 * lo : lo + hi] = lz[lo:hi]
-            lo = hi
-        self.cap = 2 * old_cap
-        self.mx = new_mx
-        self.lz = new_lz
-
-    def ensure(self, size: int) -> None:
-        while self.cap < size:
-            self._grow()
-
-    def add(self, lo: int, hi: int, delta: int = 1) -> None:
-        """Add delta on leaf positions [lo, hi] (inclusive, 0-based)."""
-        self.ensure(hi + 1)
-        mx, lz = self.mx, self.lz
-
-        def rec(node: int, nlo: int, nhi: int) -> None:
-            if lo <= nlo and nhi <= hi:
-                mx[node] += delta
-                lz[node] += delta
-                return
-            mid = (nlo + nhi) // 2
-            left, right = 2 * node, 2 * node + 1
-            if lo <= mid:
-                rec(left, nlo, mid)
-            if hi > mid:
-                rec(right, mid + 1, nhi)
-            mx[node] = lz[node] + max(mx[left], mx[right])
-
-        rec(1, 0, self.cap - 1)
-
-    @property
-    def max(self) -> int:
-        return self.mx[1]
-
-    def leftmost_at_least(self, target: int) -> int:
-        """Smallest leaf position whose value reaches target (must exist)."""
-        mx, lz = self.mx, self.lz
-        node, nlo, nhi = 1, 0, self.cap - 1
-        acc = 0
-        if mx[1] < target:
-            raise ValueError("no position reaches the target")
-        while nlo != nhi:
-            acc += lz[node]
-            mid = (nlo + nhi) // 2
-            left = 2 * node
-            if acc + mx[left] >= target:
-                node, nhi = left, mid
-            else:
-                node, nlo = left + 1, mid + 1
-        return nlo
+def _first_heavy_cut(u: np.ndarray, v: np.ndarray, length: int, threshold: int) -> int | None:
+    """Smallest window-local cut c in [0, length] crossed by at least threshold
+    of the window's edges (u < c <= v), or None."""
+    crossing = np.cumsum(
+        np.bincount(u + 1, minlength=length + 1) - np.bincount(v + 1, minlength=length + 1)
+    )
+    c = int(np.argmax(crossing >= threshold))
+    return c if crossing[c] >= threshold else None
 
 
-def _iter_addresses(graph: AccessGraph):
-    """Stream the address array as Python ints without materializing a giant list."""
-    a = graph.A
-    step = 1 << 16
-    for lo in range(0, len(a), step):
-        yield from a[lo : lo + step].tolist()
+def _close_part(addrs: np.ndarray, b: int, threshold: int) -> tuple[int, int] | None:
+    """(m, e) for the part starting at b: the smallest feasible end e and the
+    smallest cut m of [b, e) reaching the threshold, or None if no end works."""
+    n = len(addrs)
+    lo, hi = 2 * threshold - 1, 2 * threshold  # window lengths: lo infeasible, hi to try
+    if b + hi > n:
+        return None
+    while True:
+        u, v = consecutive_pairs(addrs[b : b + hi])
+        cut = _first_heavy_cut(u, v, hi, threshold)
+        if cut is not None:
+            break
+        if b + hi == n:
+            return None
+        lo, hi = hi, min(2 * hi, n - b)
+    # a shorter window's edges are the longer one's edges that end inside it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        keep = v < mid
+        mid_cut = _first_heavy_cut(u[keep], v[keep], mid, threshold)
+        if mid_cut is None:
+            lo = mid
+        else:
+            hi, cut, u, v = mid, mid_cut, u[keep], v[keep]
+    return b + cut, b + hi
 
 
 def greedy_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
     """Left-to-right greedy test for an ell-dense k-partition.
 
-    With the current part starting at b, the scan advances the candidate right
-    boundary one timestamp at a time and closes the part at the smallest end
-    for which some cut m reaches the threshold, recording the smallest such m.
-    Returns a witness partition, or None when none exists.
+    Each part starting at b closes at the smallest end e for which some cut m
+    of [b, e) reaches the threshold, found by galloping over window lengths
+    from 2*ceil(ell) and then bisecting; the witness records the smallest
+    such m.  The last part's end is widened to N.  Returns a witness
+    partition, or None when none exists.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -183,29 +131,16 @@ def greedy_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
         return _trivial_partition(k, n)
     threshold = frac_ceil(ell)
 
-    boundaries: list[int] = [0]
+    boundaries = [0]
     b = 0
-    tree = _RangeAddMaxTree()
-    last_seen: dict[int, int] = {}
-    parts_found = 0
-    for v, a in enumerate(_iter_addresses(graph)):
-        u = last_seen.get(a, -1)
-        last_seen[a] = v
-        if u < b:
-            continue
-        # edge (u, v): a cut m separates it iff u < m <= v; leaf i is cut b+1+i
-        tree.add(u - b, v - b - 1)
-        if tree.max >= threshold:
-            m = tree.leftmost_at_least(threshold) + b + 1
-            boundaries.append(m)
-            boundaries.append(v + 1)
-            parts_found += 1
-            if parts_found == k:
-                boundaries[-1] = n  # widening the last part only adds edges
-                return Partition(tuple(boundaries))
-            b = v + 1
-            tree = _RangeAddMaxTree()
-    return None
+    for _ in range(k):
+        close = _close_part(graph.A, b, threshold)
+        if close is None:
+            return None
+        boundaries.extend(close)
+        b = close[1]
+    boundaries[-1] = n  # widening the last part only adds edges
+    return Partition(tuple(boundaries))
 
 
 def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:

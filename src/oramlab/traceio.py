@@ -5,6 +5,8 @@ order, then one decimal server address per line.  With boundary annotations
 enabled, a ``#op <index>`` comment precedes each input op's probes (index -2
 marks wrap-up probes after the last op); analyses must ignore those lines.
 The format is documented in docs/formats.md and round-trips byte-exactly.
+Reading rejects unknown engines and addresses outside [1, 2^w], the range
+the server enforces on every probe.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from ._util import as_fraction, frac_ceil, powers_of_4_up_to
 from .graph import AccessGraph, build_access_graph
-from .partition import certify, edge_lower_bound_from_certificate
+from .orams import ENGINE_NAMES
+from .partition import CertificateError, certify, edge_lower_bound_from_certificate
 
 TRACE_FORMAT = "oramlab-trace/1"
 _HEADER_KEYS = ("format", "engine", "workload", "n", "m", "M", "w", "seed", "N")
@@ -94,15 +97,26 @@ def read_trace(path) -> TraceFile:
         raise ValueError(f"unsupported trace format {header['format']!r}")
     if int(header["N"]) != len(addrs):
         raise ValueError(f"header says N={header['N']} but body has {len(addrs)} addresses")
+    if header["engine"] not in ENGINE_NAMES:
+        raise ValueError(f"unknown engine {header['engine']!r} in trace header")
+    w = int(header["w"])
+    out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
+    try:
+        addr_array = np.asarray(addrs, dtype=np.int64)
+    except OverflowError:
+        raise out_of_range from None
+    # int64 addresses never exceed 2^63, so a wider w needs no upper check
+    if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << min(w, 63):
+        raise out_of_range
     return TraceFile(
         engine=header["engine"],
         workload=header["workload"],
         n=int(header["n"]),
         m=int(header["m"]),
         M=int(header["M"]),
-        w=int(header["w"]),
+        w=w,
         seed=int(header["seed"]),
-        addrs=np.asarray(addrs, dtype=np.int64),
+        addrs=addr_array,
         op_index=np.asarray(ops, dtype=np.int64) if saw_boundary else None,
     )
 
@@ -145,7 +159,7 @@ class ExperimentReport:
 
     def __post_init__(self):
         if self.certified_probe_bound > self.measured_probes:
-            raise AssertionError(
+            raise CertificateError(
                 f"certified bound {self.certified_probe_bound} exceeds measured probes "
                 f"{self.measured_probes}; the certificate audit is broken"
             )

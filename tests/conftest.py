@@ -53,6 +53,34 @@ def brute_force_crossing(addrs, a: int, m: int, b: int) -> int:
     return count
 
 
+def reference_greedy_witness(addrs, k: int, threshold: int) -> tuple[int, ...] | None:
+    """The greedy's witness straight off the definition, for threshold >= 1.
+
+    Each part [b, e) closes at its smallest end e for which some cut reaches
+    the threshold, at the smallest such cut m; the last part's end is then
+    widened to N without moving its cut.
+    """
+    n = len(addrs)
+    boundaries = [0]
+    b = 0
+    for _ in range(k):
+        close = next(
+            (
+                (m, e)
+                for e in range(b, n + 1)
+                for m in range(b, e + 1)
+                if brute_force_crossing(addrs, b, m, e) >= threshold
+            ),
+            None,
+        )
+        if close is None:
+            return None
+        boundaries.extend(close)
+        b = close[1]
+    boundaries[-1] = n
+    return tuple(boundaries)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+from oramlab import TreeOram, cli
 from oramlab.cli import EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -144,3 +146,32 @@ def test_graph_export_formats(tmp_path, capsys):
     assert run_cli("graph-export", "--trace", str(trace), "--format", "dot") == EXIT_OK
     dot = capsys.readouterr().out
     assert dot.startswith("digraph") and "0 -> 1;" in dot
+
+
+def test_stash_overflow_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(TreeOram, "STASH_LIMIT", -1)
+    assert run_cli("report", "--engine", "tree", "--workload", "blocks:n=64,k=4,seed=2",
+                   "--seed", "2", "--json", "-") == EXIT_MODEL
+    assert "stash" in capsys.readouterr().err
+
+
+def test_decode_failure_exit_code(monkeypatch, capsys):
+    encode = cli.alice_encode
+
+    def tampered(*args, **kwargs):
+        msg = encode(*args, **kwargs)
+        return dataclasses.replace(msg, matched=msg.matched + ((1, 0),))  # never consumed
+
+    monkeypatch.setattr(cli, "alice_encode", tampered)
+    assert run_cli("codec", "--engine", "passthrough", "--n", "8", "--k", "2", "--i", "1",
+                   "--seed", "3") == EXIT_MODEL
+    assert "never consumed" in capsys.readouterr().err
+
+
+def test_invalid_trace_is_a_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1",
+            "--out", str(trace))
+    trace.write_text(trace.read_text().replace("\n1\n", "\n0\n", 1))
+    assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
+    assert "outside [1, 2^32]" in capsys.readouterr().err

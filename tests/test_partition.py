@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from oramlab import (
     CertificateError,
-    DensityQuery,
     OramConfig,
     Partition,
     adversary_view,
@@ -24,7 +24,7 @@ from oramlab import (
     run_sequence,
 )
 
-from conftest import random_degree_bounded_graph
+from conftest import random_degree_bounded_graph, reference_greedy_witness
 
 PATH4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
 CROSSED4 = graph_from_edges(4, [(0, 2), (1, 3)])
@@ -72,38 +72,6 @@ def test_partition_validation():
         Partition((0, 1))
 
 
-def test_density_query_validation():
-    q = DensityQuery(k=2, ell=Fraction(3, 2))
-    assert (q.k, q.ell) == (2, Fraction(3, 2))
-    with pytest.raises(ValueError):
-        DensityQuery(k=0, ell=Fraction(1))
-    with pytest.raises(ValueError):
-        DensityQuery(k=1, ell=Fraction(-1))
-
-
-@given(
-    ops=st.lists(
-        st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=1, max_size=50
-    ),
-    target=st.integers(1, 6),
-)
-@settings(max_examples=120)
-def test_range_add_max_tree_matches_flat_reference(ops, target):
-    from oramlab.partition import _RangeAddMaxTree
-
-    tree = _RangeAddMaxTree()
-    ref = [0] * 61
-    for lo, hi in ops:
-        lo, hi = min(lo, hi), max(lo, hi)
-        tree.add(lo, hi)
-        for i in range(lo, hi + 1):
-            ref[i] += 1
-        assert tree.max == max(ref)
-        if max(ref) >= target:
-            want = next(i for i, v in enumerate(ref) if v >= target)
-            assert tree.leftmost_at_least(target) == want
-
-
 @given(seed=st.integers(0, 2**32), k=st.integers(1, 3), ell=st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_greedy_matches_brute_force(seed, k, ell):
@@ -136,6 +104,40 @@ def test_density_monotone_in_threshold(seed, k):
     g = random_degree_bounded_graph(random.Random(seed), max_n=10)
     feasible = [ell for ell in range(1, 6) if greedy_dense_partition(g, k, ell) is not None]
     assert feasible == list(range(1, len(feasible) + 1))
+
+
+@given(
+    addrs=st.lists(st.integers(1, 5), max_size=40),
+    k=st.integers(1, 3),
+    ell=st.integers(1, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_greedy_witness_matches_definition(addrs, k, ell):
+    got = greedy_dense_partition(build_access_graph(addrs), k, ell)
+    want = reference_greedy_witness(addrs, k, ell)
+    assert (None if got is None else got.boundaries) == want
+
+
+def _witness_digest(engine: str, n: int, k_max: int) -> tuple[list[int], str]:
+    cfg = OramConfig(m=4, M=n, w=32)
+    y, _ = gen_write_read_blocks(n, 4, cfg.w, random.Random(n))
+    _, srv = run_sequence(engine, cfg, y, seed=n + 1, record_meta=False)
+    cert = certify(build_access_graph(adversary_view(srv)), Fraction(n, 5), k_max)
+    items = sorted((k, p.boundaries) for k, p in cert.witnessed.items())
+    return [k for k, _ in items], hashlib.blake2b(repr(items).encode(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "engine, n, k_max, ks, digest",
+    [
+        ("tree", 2**12, 16, [1, 4, 16], "97bf55743af96bd95d17f01727d6acdf"),
+        ("linear-scan", 2**10, 4, [1, 4], "a9a20b41409a0dede9d3be651c45c532"),
+    ],
+)
+def test_witnesses_are_frozen(engine, n, k_max, ks, digest):
+    # pins full boundary sequences, which the oracle comparisons (verdicts
+    # only) would let drift
+    assert _witness_digest(engine, n, k_max) == (ks, digest)
 
 
 def test_rational_thresholds_compare_exactly():

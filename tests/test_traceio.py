@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from oramlab import (
+    CertificateError,
+    ExperimentReport,
     OramConfig,
     TraceFile,
     analyze_trace,
@@ -113,3 +115,40 @@ class TestAnalyze:
         r1 = analyze_trace(_trace_file(engine="dummy-encoder"), ell=2, k_max=4)
         r2 = analyze_trace(_trace_file(engine="dummy-encoder"), ell=2, k_max=4)
         assert r1.to_json() == r2.to_json()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("#engine=passthrough", "#engine=x"),
+        lambda text: text.replace("\n1\n", "\n-5\n", 1),
+        lambda text: text.replace("\n1\n", "\n0\n", 1),
+        lambda text: text.replace("\n1\n", f"\n{2**16 + 1}\n", 1),
+        lambda text: text.replace("\n1\n", f"\n{2**70}\n", 1),
+    ],
+    ids=["unknown-engine", "negative", "zero", "above-2^w", "beyond-int64"],
+)
+def test_read_trace_rejects_invalid_content(tmp_path, edit):
+    tf = _trace_file()  # w=16
+    p = tmp_path / "t.trace"
+    write_trace(tf, p)
+    text = p.read_text()
+    p.write_text(edit(text))
+    with pytest.raises(ValueError):
+        read_trace(p)
+
+
+def test_read_trace_accepts_the_top_address(tmp_path):
+    tf = _trace_file()  # w=16
+    p = tmp_path / "t.trace"
+    write_trace(tf, p)
+    p.write_text(p.read_text().replace("\n1\n", f"\n{2**16}\n", 1))
+    assert read_trace(p).addrs.max() == 2**16
+
+
+def test_report_refuses_a_bound_above_the_probe_count():
+    with pytest.raises(CertificateError):
+        ExperimentReport(
+            engine="passthrough", workload="alt:n=2", n=2, m=1, M=2, w=32, seed=0,
+            measured_probes=2, ell=Fraction(1), k_max=1, certified_probe_bound=3,
+        )
