@@ -40,7 +40,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"threshold {x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact threshold")
 
 

@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from ._util import ModelViolationError, as_fraction
 from .adversary import dense_partition_frequency, estimate_advantage
@@ -147,7 +146,7 @@ def _cmd_trace(args) -> int:
         raise _UsageError("dummy-leaker must know the length up front: pass --n")
     config = _config_for(args, spec.n)
     y, _ = instantiate_workload(spec, config.w, default_seed=seed)
-    _, server = run_sequence(args.engine, config, y, seed)
+    _, server = run_sequence(args.engine, config, y, seed, record_meta=args.with_boundaries)
     tf = TraceFile(
         engine=args.engine,
         workload=spec.render(),
@@ -172,8 +171,8 @@ def _report_payload(report: ExperimentReport, args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    ell = as_fraction(args.ell) if args.ell is not None else None
     tf = read_trace(args.trace)
-    ell = as_fraction(Fraction(args.ell)) if args.ell is not None else None
     report = analyze_trace(tf, ell=ell, k_max=args.k_max)
     return _report_payload(report, args)
 
@@ -237,6 +236,7 @@ def _cmd_codec(args) -> int:
 
 def _cmd_report(args) -> int:
     seed = _resolve_seed(args)
+    ell = as_fraction(args.ell) if args.ell is not None else None
     spec = parse_workload_spec(args.workload)
     config = _config_for(args, spec.n)
     y, _ = instantiate_workload(spec, config.w, default_seed=seed)
@@ -251,7 +251,6 @@ def _cmd_report(args) -> int:
         seed=seed,
         addrs=server.addr_column(),
     )
-    ell = as_fraction(Fraction(args.ell)) if args.ell is not None else None
     report = analyze_trace(tf, ell=ell, k_max=args.k_max)
     return _report_payload(report, args)
 

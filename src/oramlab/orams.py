@@ -43,7 +43,6 @@ class Engine:
     """Base engine: drives per-op probes against a server it owns exclusively."""
 
     name: str = "abstract"
-    online = True
 
     def __init__(self, config: OramConfig, rng: random.Random):
         self.config = config
@@ -92,7 +91,10 @@ class LinearScan(Engine):
     trace is a fixed function of (n, M): perfect obliviousness by construction.
     Only O(1) registers persist between probes; the bulk step below is a
     simulation fast path that reproduces the honest probe loop bit for bit
-    (the ``_mirror`` cache belongs to the simulator, not to client memory).
+    as one ``probe_batch`` per op (``_mirror``, the cells this engine alone
+    writes, belongs to the simulator, not to client memory).  It runs while no
+    read override is pending: a codec replay leaves it only until its
+    override deque is empty.
     """
 
     name = "linear-scan"
@@ -100,15 +102,14 @@ class LinearScan(Engine):
     def __init__(self, config, rng, fast: bool = True):
         super().__init__(config, rng)
         self._fast = fast
-        self._mirror: list[int] | None = None
         m = config.M
-        self._addr_pattern = [j for a in range(1, m + 1) for j in (a, a)]
-        self._kind_pattern = [0, 1] * m
+        self._mirror = np.zeros(m + 1, dtype=np.int64)
+        self._addrs = np.repeat(np.arange(1, m + 1, dtype=np.int64), 2)
+        self._kinds = np.tile(np.array([0, 1], dtype=np.int64), m)
 
     def step(self, server, op, op_index):
-        if self._fast and server.read_overrides is None:
-            return self._step_bulk(server, op, op_index)
-        self._mirror = None  # honest probes may change cells behind the cache
+        if self._fast and not server.read_overrides:
+            return self._step_bulk(server, op)
         answer = 0
         for j in range(1, self.config.M + 1):
             v = server.probe(READ, j)
@@ -118,63 +119,34 @@ class LinearScan(Engine):
                 else:
                     answer = v
             server.probe(WRITE, j, v)
+            self._mirror[j] = v
         return answer
 
-    def _step_bulk(self, server, op, op_index):
-        m = self.config.M
+    def _step_bulk(self, server, op):
         mirror = self._mirror
-        if mirror is None:
-            cells = server.cells
-            mirror = self._mirror = [0] + [cells.get(j, 0) for j in range(1, m + 1)]
-        reads = mirror[1:]
         if op.kind == WRITE:
-            answer = 0
             mirror[op.addr] = op.data
-        else:
-            answer = mirror[op.addr]
-        writes = mirror[1:]
-        server._addr.tail.extend(self._addr_pattern)
-        if server.record_meta:
-            interleaved = [0] * (2 * m)
-            interleaved[0::2] = reads
-            interleaved[1::2] = writes
-            # every cell's last write before this op's read pass was the previous op
-            prev = op_index - 1 if op_index > 0 else -1
-            server._kind.tail.extend(self._kind_pattern)
-            server._data.tail.extend(interleaved)
-            server._op.tail.extend([op_index] * (2 * m))
-            server._read_src.tail.extend([prev, -1] * m)
-        server.cells.update(zip(range(1, m + 1), writes))
-        server.last_write_op.update(dict.fromkeys(range(1, m + 1), op_index))
-        return answer
+        data = np.zeros(2 * self.config.M, dtype=np.int64)
+        data[1::2] = mirror[1:]
+        server.probe_batch(self._kinds, self._addrs, data)
+        return int(mirror[op.addr]) if op.kind == READ else 0
 
     def run(self, server, y):
-        if (
-            self._fast
-            and not server.record_meta
-            and server.read_overrides is None
-            and server.probe_count == 0
-            and not server.cells
-        ):
+        if self._fast and not server.record_meta and not server.read_overrides and server.probe_count == 0:
             return self._run_trace_only(server, y)
         return super().run(server, y)
 
     def _run_trace_only(self, server, y):
         """Whole-run path for address-only logs: one tiled numpy block."""
-        m = self.config.M
         answers = []
-        vals = [0] * (m + 1)
+        vals = [0] * (self.config.M + 1)
         for op in y:
             if op.kind == WRITE:
                 vals[op.addr] = op.data
             else:
                 answers.append(vals[op.addr])
-        n = len(y)
-        if n:
-            pattern = np.repeat(np.arange(1, m + 1, dtype=np.int64), 2)
-            server._addr.extend_array(np.tile(pattern, n))
-            server.cells = dict(zip(range(1, m + 1), vals[1:]))
-            server.last_write_op = dict.fromkeys(range(1, m + 1), n - 1)
+        if len(y):
+            server._log_run(np.tile(self._addrs, len(y)), vals[1:], len(y) - 1)
         return answers
 
 
@@ -182,9 +154,12 @@ class TreeOram(Engine):
     """Non-recursive path-tree engine: complete binary tree over M leaves,
     buckets of Z=4 slots, client-side position map and stash.
 
-    Each op reads every slot on a root-to-leaf path, serves the op from the
-    fetched blocks plus the stash, remaps the accessed address to a fresh
-    uniform leaf, and writes the path back with greedy deepest-first eviction.
+    Each op reads every slot on a root-to-leaf path in one ``probe_batch``,
+    serves the op from the fetched blocks plus the stash, remaps the accessed
+    address to a fresh uniform leaf, and writes the path back in a second
+    batch.  Eviction is Path ORAM's (Stefanov et al., CCS 2013): each stash
+    block goes, in stash order, to the deepest non-full bucket at or above its
+    deepest legal level, the level where its leaf's path leaves this one.
     Probes per op are exactly 2*Z*(ceil(log2 M) + 1).
 
     Deviation (reported by the analysis CLI): the position map and the
@@ -213,64 +188,46 @@ class TreeOram(Engine):
     def probes_per_op(self) -> int:
         return 2 * self.Z * (self.depth + 1)
 
-    def _path(self, leaf: int) -> list[int]:
-        node = self.leaves - 1 + leaf
-        path = [node]
-        while node:
-            node = (node - 1) // 2
-            path.append(node)
-        path.reverse()
-        return path
-
-    def _ancestor(self, leaf: int, level: int) -> int:
-        return ((self.leaves + leaf) >> (self.depth - level)) - 1
-
     def step(self, server, op, op_index):
         z = self.Z
         leaf = self.pos[op.addr - 1]
-        path = self._path(leaf)
-        for bucket in path:
-            base = bucket * z
-            for s in range(z):
-                v = server.probe(READ, base + s + 1)
-                owner = self.slot_owner[base + s]
-                if owner is not None:
-                    self.stash[owner] = v
-                    self.slot_owner[base + s] = None
+        buckets = ((self.leaves + leaf) >> np.arange(self.depth, -1, -1)) - 1  # root first
+        addrs = (buckets[:, None] * z + np.arange(1, z + 1)).ravel()
+        slots = (addrs - 1).tolist()
+        blank = np.zeros(len(slots), dtype=np.int64)
+        owners = self.slot_owner
+        for slot, v in zip(slots, server.probe_batch(blank, addrs, blank).tolist()):
+            owner, owners[slot] = owners[slot], None
+            if owner is not None:
+                self.stash[owner] = v
         if op.kind == WRITE:
             self.stash[op.addr] = op.data
             answer = 0
         else:
             answer = self.stash.setdefault(op.addr, 0)
         self.pos[op.addr - 1] = self.rng.randrange(self.leaves)
-        placement = self._plan_eviction(path)
-        for level, bucket in enumerate(path):
-            base = bucket * z
-            blocks = placement[level]
-            for s in range(z):
-                if s < len(blocks):
-                    addr, val = blocks[s]
-                    self.slot_owner[base + s] = addr
-                    server.probe(WRITE, base + s + 1, val)
-                else:
-                    server.probe(WRITE, base + s + 1, 0)
+        data = blank.copy()
+        for level, blocks in enumerate(self._plan_eviction(leaf)):
+            for s, (addr, val) in enumerate(blocks):
+                owners[slots[level * z + s]] = addr
+                data[level * z + s] = val
+        server.probe_batch(np.ones(len(slots), dtype=np.int64), addrs, data)
         if len(self.stash) > self.STASH_LIMIT:
             raise StashOverflowError(
                 f"stash holds {len(self.stash)} blocks (> {self.STASH_LIMIT}) after op {op_index}"
             )
         return answer
 
-    def _plan_eviction(self, path: list[int]) -> list[list[tuple[int, int]]]:
-        placement: list[list[tuple[int, int]]] = [[] for _ in path]
-        for level in range(self.depth, -1, -1):
-            bucket = path[level]
-            slot_list = placement[level]
-            for addr, val in list(self.stash.items()):
-                if len(slot_list) == self.Z:
-                    break
-                if self._ancestor(self.pos[addr - 1], level) == bucket:
-                    slot_list.append((addr, val))
-                    del self.stash[addr]
+    def _plan_eviction(self, leaf: int) -> list[list[tuple[int, int]]]:
+        """Per level of leaf's path, the (addr, value) blocks that leave the stash for it."""
+        placement: list[list[tuple[int, int]]] = [[] for _ in range(self.depth + 1)]
+        for addr, val in list(self.stash.items()):
+            level = self.depth - (leaf ^ self.pos[addr - 1]).bit_length()
+            while level >= 0 and len(placement[level]) == self.Z:
+                level -= 1
+            if level >= 0:
+                placement[level].append((addr, val))
+                del self.stash[addr]
         return placement
 
     def export_state(self):
@@ -355,7 +312,6 @@ class DummyLengthLeaker(Engine):
     """
 
     name = "dummy-leaker"
-    online = False
 
     def __init__(self, config, rng, n: int, forced_draw: tuple[int, int] | None = None):
         super().__init__(config, rng)

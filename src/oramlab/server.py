@@ -6,15 +6,20 @@ the input-op index that triggered each probe, and for reads the op index of
 the probed cell's last writer).  ``adversary_view`` projects the log down to
 the bare address list, which is all an adversary ever sees in this model.
 
-The log is columnar and chunked: single probes append to plain Python lists,
-while engine fast paths may append whole numpy arrays.  Both produce the same
-observable log.
+The log is columnar: ``probe`` and ``probe_batch`` produce the same log, and
+a batch lands in each column's numpy buffer as one array.  Cell contents and
+last writers live in a dense store, two ``array('q')`` indexed by address and
+doubled as needed to cover the highest address probed (so addresses should
+stay of the order of the workload, not of 2^w); a batch views them through
+``np.frombuffer``.
 """
 
 from __future__ import annotations
 
+import mmap
+from array import array
 from collections import deque
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +31,6 @@ FINAL_OP = -2
 # read_src sentinel for "cell never written" and for write probes
 NO_WRITER = -1
 
-_KIND_CODE = {READ: 0, WRITE: 1}
 _KIND_NAME = {0: READ, 1: WRITE}
 
 
@@ -39,35 +43,46 @@ class ProbeRecord(NamedTuple):
 
 
 class _Column:
-    """Append-only int64 column stored as a list of chunks."""
+    """Append-only int64 column.
 
-    __slots__ = ("chunks", "tail")
+    Batches are copied into a numpy buffer that grows fourfold, and the
+    first array appended to an empty column becomes that buffer uncopied.
+    Single probes append to a list, flushed into the buffer before the next
+    batch or read.
+    """
+
+    __slots__ = ("buf", "size", "tail")
 
     def __init__(self):
-        self.chunks: list[np.ndarray] = []
+        self.buf = np.empty(0, dtype=np.int64)
+        self.size = 0
         self.tail: list[int] = []
 
     def __len__(self) -> int:
-        return sum(len(c) for c in self.chunks) + len(self.tail)
+        return self.size + len(self.tail)
 
-    def extend_array(self, arr: np.ndarray) -> None:
-        self._seal()
-        self.chunks.append(arr)
-
-    def _seal(self) -> None:
+    def extend(self, arr: np.ndarray) -> None:
+        """Append arr, which the column may keep: the caller must not change it."""
         if self.tail:
-            self.chunks.append(np.asarray(self.tail, dtype=np.int64))
-            self.tail = []
+            tail, self.tail = self.tail, []
+            self.extend(np.array(tail, dtype=np.int64))
+        end = self.size + len(arr)
+        if not self.size:
+            self.buf = arr
+        else:
+            if end > len(self.buf):
+                # an anonymous map's pages cost memory once written and go back to the
+                # system when freed, whatever the heap layout; 4x room keeps regrowth rare
+                grown = np.frombuffer(mmap.mmap(-1, 4 * end * 8), dtype=np.int64)
+                grown[: self.size] = self.buf[: self.size]
+                self.buf = grown
+            self.buf[self.size : end] = arr
+        self.size = end
 
     def to_array(self) -> np.ndarray:
-        self._seal()
-        if not self.chunks:
-            return np.empty(0, dtype=np.int64)
-        if len(self.chunks) == 1:
-            return self.chunks[0]
-        merged = np.concatenate(self.chunks)
-        self.chunks = [merged]
-        return merged
+        if self.tail:
+            self.extend(np.empty(0, dtype=np.int64))
+        return self.buf[: self.size]
 
 
 class AccessSequence:
@@ -98,7 +113,7 @@ class AccessSequence:
 
 
 class ServerState:
-    """Sparse cell store plus the probe log for one simulation run.
+    """Dense cell store plus the probe log for one simulation run.
 
     record_meta=False keeps only the address column; large trace-statistics
     runs use it so a multi-million-probe log costs one int64 array instead of
@@ -108,8 +123,9 @@ class ServerState:
     def __init__(self, config: OramConfig, record_meta: bool = True):
         self.config = config
         self.record_meta = record_meta
-        self.cells: dict[int, int] = {}
-        self.last_write_op: dict[int, int] = {}
+        # index 0 is never probed; it keeps np.frombuffer off empty buffers
+        self._val = array("q", [0])
+        self._writer = array("q", [NO_WRITER])
         self.op_index = FINAL_OP
         self._addr = _Column()
         if record_meta:
@@ -136,30 +152,121 @@ class ServerState:
         """
         if not 1 <= addr <= self._addr_limit:
             raise ModelViolationError(f"probe address {addr} outside [1, 2^{self.config.w}]")
-        if kind == WRITE:
-            if not 0 <= data < self._addr_limit:
-                raise ModelViolationError(f"probe payload {data} does not fit in {self.config.w} bits")
-            src = NO_WRITER
-            self.cells[addr] = data
-            self.last_write_op[addr] = self.op_index
-            ret = 0
-            logged = data
-        elif kind == READ:
-            if self.read_overrides is not None and self.read_overrides and self.read_overrides[0][0] == addr:
-                _, content = self.read_overrides.popleft()
-                self.cells[addr] = content
-            src = self.last_write_op.get(addr, NO_WRITER)
-            ret = self.cells.get(addr, 0)
-            logged = ret
-        else:
-            raise ModelViolationError(f"unknown probe kind {kind!r}")
+        try:
+            if kind == WRITE:
+                if not 0 <= data < self._addr_limit:
+                    raise ModelViolationError(f"probe payload {data} does not fit in {self.config.w} bits")
+                self._val[addr] = data
+                self._writer[addr] = self.op_index
+                src, ret, logged = NO_WRITER, 0, data
+            elif kind == READ:
+                src = self._writer[addr]
+                overrides = self.read_overrides
+                if overrides and overrides[0][0] == addr:
+                    self._val[addr] = overrides.popleft()[1]
+                ret = logged = self._val[addr]
+            else:
+                raise ModelViolationError(f"unknown probe kind {kind!r}")
+        except IndexError:  # the first probe past the store's end grows it
+            self._grow(addr)
+            return self.probe(kind, addr, data)
         self._addr.tail.append(addr)
         if self.record_meta:
-            self._kind.tail.append(_KIND_CODE[kind])
+            self._kind.tail.append(kind == WRITE)  # 1 for writes, 0 for reads
             self._data.tail.append(logged)
             self._op.tail.append(self.op_index)
             self._read_src.tail.append(src)
         return ret
+
+    def probe_batch(self, kinds, addrs, data) -> np.ndarray:
+        """Execute probes i = 0, 1, ... (kinds[i]: 0 read, 1 write) in order.
+
+        Results, log, errors and read-override consumption are exactly those
+        of calling ``probe`` once per probe; data is ignored for reads.
+        Returns the values read (0 for writes).
+        """
+        kinds, addrs, data = (np.array(x, dtype=np.int64) for x in (kinds, addrs, data))
+        n = len(addrs)
+        is_write = kinds == 1
+        written = data[is_write]
+        limit = self._addr_limit
+        top = int(addrs.max()) if n else 0
+        if (
+            self.read_overrides
+            or not n  # the loop below returns the empty result
+            or np.count_nonzero(kinds) != len(written)
+            or not 1 <= addrs.min() <= top <= limit
+            or (len(written) and not 0 <= written.min() <= written.max() < limit)
+        ):
+            # the per-probe loop consumes overrides and raises at the first bad probe
+            probes = zip(kinds.tolist(), addrs.tolist(), data.tolist())
+            return np.array([self.probe(_KIND_NAME.get(k, k), a, d) for k, a, d in probes], dtype=np.int64)
+        self._grow(top)
+        vals = np.frombuffer(self._val, dtype=np.int64)
+        writers = np.frombuffer(self._writer, dtype=np.int64)
+        if not np.count_nonzero(addrs[1:] <= addrs[:-1]):
+            # no address repeats, so no probe sees another's write
+            logged = np.where(is_write, data, vals[addrs])
+            src = writers[addrs]
+            final = addrs[is_write]
+            vals[final] = written
+        else:
+            # sort stably by address (each address keeps batch order) and give
+            # each probe the latest write at or before it in its group, else the store
+            order = np.argsort(addrs, kind="stable")
+            a = addrs[order]
+            pos = np.arange(n)
+            first = np.concatenate(([True], a[1:] != a[:-1]))
+            group = np.maximum.accumulate(np.where(first, pos, 0))
+            last_write = np.maximum.accumulate(np.where(is_write[order], pos, -1))
+            hit = last_write >= group
+            got = np.where(hit, data[order][last_write], vals[a])
+            logged, src = np.empty((2, n), dtype=np.int64)
+            logged[order] = got
+            src[order] = np.where(hit, self.op_index, writers[a])
+            last = hit & np.append(first[1:], True)
+            final = a[last]
+            vals[final] = got[last]
+        writers[final] = self.op_index
+        src[is_write] = NO_WRITER
+        del vals, writers  # release the buffers so the store can grow again
+        self._addr.extend(addrs)
+        if self.record_meta:
+            self._kind.extend(kinds)
+            self._data.extend(logged)
+            self._op.extend(np.full(n, self.op_index, dtype=np.int64))
+            self._read_src.extend(src)
+        return np.where(is_write, 0, logged)
+
+    def _grow(self, top: int) -> None:
+        """Extend the store to cover addresses up to top, at least doubling it."""
+        size = len(self._val)
+        if top >= size:
+            extra = max(top + 1, 2 * size) - size
+            self._val.frombytes(bytes(8 * extra))
+            self._writer.extend(array("q", [NO_WRITER]) * extra)
+
+    @property
+    def cells(self) -> dict[int, int]:
+        """Contents of every written cell, as a fresh dict."""
+        return self._per_written_cell(self._val)
+
+    @property
+    def last_write_op(self) -> dict[int, int]:
+        """Op index of the last write to every written cell, as a fresh dict."""
+        return self._per_written_cell(self._writer)
+
+    def _per_written_cell(self, store: array) -> dict[int, int]:
+        written = np.flatnonzero(np.frombuffer(self._writer, dtype=np.int64) != NO_WRITER)
+        return dict(zip(written.tolist(), np.frombuffer(store, dtype=np.int64)[written].tolist()))
+
+    def _log_run(self, addrs: np.ndarray, values: list[int], last_op: int) -> None:
+        """Log a whole run's addresses; cells 1..len(values) end holding values, written by last_op."""
+        m = len(values)
+        self._grow(m)
+        self._val[1 : m + 1] = array("q", values)
+        self._writer[1 : m + 1] = array("q", [last_op]) * m
+        self._addr.extend(addrs)
 
     # -- columnar access -------------------------------------------------
 
@@ -187,14 +294,6 @@ class ServerState:
                 zip(self.addr_column().tolist(), self.data_column().tolist(), self.op_column().tolist())
             )
         ]
-
-    def iter_op_probes(self) -> Iterator[tuple[int, int]]:
-        """(op_index, probe count) pairs in op order, from the metadata column."""
-        ops = self.op_column()
-        if len(ops) == 0:
-            return iter(())
-        idx, counts = np.unique(ops, return_counts=True)
-        return iter(zip(idx.tolist(), counts.tolist()))
 
 
 def adversary_view(state: ServerState) -> AccessSequence:

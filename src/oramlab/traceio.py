@@ -71,6 +71,7 @@ def write_trace(tf: TraceFile, path) -> None:
 
 
 def read_trace(path) -> TraceFile:
+    keys: list[str] = []
     header: dict[str, str] = {}
     addrs: list[int] = []
     ops: list[int] = []
@@ -85,14 +86,16 @@ def read_trace(path) -> TraceFile:
                 saw_boundary = True
                 current_op = int(line[4:])
             elif line.startswith("#"):
+                if addrs:
+                    raise ValueError(f"trace header line {line!r} after the first address")
                 key, _, val = line[1:].partition("=")
+                keys.append(key)
                 header[key] = val
             else:
                 addrs.append(int(line))
                 ops.append(current_op if current_op is not None else -1)
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise ValueError(f"trace header missing {missing}")
+    if keys != list(_HEADER_KEYS):
+        raise ValueError(f"trace header keys {keys} are not exactly {list(_HEADER_KEYS)} in that order")
     if header["format"] != TRACE_FORMAT:
         raise ValueError(f"unsupported trace format {header['format']!r}")
     if int(header["N"]) != len(addrs):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from oramlab import TreeOram, cli
 from oramlab.cli import EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 
@@ -175,3 +177,14 @@ def test_invalid_trace_is_a_usage_error(tmp_path, capsys):
     trace.write_text(trace.read_text().replace("\n1\n", "\n0\n", 1))
     assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
     assert "outside [1, 2^32]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ell", ["1/0", "x", ""])
+def test_unparsable_ell_is_a_usage_error(tmp_path, capsys, ell):
+    trace = tmp_path / "t.trace"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1",
+            "--out", str(trace))
+    assert run_cli("analyze", "--trace", str(trace), "--ell", ell) == EXIT_USAGE
+    assert run_cli("report", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1",
+                   "--ell", ell) == EXIT_USAGE
+    assert capsys.readouterr().err.count("oramlab: usage error") == 2

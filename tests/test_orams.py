@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 
 import numpy as np
@@ -11,6 +13,9 @@ from oramlab import (
     ModelViolationError,
     OramConfig,
     adversary_view,
+    alice_encode,
+    bob_decode,
+    gen_write_read_blocks,
     make_engine,
     run_sequence,
 )
@@ -259,3 +264,75 @@ def test_leaker_is_not_online():
         k = part.probe_count
         diffs += not np.array_equal(full.addr_column()[:k], part.addr_column())
     assert diffs > 0
+
+# blake2b-64 of a whole run per seed 0-3: answers, every logged column, the
+# final cells and last writers, and each block's codec message and decode
+GOLDEN_SERVER_LOGS = {
+    ("passthrough", 64, 2, True): ("e4b87371b65e56f7", "cabb70f1556618e7", "af2abe725ad3c45c", "4bda76f01895e64a"),
+    ("passthrough", 64, 2, False): ("80b76cb3f56f5ce4", "2849081da1de1d64", "02e02e32d7d92cc9", "731b9b553aa6d1ff"),
+    ("passthrough", 128, 1, True): ("877a423ad24e0bfe", "3d1b926281e0a885", "41d57deb7c3f8c34", "1fafcd8c384e1384"),
+    ("passthrough", 128, 1, False): ("cfd71b266b557793", "0bfcb1fed14b47db", "e913070901b28a40", "b5f3c5d4566bb8cd"),
+    ("passthrough", 256, 4, True): ("7cb895ae27a1074c", "a77f53699fc9395e", "dff339d28f97b052", "9e129a171d354f31"),
+    ("passthrough", 256, 4, False): ("1c04ed41e2795e13", "86361f3fe838a7b8", "8f04d8e000656e1d", "5e82767f4586ae91"),
+    ("linear-scan", 64, 2, True): ("890b3d4b30ed97a8", "ec67a5061c489c94", "e6dd0ffb254d4ce5", "47077441ce242289"),
+    ("linear-scan", 64, 2, False): ("36f84e01e074d187", "01639122df085c5a", "d8bc40f65af8fdff", "c6de915a8839acf4"),
+    ("linear-scan", 128, 1, True): ("d6f7a977e39a0fe7", "b298b90a86af6fae", "b642438e67f4d817", "e3331440c19447b2"),
+    ("linear-scan", 128, 1, False): ("c8a60298b4a67f35", "8719c63b15eda1d3", "d5160fafa75a3bee", "0f54b7c5a888997a"),
+    ("linear-scan", 256, 4, True): ("35ad3f59b5212161", "a661f63dee748116", "fd03e8f0f4c7c5a1", "5ea7f8d6dede24c4"),
+    ("linear-scan", 256, 4, False): ("b5d67015036cf35d", "8e96a0bfc6a73afa", "67bb64cd1f3438a0", "1698be59323431d5"),
+    ("tree", 64, 2, True): ("ed08ed98500bc65e", "9c00b324f8243bb8", "b594325b63ba6c75", "7b9e029863928254"),
+    ("tree", 64, 2, False): ("05ed15b73300a02d", "5bc14d1887a30f3c", "ad93ceb2bb0c9d63", "f34829dfd749e959"),
+    ("tree", 128, 1, True): ("83517ad1ec09e849", "43c03b1837649752", "5f7a58d4f45d4c40", "facc2aa6cbd94c67"),
+    ("tree", 128, 1, False): ("9d99f80f4e543914", "7e9c9ea852c46d8a", "4f429cc490d6b270", "95ac6869ad6e2dd0"),
+    ("tree", 256, 4, True): ("0c0427d660d0aea7", "c4685dbb8fc725d0", "0cee50fb711807ca", "514b6afe1c50ad59"),
+    ("tree", 256, 4, False): ("f9ccdf816bfac63d", "c04ec78b89feef4c", "66802b40e5a957b1", "fcaf5fda42d0758b"),
+    ("dummy-encoder", 64, 2, True): ("455992183adc5784", "47eb2b2777722d9e", "d30660fc6a05be9b", "23259096c9daa251"),
+    ("dummy-encoder", 64, 2, False): ("4a7b988aaa1db338", "88b5502a11f13d5c", "188be9ccd175d898", "b69cfa16b19d864c"),
+    ("dummy-encoder", 128, 1, True): ("f14515ffaa3ddc53", "8d0360a7f06871bc", "686b82589d1bf407", "95bb6cb37cca1301"),
+    ("dummy-encoder", 128, 1, False): ("9b7a08548d15365d", "c9098f3aaba55db4", "1b23cce7fe9a3647", "e9dabbf3967cbe58"),
+    ("dummy-encoder", 256, 4, True): ("360e5e39f66be3f6", "d858169bd5682d9e", "9b39b602f3febed0", "46d5c26cf3c0eb0d"),
+    ("dummy-encoder", 256, 4, False): ("927a0e11da1438b8", "105e25584c33b435", "5ff549213dea6e15", "d576cbdf1a02f470"),
+    ("dummy-leaker", 64, 2, True): ("46a50ec149bbf491", "82a6984b57a72592", "5ce1d57e97f46f1e", "4af718685aa98607"),
+    ("dummy-leaker", 64, 2, False): ("cc92231911fb47e3", "b96c584aa0d37bc7", "5913e219a0f31edf", "5131cdea1561bd07"),
+    ("dummy-leaker", 128, 1, True): ("2fa4dafdb2ecd3e1", "f36870ca10a88195", "0b4c0657dbbabf07", "d61e8636db1c2686"),
+    ("dummy-leaker", 128, 1, False): ("a4bbfb88ee487061", "636a8ff96f62f6b8", "eec2251b57d3fc01", "f052c3128b986c3c"),
+    ("dummy-leaker", 256, 4, True): ("3bd5a24dae9bc013", "12d7296fed6e96a9", "58d6b9bfae92aeab", "ce3e6a923dc0ff82"),
+    ("dummy-leaker", 256, 4, False): ("793e07bdbf537ed2", "3bb0203ed3e03c3c", "f7735b6bf548b109", "6f9272c1e4b1d556"),
+}
+
+
+def _golden_instance(seed: int, n: int, k: int):
+    cfg = OramConfig(m=2, M=n, w=16)
+    y, layout = gen_write_read_blocks(n, k, cfg.w, random.Random(seed))
+    return cfg, y, layout
+
+
+@functools.lru_cache(maxsize=None)
+def _codec_bytes(engine: str, seed: int, n: int, k: int) -> bytes:
+    cfg, y, layout = _golden_instance(seed, n, k)
+    out = []
+    for i in range(1, k + 1):
+        msg = alice_encode(engine, cfg, y, layout, i, shared_seed=seed)
+        out.append((msg.matched, bob_decode(msg, engine, cfg, y, layout, i, shared_seed=seed)))
+    return repr(out).encode()
+
+
+def _server_log_digest(engine: str, seed: int, n: int, k: int, record_meta: bool) -> str:
+    cfg, y, _ = _golden_instance(seed, n, k)
+    answers, srv = run_sequence(engine, cfg, y, seed=seed, record_meta=record_meta)
+    h = hashlib.blake2b(repr(answers).encode(), digest_size=8)
+    cols = [srv.addr_column()]
+    if record_meta:
+        cols += [srv.kind_column(), srv.data_column(), srv.op_column(), srv.read_src_column()]
+    for col in cols:
+        h.update(np.ascontiguousarray(col, dtype=np.int64).tobytes())
+    h.update(repr(sorted(srv.cells.items())).encode())
+    h.update(repr(sorted(srv.last_write_op.items())).encode())
+    h.update(_codec_bytes(engine, seed, n, k))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("engine, n, k, record_meta", list(GOLDEN_SERVER_LOGS))
+def test_server_logs_are_frozen(engine, n, k, record_meta):
+    got = tuple(_server_log_digest(engine, seed, n, k, record_meta) for seed in range(4))
+    assert got == GOLDEN_SERVER_LOGS[engine, n, k, record_meta]

@@ -58,6 +58,27 @@ def test_header_must_be_complete(tmp_path):
         read_trace(p)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("#engine=passthrough\n", "#engine=passthrough\n#bogus=1\n#engine=tree\n"),
+        lambda text: text.replace("#engine=passthrough\n", "#engine=passthrough\n#engine=passthrough\n"),
+        lambda text: text.replace("#m=1\n", "#m=1\n#bogus=1\n"),
+        lambda text: text.replace("#n=10\n#m=1\n", "#m=1\n#n=10\n"),
+        lambda text: text.replace("#N=10\n", "") + "#N=10\n",
+    ],
+    ids=["duplicate-and-unknown", "duplicate", "unknown", "swapped", "after-body"],
+)
+def test_header_keys_come_once_in_order(tmp_path, edit):
+    p = tmp_path / "t.trace"
+    write_trace(_trace_file(), p)
+    text = p.read_text()
+    p.write_text(edit(text))
+    assert p.read_text() != text
+    with pytest.raises(ValueError, match="header"):
+        read_trace(p)
+
+
 def test_body_length_must_match_header(tmp_path):
     tf = _trace_file()
     p = tmp_path / "t.trace"
