@@ -250,7 +250,8 @@ def statistical_distance_exact(dist_x: Mapping, dist_y: Mapping) -> Fraction:
         (px.get(s, 0) - py.get(s, 0) for s in support if px.get(s, 0) > py.get(s, 0)),
         Fraction(0),
     )
-    assert half_l1 == one_sided, "half-L1 and one-sided forms must agree on normalized tables"
+    if half_l1 != one_sided:  # normalized tables always agree; a raise survives python -O
+        raise ArithmeticError(f"half-L1 form {half_l1} and one-sided form {one_sided} disagree")
     return half_l1
 
 

@@ -77,7 +77,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("trace", help="run an engine on a workload and write the trace file")
     p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
     p.add_argument("--workload", required=True, help="alt:n=<N> or blocks:n=<N>,k=<K>[,seed=<S>]")
-    p.add_argument("--n", type=int, default=None, help="workload length (required for dummy-leaker)")
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -140,10 +139,6 @@ def build_parser() -> _Parser:
 def _cmd_trace(args) -> int:
     seed = _resolve_seed(args)
     spec = parse_workload_spec(args.workload)
-    if args.n is not None and args.n != spec.n:
-        raise _UsageError(f"--n {args.n} disagrees with the workload length {spec.n}")
-    if args.engine == "dummy-leaker" and args.n is None:
-        raise _UsageError("dummy-leaker must know the length up front: pass --n")
     config = _config_for(args, spec.n)
     y, _ = instantiate_workload(spec, config.w, default_seed=seed)
     _, server = run_sequence(args.engine, config, y, seed, record_meta=args.with_boundaries)

@@ -30,7 +30,6 @@ class OramConfig:
     m: int
     M: int
     w: int
-    p_fail: float = 0.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -39,8 +38,6 @@ class OramConfig:
             raise ModelViolationError("cell width w must be in [1, 63] bits")
         if not 1 <= self.M <= (1 << self.w):
             raise ModelViolationError(f"address range M={self.M} outside [1, 2^{self.w}]")
-        if self.p_fail != 0:
-            raise ModelViolationError("only perfectly correct engines are modeled (p_fail = 0)")
 
     def bind_workload_length(self, n: int) -> None:
         """Check the constraints that couple the config to a workload of length n.

@@ -6,9 +6,9 @@ address in between.  Consecutive-occurrence edges give every vertex indegree
 and outdegree at most one, so the edge count never exceeds N - 1 and a probe
 trace always has at least as many probes as its graph has edges.
 
-Construction is lazy: the graph keeps the address array and materializes the
-predecessor/successor arrays on first use (one stable sort), so analyses that
-scan only a prefix of a huge trace never pay for the whole thing.
+Construction is lazy: the graph wraps an ``AccessSequence`` and builds
+``pred``/``succ`` on first use (one stable sort); prefix-only analyses read
+``window``s, which on a repeating trace never build the whole array (``A`` does).
 ``consecutive_pairs`` is the only place edges are derived from addresses.
 """
 
@@ -35,15 +35,24 @@ def consecutive_pairs(addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class AccessGraph:
     """Ordered graph of consecutive same-address probe pairs."""
 
-    __slots__ = ("A", "N", "_pred", "_succ", "_edge_u", "_edge_v")
+    __slots__ = ("trace", "N", "_pred", "_succ", "_edge_u", "_edge_v")
 
-    def __init__(self, addrs: np.ndarray):
-        self.A = np.asarray(addrs, dtype=np.int64)
-        self.N = len(self.A)
+    def __init__(self, trace):
+        self.trace = trace if isinstance(trace, AccessSequence) else AccessSequence(trace)
+        self.N = self.trace.N
         self._pred = None
         self._succ = None
         self._edge_u = None
         self._edge_v = None
+
+    @property
+    def A(self) -> np.ndarray:
+        """The whole address array (built on first use for a repeating trace)."""
+        return self.trace.addrs
+
+    def window(self, b: int, e: int) -> np.ndarray:
+        """A[b:e], building only that stretch of a repeating trace."""
+        return self.trace.window(b, e)
 
     @property
     def pred(self) -> np.ndarray:
@@ -109,9 +118,7 @@ class AccessGraph:
 
 def build_access_graph(trace) -> AccessGraph:
     """Build the access graph of an access sequence (or raw address list)."""
-    if isinstance(trace, AccessSequence):
-        return AccessGraph(trace.addrs)
-    return AccessGraph(np.asarray(trace, dtype=np.int64))
+    return AccessGraph(trace)
 
 
 def graph_from_edges(n: int, edges) -> AccessGraph:
@@ -142,4 +149,4 @@ def graph_from_edges(n: int, edges) -> AccessGraph:
             cur = succ[cur]
             addr[cur] = next_name
         next_name += 1
-    return AccessGraph(np.asarray(addr, dtype=np.int64))
+    return AccessGraph(addr)

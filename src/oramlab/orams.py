@@ -94,7 +94,8 @@ class LinearScan(Engine):
     as one ``probe_batch`` per op (``_mirror``, the cells this engine alone
     writes, belongs to the simulator, not to client memory).  It runs while no
     read override is pending: a codec replay leaves it only until its
-    override deque is empty.
+    override deque is empty.  A run logging addresses only is not stepped: it
+    logs one op's period and a repeat count (see ``server.AccessSequence``).
     """
 
     name = "linear-scan"
@@ -137,7 +138,7 @@ class LinearScan(Engine):
         return super().run(server, y)
 
     def _run_trace_only(self, server, y):
-        """Whole-run path for address-only logs: one tiled numpy block."""
+        """Whole-run path for address-only logs: one op's period, repeated len(y) times."""
         answers = []
         vals = [0] * (self.config.M + 1)
         for op in y:
@@ -146,7 +147,7 @@ class LinearScan(Engine):
             else:
                 answers.append(vals[op.addr])
         if len(y):
-            server._log_run(np.tile(self._addrs, len(y)), vals[1:], len(y) - 1)
+            server._log_run(self._addrs, len(y), vals[1:], len(y) - 1)
         return answers
 
 

@@ -87,15 +87,15 @@ def _first_heavy_cut(u: np.ndarray, v: np.ndarray, length: int, threshold: int) 
     return c if crossing[c] >= threshold else None
 
 
-def _close_part(addrs: np.ndarray, b: int, threshold: int) -> tuple[int, int] | None:
+def _close_part(graph: AccessGraph, b: int, threshold: int) -> tuple[int, int] | None:
     """(m, e) for the part starting at b: the smallest feasible end e and the
     smallest cut m of [b, e) reaching the threshold, or None if no end works."""
-    n = len(addrs)
+    n = graph.N
     lo, hi = 2 * threshold - 1, 2 * threshold  # window lengths: lo infeasible, hi to try
     if b + hi > n:
         return None
     while True:
-        u, v = consecutive_pairs(addrs[b : b + hi])
+        u, v = consecutive_pairs(graph.window(b, b + hi))
         cut = _first_heavy_cut(u, v, hi, threshold)
         if cut is not None:
             break
@@ -134,7 +134,7 @@ def greedy_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
     boundaries = [0]
     b = 0
     for _ in range(k):
-        close = _close_part(graph.A, b, threshold)
+        close = _close_part(graph, b, threshold)
         if close is None:
             return None
         boundaries.extend(close)

@@ -11,7 +11,10 @@ a batch lands in each column's numpy buffer as one array.  Cell contents and
 last writers live in a dense store, two ``array('q')`` indexed by address and
 doubled as needed to cover the highest address probed (so addresses should
 stay of the order of the workload, not of 2^w); a batch views them through
-``np.frombuffer``.
+``np.frombuffer``.  A trace that repeats one period (the linear scan's, logged
+without metadata) is kept as ``AccessSequence.repeating`` through
+``adversary_view``: ``window`` builds only what is read, and ``addrs`` and
+``addr_column()`` build it all, once.
 """
 
 from __future__ import annotations
@@ -48,21 +51,28 @@ class _Column:
     Batches are copied into a numpy buffer that grows fourfold, and the
     first array appended to an empty column becomes that buffer uncopied.
     Single probes append to a list, flushed into the buffer before the next
-    batch or read.
+    batch or read.  A repeating AccessSequence stays ``lazy`` until needed.
     """
 
-    __slots__ = ("buf", "size", "tail")
+    __slots__ = ("buf", "size", "tail", "lazy")
 
     def __init__(self):
         self.buf = np.empty(0, dtype=np.int64)
         self.size = 0
         self.tail: list[int] = []
+        self.lazy: AccessSequence | None = None
 
     def __len__(self) -> int:
         return self.size + len(self.tail)
 
-    def extend(self, arr: np.ndarray) -> None:
-        """Append arr, which the column may keep: the caller must not change it."""
+    def extend(self, arr) -> None:
+        """Append arr (array or AccessSequence), which the column may keep: the caller must not change it."""
+        if isinstance(arr, AccessSequence) and not len(self):
+            self.lazy, self.size = arr, arr.N
+            return
+        if self.lazy is not None:
+            self.buf, self.lazy = self.lazy.addrs, None
+        arr = arr.addrs if isinstance(arr, AccessSequence) else arr
         if self.tail:
             tail, self.tail = self.tail, []
             self.extend(np.array(tail, dtype=np.int64))
@@ -80,7 +90,7 @@ class _Column:
         self.size = end
 
     def to_array(self) -> np.ndarray:
-        if self.tail:
+        if self.tail or self.lazy is not None:
             self.extend(np.empty(0, dtype=np.int64))
         return self.buf[: self.size]
 
@@ -88,17 +98,35 @@ class _Column:
 class AccessSequence:
     """The adversary's view: the ordered list of probed server addresses."""
 
-    __slots__ = ("addrs",)
+    __slots__ = ("_addrs", "_period", "N")
 
     def __init__(self, addrs):
-        self.addrs = np.asarray(addrs, dtype=np.int64)
+        self._addrs = np.asarray(addrs, dtype=np.int64)
+        self.N = len(self._addrs)
+
+    @classmethod
+    def repeating(cls, period, reps: int) -> AccessSequence:
+        """A non-empty period repeated reps times; ``addrs`` builds and caches the array on first use."""
+        seq = cls.__new__(cls)
+        seq._addrs, seq._period = None, np.asarray(period, dtype=np.int64)
+        seq.N = len(seq._period) * reps
+        return seq
 
     @property
-    def N(self) -> int:
-        return len(self.addrs)
+    def addrs(self) -> np.ndarray:
+        if self._addrs is None:
+            self._addrs = self.window(0, self.N)
+        return self._addrs
+
+    def window(self, b: int, e: int) -> np.ndarray:
+        """addrs[b:e]; of a repeating trace, e - b new addresses (plus at most a period's slack)."""
+        if self._addrs is not None:
+            return self._addrs[b:e]
+        p, s, n = self._period, b % len(self._period), max(min(e, self.N) - b, 0)
+        return np.concatenate((p[s:],) + (p,) * ((n + s - 1) // len(p)))[:n]  # p[s:], then whole periods
 
     def __len__(self) -> int:
-        return len(self.addrs)
+        return self.N
 
     def __iter__(self):
         return iter(self.addrs.tolist())
@@ -260,13 +288,13 @@ class ServerState:
         written = np.flatnonzero(np.frombuffer(self._writer, dtype=np.int64) != NO_WRITER)
         return dict(zip(written.tolist(), np.frombuffer(store, dtype=np.int64)[written].tolist()))
 
-    def _log_run(self, addrs: np.ndarray, values: list[int], last_op: int) -> None:
-        """Log a whole run's addresses; cells 1..len(values) end holding values, written by last_op."""
+    def _log_run(self, period: np.ndarray, reps: int, values: list[int], last_op: int) -> None:
+        """Log period x reps addresses; cells 1..len(values) end holding values, written by last_op."""
         m = len(values)
         self._grow(m)
         self._val[1 : m + 1] = array("q", values)
         self._writer[1 : m + 1] = array("q", [last_op]) * m
-        self._addr.extend(addrs)
+        self._addr.extend(AccessSequence.repeating(period, reps))
 
     # -- columnar access -------------------------------------------------
 
@@ -301,6 +329,7 @@ def adversary_view(state: ServerState) -> AccessSequence:
 
     Everything else in the log (op boundaries, kinds, payloads) is ground
     truth for validation and the transfer codec, and is deliberately dropped
-    here: the adversary sees addresses only.
+    here: the adversary sees addresses only.  A repeating log stays repeating.
     """
-    return AccessSequence(state.addr_column())
+    col = state._addr
+    return col.lazy if col.lazy is not None and not col.tail else AccessSequence(col.to_array())

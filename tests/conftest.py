@@ -13,15 +13,20 @@ ALL_ENGINES = ("passthrough", "linear-scan", "tree", "dummy-encoder", "dummy-lea
 
 
 def assert_graph_invariants(graph: AccessGraph) -> None:
-    """Degree bounds and the edge-count identity every access graph must satisfy."""
+    """Degree bounds and the edge-count identity every access graph must satisfy.
+
+    Linear in N: the range checks come first, so that an out-of-range index
+    fails as an assertion and the degree counts can index by vertex.
+    """
     u, v = graph.edge_arrays()
-    assert len(np.unique(u)) == len(u), "a vertex has outdegree > 1"
-    assert len(np.unique(v)) == len(v), "a vertex has indegree > 1"
+    assert len(u) == len(v)
+    if len(v):
+        assert int(v.max()) < graph.N and int(u.min()) >= 0
+        assert (u < v).all()
+    assert np.bincount(u, minlength=graph.N).max(initial=0) <= 1, "a vertex has outdegree > 1"
+    assert np.bincount(v, minlength=graph.N).max(initial=0) <= 1, "a vertex has indegree > 1"
     distinct = len(np.unique(graph.A)) if graph.N else 0
     assert graph.edge_count == graph.N - distinct
-    if len(v):
-        assert (u < v).all()
-        assert int(v.max()) < graph.N and int(u.min()) >= 0
 
 
 def random_degree_bounded_graph(rng: random.Random, max_n: int = 10) -> AccessGraph:

@@ -30,11 +30,16 @@ def test_trace_dummy_encoder_length(tmp_path):
     assert int(header["N"]) in (8, 9)
 
 
-def test_trace_leaker_requires_n(tmp_path):
+def test_trace_leaker_takes_n_from_the_workload(tmp_path):
+    out = tmp_path / "t.trace"
     assert run_cli("trace", "--engine", "dummy-leaker", "--workload", "alt:n=4",
-                   "--seed", "7", "--out", str(tmp_path / "x")) == EXIT_USAGE
+                   "--seed", "7", "--out", str(out)) == EXIT_OK
+    header = dict(
+        l[1:].split("=", 1) for l in out.read_text().splitlines() if l.startswith("#") and "=" in l
+    )
+    assert 4 + 1 <= int(header["N"]) <= 3 * 4  # n + 2i - 1 or n + 2i for some i in [1, n]
     assert run_cli("trace", "--engine", "dummy-leaker", "--workload", "alt:n=4", "--n", "4",
-                   "--seed", "7", "--out", str(tmp_path / "x")) == EXIT_OK
+                   "--seed", "7", "--out", str(out)) == EXIT_USAGE  # the flag is gone
 
 
 def test_trace_with_boundaries_annotates_ops(tmp_path):

@@ -27,8 +27,6 @@ class TestConfig:
             OramConfig(m=1, M=0, w=8)
         with pytest.raises(ModelViolationError):
             OramConfig(m=1, M=300, w=8)
-        with pytest.raises(ModelViolationError):
-            OramConfig(m=1, M=4, w=8, p_fail=0.1)
 
     def test_workload_binding(self):
         cfg = OramConfig(m=3, M=16, w=8)

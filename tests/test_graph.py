@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,32 @@ def test_edges_in_window_matches_count():
         window = g.edges_in_window(a, m, b)
         assert len(window) == g.crossing_edge_count(a, m, b)
         assert all(a <= u < m <= v < b for u, v in window)
+
+
+class _StubGraph:
+    """Edges handed to the invariant checker as given, with no access graph behind them."""
+
+    def __init__(self, n, edges):
+        self.N, self.A = n, np.arange(n)
+        self._u, self._v = (np.array(side, dtype=np.int64) for side in zip(*edges))
+        self.edge_count = len(edges)
+
+    def edge_arrays(self):
+        return self._u, self._v
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (0, 2)], "outdegree"),
+        ([(0, 2), (1, 2)], "indegree"),
+        ([(0, 5)], None),  # an index past N fails as an assertion, not in bincount
+        ([(-1, 1)], None),
+    ],
+)
+def test_invariant_checker_rejects_broken_graphs(edges, message):
+    with pytest.raises(AssertionError, match=message):
+        assert_graph_invariants(_StubGraph(3, edges))
 
 
 def test_graph_from_edges_realizes_exactly():

@@ -2,11 +2,13 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
+    AccessSequence,
     CertificateError,
     OramConfig,
     Partition,
@@ -116,6 +118,34 @@ def test_greedy_witness_matches_definition(addrs, k, ell):
     got = greedy_dense_partition(build_access_graph(addrs), k, ell)
     want = reference_greedy_witness(addrs, k, ell)
     assert (None if got is None else got.boundaries) == want
+
+
+@given(
+    period=st.lists(st.integers(1, 8), min_size=1, max_size=20),
+    reps=st.integers(0, 30),
+    k=st.sampled_from([1, 4, 16]),
+    ell=st.integers(1, 40),
+)
+@example(period=[1, 2], reps=30, k=1, ell=40)  # every cut is crossed twice: gallops to N, None
+@example(period=[1, 2, 3, 4], reps=30, k=4, ell=5)
+@example(period=[1, 2, 3, 4], reps=30, k=16, ell=4)
+@settings(max_examples=200, deadline=None)
+def test_greedy_reads_a_repeating_trace_like_its_tile(period, reps, k, ell):
+    tiled = build_access_graph(np.tile(np.array(period, dtype=np.int64), reps))
+    lazy = build_access_graph(AccessSequence.repeating(period, reps))
+    assert greedy_dense_partition(lazy, k, ell) == greedy_dense_partition(tiled, k, ell)
+
+
+def test_greedy_builds_only_the_windows_it_reads(monkeypatch):
+    period = np.repeat(np.arange(1, 65), 2)
+    want = greedy_dense_partition(build_access_graph(np.tile(period, 64)), 4, 8)
+    assert want is not None and want.boundaries[-2] < 8 * len(period)  # a prefix of 64 periods
+
+    def unbuilt(seq):
+        raise AssertionError("the greedy built the whole address array")
+
+    monkeypatch.setattr(AccessSequence, "addrs", property(unbuilt))
+    assert greedy_dense_partition(build_access_graph(AccessSequence.repeating(period, 64)), 4, 8) == want
 
 
 def _witness_digest(engine: str, n: int, k_max: int) -> tuple[list[int], str]:

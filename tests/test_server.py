@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from oramlab import (
     READ,
     WRITE,
+    AccessSequence,
     ModelViolationError,
     OramConfig,
     ServerState,
     adversary_view,
+    gen_alternating_sequence,
+    run_sequence,
 )
+from oramlab.adversary import trace_digest
 
 CFG = OramConfig(m=1, M=16, w=8)
 
@@ -155,3 +159,43 @@ def test_probe_batch_reads_see_earlier_writes_of_the_batch():
     assert got.tolist() == [5, 0, 7, 0, 9, 0]
     assert srv.read_src_column().tolist() == [-1, 0, -1, 1, -1, 1, -1]
     assert srv.cells == {3: 9} and srv.last_write_op == {3: 1}
+
+
+@given(
+    period=st.lists(st.integers(1, 6), min_size=1, max_size=20),
+    reps=st.integers(0, 30),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_repeating_sequence_matches_its_tile(period, reps, data):
+    tiled = AccessSequence(np.tile(np.array(period, dtype=np.int64), reps))
+    n = tiled.N
+    b = data.draw(st.integers(0, n))
+    e = data.draw(st.integers(b, n))
+    seq = AccessSequence.repeating(period, reps)
+    assert seq.N == len(seq) == n
+    assert seq.window(b, e).tolist() == tiled.window(b, e).tolist() == tiled.addrs[b:e].tolist()
+    assert np.array_equal(seq.addrs, tiled.addrs)
+    assert seq.window(b, e).tolist() == tiled.addrs[b:e].tolist()  # now read off the cached array
+    fresh = AccessSequence.repeating(period, reps)
+    assert fresh.window(b, n + 7).tolist() == tiled.window(b, n + 7).tolist()  # clipped at N, as slices are
+    assert fresh == tiled and tiled == AccessSequence.repeating(period, reps)
+    assert list(AccessSequence.repeating(period, reps)) == list(tiled)
+    assert trace_digest(AccessSequence.repeating(period, reps)) == trace_digest(tiled)
+
+
+def test_repeating_scan_log_is_its_tile():
+    cfg = OramConfig(m=1, M=6, w=8)
+    tile = np.tile(np.repeat(np.arange(1, 7), 2), 6)
+    servers = [run_sequence("linear-scan", cfg, gen_alternating_sequence(6), seed=0, record_meta=False)[1]
+               for _ in range(2)]
+    for srv in servers:
+        view = adversary_view(srv)
+        assert srv.probe_count == view.N == len(tile)
+        assert view.window(5, 40).tolist() == tile[5:40].tolist()
+    assert np.array_equal(servers[0].addr_column(), tile)
+    assert adversary_view(servers[0]) == AccessSequence(tile)
+    servers[1].probe(READ, 3)  # an append after the repeating run extends its array
+    assert servers[1].probe_count == len(tile) + 1
+    assert adversary_view(servers[1]).addrs.tolist() == tile.tolist() + [3]
+    assert servers[1].addr_column().tolist() == tile.tolist() + [3]
