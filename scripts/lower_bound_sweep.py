@@ -15,8 +15,8 @@ import argparse
 import random
 import sys
 
-from oramlab import OramConfig, gen_write_read_blocks, run_sequence
-from oramlab.traceio import TraceFile, analyze_trace, default_analysis_params
+from oramlab import OramConfig, gen_write_read_blocks
+from oramlab.traceio import analyze_trace, default_analysis_params, run_trace
 
 
 def main() -> int:
@@ -34,13 +34,7 @@ def main() -> int:
     for n in args.sizes:
         cfg = OramConfig(m=args.m, M=n, w=32)
         y, _ = gen_write_read_blocks(n, args.k, cfg.w, random.Random(args.seed + n))
-        _, srv = run_sequence(args.engine, cfg, y, seed=args.seed, record_meta=False)
-        tf = TraceFile(
-            engine=args.engine,
-            workload=f"blocks:n={n},k={args.k},seed={args.seed + n}",
-            n=n, m=cfg.m, M=cfg.M, w=cfg.w, seed=args.seed,
-            addrs=srv.addr_column(),
-        )
+        tf = run_trace(args.engine, cfg, y, args.seed, f"blocks:n={n},k={args.k},seed={args.seed + n}")
         report = analyze_trace(tf)
         ell, k_max = default_analysis_params(n, args.m)
         witnessed = [row["k"] for row in report.per_k if row["found"]]

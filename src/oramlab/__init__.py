@@ -59,7 +59,7 @@ from .partition import (
     greedy_dense_partition,
     is_dense,
 )
-from .server import AccessSequence, ProbeRecord, ServerState, adversary_view
+from .server import AccessSequence, ServerState, adversary_view
 from .traceio import (
     ExperimentReport,
     TraceFile,

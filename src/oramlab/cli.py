@@ -22,9 +22,9 @@ from .adversary import dense_partition_frequency, estimate_advantage
 from .codec import DecodeError, alice_encode, block_data, bob_decode
 from .core import OramConfig, gen_write_read_blocks, instantiate_workload, parse_workload_spec
 from .graph import build_access_graph
-from .orams import ENGINE_NAMES, StashOverflowError, run_sequence
+from .orams import ENGINE_NAMES, StashOverflowError
 from .partition import CertificateError
-from .traceio import ExperimentReport, TraceFile, analyze_trace, read_trace, write_trace
+from .traceio import ExperimentReport, TraceFile, analyze_trace, read_trace, run_trace, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,24 +136,16 @@ def build_parser() -> _Parser:
     return top
 
 
-def _cmd_trace(args) -> int:
-    seed = _resolve_seed(args)
+def _run_workload(args, seed: int, with_boundaries: bool = False) -> TraceFile:
     spec = parse_workload_spec(args.workload)
     config = _config_for(args, spec.n)
     y, _ = instantiate_workload(spec, config.w, default_seed=seed)
-    _, server = run_sequence(args.engine, config, y, seed, record_meta=args.with_boundaries)
-    tf = TraceFile(
-        engine=args.engine,
-        workload=spec.render(),
-        n=spec.n,
-        m=config.m,
-        M=config.M,
-        w=config.w,
-        seed=seed,
-        addrs=server.addr_column(),
-        op_index=server.op_column() if args.with_boundaries else None,
-    )
-    write_trace(tf, args.out)
+    return run_trace(args.engine, config, y, seed, spec.render(), with_boundaries)
+
+
+def _cmd_trace(args) -> int:
+    seed = _resolve_seed(args)
+    write_trace(_run_workload(args, seed, args.with_boundaries), args.out)
     return EXIT_OK
 
 
@@ -232,20 +224,7 @@ def _cmd_codec(args) -> int:
 def _cmd_report(args) -> int:
     seed = _resolve_seed(args)
     ell = as_fraction(args.ell) if args.ell is not None else None
-    spec = parse_workload_spec(args.workload)
-    config = _config_for(args, spec.n)
-    y, _ = instantiate_workload(spec, config.w, default_seed=seed)
-    _, server = run_sequence(args.engine, config, y, seed, record_meta=False)
-    tf = TraceFile(
-        engine=args.engine,
-        workload=spec.render(),
-        n=spec.n,
-        m=config.m,
-        M=config.M,
-        w=config.w,
-        seed=seed,
-        addrs=server.addr_column(),
-    )
+    tf = _run_workload(args, seed)
     report = analyze_trace(tf, ell=ell, k_max=args.k_max)
     return _report_payload(report, args)
 

@@ -9,6 +9,11 @@ replays his own simulation up to the write block, installs Alice's client
 state, and serves exactly those reads from her list while simulating every
 other probe himself; the answers of the read block are the hidden data.
 
+Both drive the engine over op ranges with ``Engine.advance``, so an engine's
+own fast path covers the prefix before the blocks (the linear scan logs it as
+one repeating period).  Alice's simulation logs addresses only until the read
+block; there ``ServerState.begin_meta`` turns on the metadata she reads.
+
 The message is accounted as m*w bits of client state plus 2*w bits per
 shipped (address, content) pair.  An engine whose true client state exceeds
 m cells (the tree engine's position map) still gets charged only m*w here;
@@ -86,20 +91,15 @@ def alice_encode(
     config.bind_workload_length(len(y))
     ws, we, rs, re = _block_bounds(layout, i)
     machine = make_engine(engine, config, shared_seed, n=len(y))
-    server = ServerState(config, record_meta=True)
-    for idx in range(we):  # everything before the read block, write block included
-        server.begin_op(idx)
-        machine.step(server, y[idx], idx)
+    server = ServerState(config, record_meta=False)
+    machine.advance(server, y, 0, we)  # everything before the read block, write block included
     snapshot = machine.export_state()
-    mark = server.probe_count
-    for idx in range(rs, re):
-        server.begin_op(idx)
-        machine.step(server, y[idx], idx)
-    kinds = server.kind_column()[mark:]
-    srcs = server.read_src_column()[mark:]
-    hit = (kinds == 0) & (srcs >= ws) & (srcs < we)
+    mark = server.begin_meta()
+    machine.advance(server, y, rs, re)
+    srcs = server.read_src_column()
+    hit = (server.kind_column() == 0) & (srcs >= ws) & (srcs < we)
     addrs = server.addr_column()[mark:][hit]
-    contents = server.data_column()[mark:][hit]
+    contents = server.data_column()[hit]
     matched = tuple(zip(addrs.tolist(), contents.tolist()))
     checksum = _data_checksum(block_data(y, layout, i)) if with_checksum else None
     return TransferMessage(
@@ -127,21 +127,15 @@ def bob_decode(
     ws, we, rs, re = _block_bounds(layout, i)
     machine = make_engine(engine, config, shared_seed, n=len(y_template))
     server = ServerState(config, record_meta=False)
-    for idx in range(ws):
-        server.begin_op(idx)
-        machine.step(server, y_template[idx], idx)
+    machine.advance(server, y_template, 0, ws)
     machine.import_state(msg.client_state)
+    not_read = [idx for idx in range(rs, re) if y_template.ops[idx].kind != READ]
+    if not_read:
+        raise DecodeError(f"op {not_read[0]} in the read block is not a read")
     server.read_overrides = deque(msg.matched)
-    answers = []
-    for idx in range(rs, re):
-        if y_template[idx].kind != READ:
-            raise DecodeError(f"op {idx} in the read block is not a read")
-        server.begin_op(idx)
-        answers.append(machine.step(server, y_template[idx], idx))
+    recovered = tuple(machine.advance(server, y_template, rs, re))
     if server.read_overrides:
         raise DecodeError(f"{len(server.read_overrides)} matched probes were never consumed")
-    server.read_overrides = None
-    recovered = tuple(answers)
     if msg.checksum is not None and _data_checksum(recovered) != msg.checksum:
         raise DecodeError("recovered data fails the debug checksum")
     return recovered

@@ -54,14 +54,19 @@ class Engine:
     def finalize(self, server: ServerState) -> None:
         """Trailing probes after the last input op (most engines: none)."""
 
-    def run(self, server: ServerState, y: InputSequence) -> list[int]:
-        """Step through y in order; returns the answers of all read ops."""
+    def advance(self, server: ServerState, y: InputSequence, start: int, stop: int) -> list[int]:
+        """Step ops start..stop-1 of y in order; returns the answers of their reads."""
         answers = []
-        for i, op in enumerate(y):
+        for i, op in enumerate(y.ops[start:stop], start):
             server.begin_op(i)
             ans = self.step(server, op, i)
             if op.kind == READ:
                 answers.append(ans)
+        return answers
+
+    def run(self, server: ServerState, y: InputSequence) -> list[int]:
+        """Every op of y, then the wrap-up probes; returns the answers of all read ops."""
+        answers = self.advance(server, y, 0, len(y))
         server.begin_op(FINAL_OP)
         self.finalize(server)
         return answers
@@ -89,27 +94,32 @@ class LinearScan(Engine):
 
     The write-back touches every cell even when unchanged, so the address
     trace is a fixed function of (n, M): perfect obliviousness by construction.
-    Only O(1) registers persist between probes; the bulk step below is a
-    simulation fast path that reproduces the honest probe loop bit for bit
-    as one ``probe_batch`` per op (``_mirror``, the cells this engine alone
-    writes, belongs to the simulator, not to client memory).  It runs while no
-    read override is pending: a codec replay leaves it only until its
-    override deque is empty.  A run logging addresses only is not stepped: it
-    logs one op's period and a repeat count (see ``server.AccessSequence``).
+    Only O(1) registers persist between probes.  Two simulation fast paths
+    reproduce the honest probe loop bit for bit; both read and update
+    ``_mirror``, the contents of cells 1..M, which belongs to the simulator,
+    not to client memory, and is current after every step or advance:
+
+    * ``step`` makes one ``probe_batch`` per op while no read override is
+      pending (a codec replay leaves it only until its override deque is
+      empty);
+    * ``advance`` over any range of ops, on a server logging addresses only
+      with no override pending, probes nothing: it replays the ops on
+      ``_mirror`` and logs one op's period with a repeat count (see
+      ``server.AccessSequence``).  That covers a whole run and the codec's
+      prefix before the blocks.
     """
 
     name = "linear-scan"
 
-    def __init__(self, config, rng, fast: bool = True):
+    def __init__(self, config, rng):
         super().__init__(config, rng)
-        self._fast = fast
         m = config.M
         self._mirror = np.zeros(m + 1, dtype=np.int64)
         self._addrs = np.repeat(np.arange(1, m + 1, dtype=np.int64), 2)
         self._kinds = np.tile(np.array([0, 1], dtype=np.int64), m)
 
     def step(self, server, op, op_index):
-        if self._fast and not server.read_overrides:
+        if not server.read_overrides:
             return self._step_bulk(server, op)
         answer = 0
         for j in range(1, self.config.M + 1):
@@ -132,22 +142,19 @@ class LinearScan(Engine):
         server.probe_batch(self._kinds, self._addrs, data)
         return int(mirror[op.addr]) if op.kind == READ else 0
 
-    def run(self, server, y):
-        if self._fast and not server.record_meta and not server.read_overrides and server.probe_count == 0:
-            return self._run_trace_only(server, y)
-        return super().run(server, y)
-
-    def _run_trace_only(self, server, y):
-        """Whole-run path for address-only logs: one op's period, repeated len(y) times."""
+    def advance(self, server, y, start, stop):
+        if server.record_meta or server.read_overrides:
+            return super().advance(server, y, start, stop)
         answers = []
-        vals = [0] * (self.config.M + 1)
-        for op in y:
+        vals = self._mirror.tolist()
+        for op in y.ops[start:stop]:
             if op.kind == WRITE:
                 vals[op.addr] = op.data
             else:
                 answers.append(vals[op.addr])
-        if len(y):
-            server._log_run(self._addrs, len(y), vals[1:], len(y) - 1)
+        if stop > start:
+            self._mirror[:] = vals
+            server._log_run(self._addrs, stop - start, self._mirror[1:], stop - 1)
         return answers
 
 
@@ -352,7 +359,7 @@ class DummyLengthLeaker(Engine):
 
 _FACTORIES: dict[str, Callable] = {
     "passthrough": lambda config, rng, **kw: Passthrough(config, rng),
-    "linear-scan": lambda config, rng, fast=True, **kw: LinearScan(config, rng, fast=fast),
+    "linear-scan": lambda config, rng, **kw: LinearScan(config, rng),
     "tree": lambda config, rng, **kw: TreeOram(config, rng),
     "dummy-encoder": lambda config, rng, forced=None, **kw: DummyLengthEncoder(
         config, rng, forced_comparand=forced
@@ -369,13 +376,12 @@ def make_engine(
     seed: int,
     n: int | None = None,
     forced=None,
-    fast: bool = True,
 ) -> Engine:
     if kind not in _FACTORIES:
         raise ValueError(f"unknown engine {kind!r}; expected one of {', '.join(ENGINE_NAMES)}")
     if kind == "dummy-leaker" and n is None:
         raise ModelViolationError("dummy-leaker needs n in advance")
-    return _FACTORIES[kind](config, random.Random(seed), n=n, forced=forced, fast=fast)
+    return _FACTORIES[kind](config, random.Random(seed), n=n, forced=forced)
 
 
 def run_sequence(
@@ -384,10 +390,9 @@ def run_sequence(
     y: InputSequence,
     seed: int,
     record_meta: bool = True,
-    fast: bool = True,
     forced=None,
 ) -> tuple[list[int], ServerState]:
-    """Fresh engine + fresh server, every op stepped in order.
+    """Fresh engine + fresh server, the whole of y run in order (``Engine.run``).
 
     Returns the answers of all read ops and the final server state with its
     probe log.  Deterministic given the seed.
@@ -395,7 +400,7 @@ def run_sequence(
     config.bind_workload_length(len(y))
     for op in y:
         config.check_op(op)
-    engine = make_engine(kind, config, seed, n=len(y) or None, forced=forced, fast=fast)
+    engine = make_engine(kind, config, seed, n=len(y) or None, forced=forced)
     server = ServerState(config, record_meta=record_meta)
     answers = engine.run(server, y)
     return answers, server

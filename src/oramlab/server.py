@@ -15,6 +15,13 @@ stay of the order of the workload, not of 2^w); a batch views them through
 without metadata) is kept as ``AccessSequence.repeating`` through
 ``adversary_view``: ``window`` builds only what is read, and ``addrs`` and
 ``addr_column()`` build it all, once.
+
+Metadata can start part way through a run: a server made with
+``record_meta=False`` logs addresses only until ``begin_meta()`` returns the
+mark, the index of the next probe.  From then on the four metadata columns
+(kind, data, op, read_src) log every probe, so they line up with
+``addr_column()[mark:]``; the transfer codec's sender starts them at the
+read block, the only probes she reads them for.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 import mmap
 from array import array
 from collections import deque
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +41,6 @@ FINAL_OP = -2
 NO_WRITER = -1
 
 _KIND_NAME = {0: READ, 1: WRITE}
-
-
-class ProbeRecord(NamedTuple):
-    t: int
-    kind: str
-    addr: int
-    data: int
-    op_index: int
 
 
 class _Column:
@@ -143,27 +141,37 @@ class AccessSequence:
 class ServerState:
     """Dense cell store plus the probe log for one simulation run.
 
-    record_meta=False keeps only the address column; large trace-statistics
-    runs use it so a multi-million-probe log costs one int64 array instead of
-    a Python object per probe.
+    record_meta=False keeps only the address column, until ``begin_meta``;
+    large trace-statistics runs use it so a multi-million-probe log costs one
+    int64 array instead of a Python object per probe.
     """
 
     def __init__(self, config: OramConfig, record_meta: bool = True):
         self.config = config
-        self.record_meta = record_meta
+        self.record_meta = False
         # index 0 is never probed; it keeps np.frombuffer off empty buffers
         self._val = array("q", [0])
         self._writer = array("q", [NO_WRITER])
         self.op_index = FINAL_OP
         self._addr = _Column()
         if record_meta:
-            self._kind = _Column()
-            self._data = _Column()
-            self._op = _Column()
-            self._read_src = _Column()
+            self.begin_meta()
         self._addr_limit = 1 << config.w
         # decode-replay hook: queued (addr, content) pairs consumed by reads
         self.read_overrides: deque[tuple[int, int]] | None = None
+
+    def begin_meta(self) -> int:
+        """Log the metadata columns from the next probe on; returns its index, the mark.
+
+        Raises ValueError on a server that already logs metadata, so the
+        columns of any server start at one well-defined probe: 0 for
+        ``record_meta=True``, else the mark of the single ``begin_meta`` call.
+        """
+        if self.record_meta:
+            raise ValueError("this server already logs metadata")
+        self.record_meta = True
+        self._kind, self._data, self._op, self._read_src = (_Column() for _ in range(4))
+        return self.probe_count
 
     @property
     def probe_count(self) -> int:
@@ -288,12 +296,12 @@ class ServerState:
         written = np.flatnonzero(np.frombuffer(self._writer, dtype=np.int64) != NO_WRITER)
         return dict(zip(written.tolist(), np.frombuffer(store, dtype=np.int64)[written].tolist()))
 
-    def _log_run(self, period: np.ndarray, reps: int, values: list[int], last_op: int) -> None:
+    def _log_run(self, period: np.ndarray, reps: int, values: np.ndarray, last_op: int) -> None:
         """Log period x reps addresses; cells 1..len(values) end holding values, written by last_op."""
         m = len(values)
         self._grow(m)
-        self._val[1 : m + 1] = array("q", values)
-        self._writer[1 : m + 1] = array("q", [last_op]) * m
+        np.frombuffer(self._val, dtype=np.int64)[1 : m + 1] = values
+        np.frombuffer(self._writer, dtype=np.int64)[1 : m + 1] = last_op
         self._addr.extend(AccessSequence.repeating(period, reps))
 
     # -- columnar access -------------------------------------------------
@@ -312,16 +320,6 @@ class ServerState:
 
     def read_src_column(self) -> np.ndarray:
         return self._read_src.to_array()
-
-    def records(self) -> list[ProbeRecord]:
-        """Materialize the log as record objects (small runs only)."""
-        kinds = self.kind_column().tolist()
-        return [
-            ProbeRecord(t, _KIND_NAME[kinds[t]], a, d, o)
-            for t, (a, d, o) in enumerate(
-                zip(self.addr_column().tolist(), self.data_column().tolist(), self.op_column().tolist())
-            )
-        ]
 
 
 def adversary_view(state: ServerState) -> AccessSequence:

@@ -19,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import as_fraction, frac_ceil, powers_of_4_up_to
+from .core import InputSequence, OramConfig
 from .graph import AccessGraph, build_access_graph
-from .orams import ENGINE_NAMES
+from .orams import ENGINE_NAMES, run_sequence
 from .partition import CertificateError, certify, edge_lower_bound_from_certificate
 
 TRACE_FORMAT = "oramlab-trace/1"
@@ -42,6 +43,27 @@ class TraceFile:
     @property
     def N(self) -> int:
         return len(self.addrs)
+
+
+def run_trace(
+    engine: str, config: OramConfig, y: InputSequence, seed: int, workload: str, with_boundaries: bool = False
+) -> TraceFile:
+    """Run engine on y from seed and keep its address log; workload is the header's spec string.
+
+    with_boundaries also keeps each probe's input-op index, for ``#op`` lines.
+    """
+    _, server = run_sequence(engine, config, y, seed, record_meta=with_boundaries)
+    return TraceFile(
+        engine=engine,
+        workload=workload,
+        n=len(y),
+        m=config.m,
+        M=config.M,
+        w=config.w,
+        seed=seed,
+        addrs=server.addr_column(),
+        op_index=server.op_column() if with_boundaries else None,
+    )
 
 
 def write_trace(tf: TraceFile, path) -> None:

@@ -1,9 +1,12 @@
 import functools
 import hashlib
 import random
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oramlab import (
     READ,
@@ -12,6 +15,7 @@ from oramlab import (
     InputSequence,
     ModelViolationError,
     OramConfig,
+    ServerState,
     adversary_view,
     alice_encode,
     bob_decode,
@@ -98,9 +102,12 @@ class TestLinearScan:
         for seed in range(4):
             y = random_sequence(random.Random(seed), 6, cfg.M, cfg.w)
             a_fast, s_fast = run_sequence("linear-scan", cfg, y, seed=0, record_meta=record_meta)
-            a_slow, s_slow = run_sequence(
-                "linear-scan", cfg, y, seed=0, record_meta=True, fast=False
-            )
+            s_slow = ServerState(cfg, record_meta=True)
+            # address 0 is never probed, so this override is never consumed and
+            # keeps the engine on its honest loop of scalar probes
+            s_slow.read_overrides = deque([(0, 0)])
+            a_slow = make_engine("linear-scan", cfg, 0).run(s_slow, y)
+            assert list(s_slow.read_overrides) == [(0, 0)]
             assert a_fast == a_slow
             assert np.array_equal(s_fast.addr_column(), s_slow.addr_column())
             assert s_fast.cells == s_slow.cells
@@ -138,8 +145,6 @@ class TestTreeEngine:
         rng = random.Random(21)
         y = random_sequence(rng, 64, cfg.M, cfg.w)
         engine = make_engine("tree", cfg, 13)
-        from oramlab.server import ServerState
-
         srv = ServerState(cfg)
         peak = 0
         for i, op in enumerate(y):
@@ -173,10 +178,11 @@ class TestDummyEncoder:
     def test_every_op_followed_by_address_one_read(self):
         y = random_sequence(random.Random(4), 5, CFG.M, CFG.w)
         _, srv = run_sequence("dummy-encoder", CFG, y, seed=0)
-        recs = srv.records()
+        addrs = srv.addr_column().tolist()
+        kinds = [(READ, WRITE)[k] for k in srv.kind_column().tolist()]
         for j, op in enumerate(y):
-            assert recs[2 * j].addr == op.addr and recs[2 * j].kind == op.kind
-            assert (recs[2 * j + 1].kind, recs[2 * j + 1].addr) == (READ, 1)
+            assert addrs[2 * j] == op.addr and kinds[2 * j] == op.kind
+            assert (kinds[2 * j + 1], addrs[2 * j + 1]) == (READ, 1)
 
     def test_comparison_is_strict(self):
         # forced comparand equal to the input: a tie never adds the extra probe
@@ -336,3 +342,64 @@ def _server_log_digest(engine: str, seed: int, n: int, k: int, record_meta: bool
 def test_server_logs_are_frozen(engine, n, k, record_meta):
     got = tuple(_server_log_digest(engine, seed, n, k, record_meta) for seed in range(4))
     assert got == GOLDEN_SERVER_LOGS[engine, n, k, record_meta]
+
+
+def _scan_state(engine, srv, meta_from=None):
+    """Log, store and mirror; metadata from meta_from on, if that is given."""
+    cols = [srv.addr_column().tolist()]
+    if meta_from is not None:
+        meta = (srv.kind_column, srv.data_column, srv.op_column, srv.read_src_column)
+        cols += [column()[meta_from:].tolist() for column in meta]
+    return cols, srv.cells, srv.last_write_op, engine._mirror.tolist()
+
+
+def _scan_op(is_write, addr, data, M):
+    addr = (addr - 1) % M + 1
+    return InputOp(WRITE, addr, data) if is_write else InputOp(READ, addr, 0)
+
+
+_OP = st.tuples(st.booleans(), st.integers(1, 6), st.integers(0, 255))
+
+
+@given(
+    M=st.integers(1, 6),
+    ops=st.lists(_OP, max_size=12),
+    cuts=st.lists(st.integers(0, 12), max_size=4),
+    mark=st.none() | st.integers(0, 5),
+    extra=_OP,
+    override=st.integers(0, 255),
+)
+@settings(max_examples=150, deadline=None)
+def test_scan_advance_matches_stepping(M, ops, cuts, mark, extra, override):
+    """advance over consecutive ranges, with metadata from one cut on, leaves
+    the engine and the server exactly as stepping op by op does, also for the
+    steps that follow."""
+    cfg = OramConfig(m=1, M=M, w=8)
+    y = InputSequence(tuple(_scan_op(*t, M) for t in ops))
+    n = len(y)
+    bounds = [0, *sorted(min(c, n) for c in cuts), n]
+    ranges = [*zip(bounds, bounds[1:]), (n, n)]
+    advanced, stepped = make_engine("linear-scan", cfg, 0), make_engine("linear-scan", cfg, 0)
+    adv_srv, step_srv = ServerState(cfg, record_meta=False), ServerState(cfg, record_meta=True)
+    answers, meta_from = [], None
+    for r, (start, stop) in enumerate(ranges):
+        if r == mark:
+            meta_from = adv_srv.begin_meta()
+        answers += advanced.advance(adv_srv, y, start, stop)
+    want = []
+    for i, op in enumerate(y):
+        step_srv.begin_op(i)
+        got = stepped.step(step_srv, op, i)
+        if op.kind == READ:
+            want.append(got)
+    assert answers == want
+    adv_from = None if meta_from is None else 0  # the advanced server's columns start at its mark
+    assert _scan_state(advanced, adv_srv, adv_from) == _scan_state(stepped, step_srv, meta_from)
+    op = _scan_op(*extra, M)
+    for j, pending in enumerate((None, [(op.addr, override)])):
+        for engine, srv in ((advanced, adv_srv), (stepped, step_srv)):
+            srv.begin_op(n + j)
+            srv.read_overrides = None if pending is None else deque(pending)
+            engine.step(srv, op, n + j)
+        assert adv_srv.read_overrides == step_srv.read_overrides
+        assert _scan_state(advanced, adv_srv, adv_from) == _scan_state(stepped, step_srv, meta_from)

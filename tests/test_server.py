@@ -62,8 +62,9 @@ def test_records_and_columns_agree():
     srv.probe(WRITE, 2, 7)
     srv.begin_op(5)
     srv.probe(READ, 2)
-    recs = srv.records()
-    assert [(r.t, r.kind, r.addr, r.data, r.op_index) for r in recs] == [
+    kinds = [(READ, WRITE)[k] for k in srv.kind_column().tolist()]
+    cols = (srv.addr_column(), srv.data_column(), srv.op_column())
+    assert list(zip(range(srv.probe_count), kinds, *(c.tolist() for c in cols))) == [
         (0, WRITE, 2, 7, 4),
         (1, READ, 2, 7, 5),
     ]
@@ -199,3 +200,40 @@ def test_repeating_scan_log_is_its_tile():
     assert servers[1].probe_count == len(tile) + 1
     assert adversary_view(servers[1]).addrs.tolist() == tile.tolist() + [3]
     assert servers[1].addr_column().tolist() == tile.tolist() + [3]
+
+
+_META_COLUMNS = ("kind_column", "data_column", "op_column", "read_src_column")
+
+
+@given(probes=st.lists(_PROBE, max_size=16), mark=st.integers(0, 16), batched=st.booleans())
+@example(probes=[(1, 2, 9), (0, 2, 0)], mark=1, batched=False)
+@settings(max_examples=100, deadline=None)
+def test_begin_meta_logs_metadata_from_the_mark(probes, mark, batched):
+    mark = min(mark, len(probes))
+    full, late = ServerState(CFG), ServerState(CFG, record_meta=False)
+
+    def send(srv, part, op):
+        srv.begin_op(op)
+        if batched:
+            srv.probe_batch(*(np.array([p[i] for p in part], dtype=np.int64) for i in range(3)))
+        else:
+            for k, a, d in part:
+                srv.probe((READ, WRITE)[k], a, d)
+
+    for srv in (full, late):
+        send(srv, probes[:mark], 0)
+    assert late.begin_meta() == mark == late.probe_count
+    for srv in (full, late):
+        send(srv, probes[mark:], 1)
+    for col in _META_COLUMNS:
+        got = getattr(late, col)()
+        assert len(got) == late.probe_count - mark
+        assert got.tolist() == getattr(full, col)()[mark:].tolist()
+    assert late.addr_column().tolist() == full.addr_column().tolist()
+    assert (late.cells, late.last_write_op) == (full.cells, full.last_write_op)
+    # a second switch, or one on a server logging metadata from the start, is refused and changes nothing
+    for srv in (late, full):
+        before = _server_state(srv)
+        with pytest.raises(ValueError):
+            srv.begin_meta()
+        assert _server_state(srv) == before
