@@ -6,7 +6,10 @@ enabled, a ``#op <index>`` comment precedes each input op's probes (index -2
 marks wrap-up probes after the last op); analyses must ignore those lines.
 The format is documented in docs/formats.md and round-trips byte-exactly.
 Reading rejects unknown engines and addresses outside [1, 2^w], the range
-the server enforces on every probe.
+the server enforces on every probe.  Both directions work in bulk: the
+reader loops in Python over the header and the ``#op`` lines only and
+parses every address in one numpy call, and the writer formats them all in
+one numpy pass.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -66,68 +70,82 @@ def run_trace(
     )
 
 
+def _decimal_lines(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Non-negative ints as newline-ended decimal lines, and each line's end offset.
+
+    Digits come from repeated divmod into an (N, W+1) byte matrix whose last
+    column is the newline; each row's leading zeros are masked off.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    width = len(str(int(values.max()))) if len(values) else 1
+    digits = np.full((len(values), width + 1), ord("\n"), dtype=np.uint8)
+    rest = values
+    for col in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        digits[:, col] = digit + ord("0")
+    lengths = np.searchsorted(10 ** np.arange(1, width), values, side="right") + 2
+    keep = np.arange(width + 1) >= width + 1 - lengths[:, None]
+    return digits[keep].tobytes(), np.cumsum(lengths)
+
+
 def write_trace(tf: TraceFile, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"#format={TRACE_FORMAT}\n")
-        fh.write(f"#engine={tf.engine}\n")
-        fh.write(f"#workload={tf.workload}\n")
-        fh.write(f"#n={tf.n}\n#m={tf.m}\n#M={tf.M}\n#w={tf.w}\n#seed={tf.seed}\n")
-        fh.write(f"#N={tf.N}\n")
-        addrs = tf.addrs.tolist()
-        if tf.op_index is None:
-            fh.write("\n".join(map(str, addrs)))
-            if addrs:
-                fh.write("\n")
-        else:
-            ops = tf.op_index.tolist()
-            prev = None
-            out = []
-            for a, o in zip(addrs, ops):
-                if o != prev:
-                    out.append(f"#op {o}")
-                    prev = o
-                out.append(str(a))
-            if out:
-                fh.write("\n".join(out))
-                fh.write("\n")
+    header = (
+        f"#format={TRACE_FORMAT}\n#engine={tf.engine}\n#workload={tf.workload}\n"
+        f"#n={tf.n}\n#m={tf.m}\n#M={tf.M}\n#w={tf.w}\n#seed={tf.seed}\n#N={tf.N}\n"
+    )
+    body, ends = _decimal_lines(tf.addrs)
+    if tf.op_index is not None and len(ends):
+        ops = tf.op_index
+        first = np.flatnonzero(np.r_[True, ops[1:] != ops[:-1]])  # each op's first probe
+        cuts = np.append(0, ends)[first].tolist() + [len(body)]
+        marks = (b"#op %d\n" % op for op in ops[first].tolist())
+        body = b"".join(mark + body[a:b] for mark, a, b in zip(marks, cuts, cuts[1:]))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + body)
 
 
 def read_trace(path) -> TraceFile:
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
+    h = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
     keys: list[str] = []
     header: dict[str, str] = {}
-    addrs: list[int] = []
-    ops: list[int] = []
-    current_op: int | None = None
-    saw_boundary = False
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#op "):
-                saw_boundary = True
-                current_op = int(line[4:])
-            elif line.startswith("#"):
-                if addrs:
-                    raise ValueError(f"trace header line {line!r} after the first address")
-                key, _, val = line[1:].partition("=")
-                keys.append(key)
-                header[key] = val
-            else:
-                addrs.append(int(line))
-                ops.append(current_op if current_op is not None else -1)
+    marks: list[str] = []
+    for line in lines[:h]:
+        if line.startswith("#op "):
+            marks.append(line)
+        else:
+            key, _, val = line[1:].partition("=")
+            keys.append(key)
+            header[key] = val
+    starts = [0] * len(marks)  # addresses before each #op line
+    body = lines[h:]
+    if text.count("#") > h:  # only then does the body hold a '#'
+        is_mark = np.array(body, dtype="U1") == "#"
+        at = np.flatnonzero(is_mark)
+        marks += [body[i] for i in at.tolist()]
+        starts += (at - np.arange(len(at))).tolist()
+        body = list(compress(body, (~is_mark).tolist()))
+        stray = next((line for line in marks if not line.startswith("#op ")), None)
+        if stray:
+            raise ValueError(f"trace header line {stray!r} after the first address")
     if keys != list(_HEADER_KEYS):
         raise ValueError(f"trace header keys {keys} are not exactly {list(_HEADER_KEYS)} in that order")
     if header["format"] != TRACE_FORMAT:
         raise ValueError(f"unsupported trace format {header['format']!r}")
-    if int(header["N"]) != len(addrs):
-        raise ValueError(f"header says N={header['N']} but body has {len(addrs)} addresses")
+    if int(header["N"]) != len(body):
+        raise ValueError(f"header says N={header['N']} but body has {len(body)} addresses")
     if header["engine"] not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {header['engine']!r} in trace header")
     w = int(header["w"])
     out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
     try:
-        addr_array = np.asarray(addrs, dtype=np.int64)
+        ops = np.array([line[4:] for line in marks], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("trace has an #op index outside int64") from None
+    try:
+        addr_array = np.array(body, dtype=np.int64)
     except OverflowError:
         raise out_of_range from None
     # int64 addresses never exceed 2^63, so a wider w needs no upper check
@@ -142,7 +160,7 @@ def read_trace(path) -> TraceFile:
         w=w,
         seed=int(header["seed"]),
         addrs=addr_array,
-        op_index=np.asarray(ops, dtype=np.int64) if saw_boundary else None,
+        op_index=np.repeat(np.append(-1, ops), np.diff([0, *starts, len(body)])) if marks else None,
     )
 
 

@@ -1,4 +1,5 @@
-"""Shared helpers for the suite: graph invariant checks and random graphs."""
+"""Shared helpers for the suite: graph invariant checks, random graphs and
+line-by-line oracles for the vectorized code paths."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import random
 import numpy as np
 import pytest
 
-from oramlab import AccessGraph, graph_from_edges
+from oramlab import AccessGraph, TraceFile, graph_from_edges
+from oramlab.orams import ENGINE_NAMES
+from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
 
 ALL_ENGINES = ("passthrough", "linear-scan", "tree", "dummy-encoder", "dummy-leaker")
 
@@ -84,6 +87,68 @@ def reference_greedy_witness(addrs, k: int, threshold: int) -> tuple[int, ...] |
         b = close[1]
     boundaries[-1] = n
     return tuple(boundaries)
+
+
+def reference_read_trace(path) -> TraceFile:
+    """The trace reader one line at a time, straight off docs/formats.md.
+
+    Each line is stripped and blank ones skipped; ``#op <int64>`` lines set
+    the op of the addresses after them (-1 before the first), other ``#``
+    lines are header keys and may not follow an address, and every other
+    line is a base-10 address.
+    """
+    keys: list[str] = []
+    header: dict[str, str] = {}
+    addrs: list[int] = []
+    ops: list[int] = []
+    current_op: int | None = None
+    saw_boundary = False
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#op "):
+                saw_boundary = True
+                current_op = int(line[4:])
+                if not -(1 << 63) <= current_op < 1 << 63:
+                    raise ValueError(f"trace op index {current_op} is outside int64")
+            elif line.startswith("#"):
+                if addrs:
+                    raise ValueError(f"trace header line {line!r} after the first address")
+                key, _, val = line[1:].partition("=")
+                keys.append(key)
+                header[key] = val
+            else:
+                addrs.append(int(line))
+                ops.append(current_op if current_op is not None else -1)
+    if keys != list(_HEADER_KEYS):
+        raise ValueError(f"trace header keys {keys} are not exactly {list(_HEADER_KEYS)} in that order")
+    if header["format"] != TRACE_FORMAT:
+        raise ValueError(f"unsupported trace format {header['format']!r}")
+    if int(header["N"]) != len(addrs):
+        raise ValueError(f"header says N={header['N']} but body has {len(addrs)} addresses")
+    if header["engine"] not in ENGINE_NAMES:
+        raise ValueError(f"unknown engine {header['engine']!r} in trace header")
+    w = int(header["w"])
+    out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
+    try:
+        addr_array = np.asarray(addrs, dtype=np.int64)
+    except OverflowError:
+        raise out_of_range from None
+    if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << min(w, 63):
+        raise out_of_range
+    return TraceFile(
+        engine=header["engine"],
+        workload=header["workload"],
+        n=int(header["n"]),
+        m=int(header["m"]),
+        M=int(header["M"]),
+        w=w,
+        seed=int(header["seed"]),
+        addrs=addr_array,
+        op_index=np.asarray(ops, dtype=np.int64) if saw_boundary else None,
+    )
 
 
 @pytest.fixture

@@ -193,3 +193,15 @@ def test_unparsable_ell_is_a_usage_error(tmp_path, capsys, ell):
     assert run_cli("report", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1",
                    "--ell", ell) == EXIT_USAGE
     assert capsys.readouterr().err.count("oramlab: usage error") == 2
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_op_index_beyond_int64_is_a_usage_error(tmp_path, capsys, where):
+    trace = tmp_path / "t.trace"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1",
+            "--out", str(trace))
+    mark = f"#op {10**20}\n"
+    anchor = "#N=4\n" if where == "header" else "#N=4\n1\n"
+    trace.write_text(trace.read_text().replace(anchor, anchor + mark, 1))
+    assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
+    assert "#op index outside int64" in capsys.readouterr().err
