@@ -53,7 +53,6 @@ from .partition import (
     PartitionCertificate,
     brute_force_dense_partition,
     certify,
-    disjoint_part_count,
     edge_lower_bound_from_certificate,
     expected_edge_lower_bound,
     greedy_dense_partition,

@@ -24,7 +24,7 @@ from .core import OramConfig, gen_write_read_blocks, instantiate_workload, parse
 from .graph import build_access_graph
 from .orams import ENGINE_NAMES, StashOverflowError
 from .partition import CertificateError
-from .traceio import ExperimentReport, TraceFile, analyze_trace, read_trace, run_trace, write_trace
+from .traceio import TraceFile, analyze_trace, read_trace, run_trace, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,6 +45,19 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=1, help="client memory cells (default 1)")
     p.add_argument("--M", type=int, default=None, help="logical address range (default: workload length)")
     p.add_argument("--w", type=int, default=32, help="cell width in bits (default 32)")
+
+
+def _at_least(low, parse):
+    def check(text: str):  # an argparse type: parse(text), refused below low
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    return check
 
 
 def _resolve_seed(args) -> int:
@@ -84,7 +97,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="certified edge/probe lower bound of a trace file")
     p.add_argument("--trace", required=True)
-    p.add_argument("--ell", default=None, help="density family threshold (rational, e.g. 64/5)")
+    p.add_argument("--ell", type=_at_least(0, as_fraction), default=None,
+                   help="density family threshold (rational >= 0, e.g. 64/5)")
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--json", dest="json_out", default=None, help="report path ('-' for stdout)")
     p.add_argument("--csv", dest="csv_out", default=None, help="per-k verdict CSV path")
@@ -96,7 +110,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1, int), default=1, help="worker processes, at least 1")
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("frequency", help="dense-partition frequency over fresh block workloads")
@@ -107,7 +121,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", choices=("blocks", "alt"), default="blocks")
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1, int), default=1, help="worker processes, at least 1")
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("codec", help="round-trip the two-party transfer codec on one block")
@@ -123,7 +137,7 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
     p.add_argument("--workload", required=True)
     _add_config_flags(p)
-    p.add_argument("--ell", default=None)
+    p.add_argument("--ell", type=_at_least(0, as_fraction), default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", dest="json_out", default=None)
@@ -149,7 +163,9 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _report_payload(report: ExperimentReport, args) -> int:
+def _report_payload(tf: TraceFile, args) -> int:
+    """Certify tf at the flags' --ell and --k-max and emit the report."""
+    report = analyze_trace(tf, ell=args.ell, k_max=args.k_max)
     _emit(report.as_dict(), args.json_out)
     if getattr(args, "csv_out", None):
         with open(args.csv_out, "w", encoding="ascii") as fh:
@@ -158,10 +174,7 @@ def _report_payload(report: ExperimentReport, args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    ell = as_fraction(args.ell) if args.ell is not None else None
-    tf = read_trace(args.trace)
-    report = analyze_trace(tf, ell=ell, k_max=args.k_max)
-    return _report_payload(report, args)
+    return _report_payload(read_trace(args.trace), args)
 
 
 def _cmd_distinguish(args) -> int:
@@ -222,11 +235,7 @@ def _cmd_codec(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    seed = _resolve_seed(args)
-    ell = as_fraction(args.ell) if args.ell is not None else None
-    tf = _run_workload(args, seed)
-    report = analyze_trace(tf, ell=ell, k_max=args.k_max)
-    return _report_payload(report, args)
+    return _report_payload(_run_workload(args, _resolve_seed(args)), args)
 
 
 def _cmd_graph_export(args) -> int:

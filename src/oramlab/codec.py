@@ -98,7 +98,7 @@ def alice_encode(
     machine.advance(server, y, rs, re)
     srcs = server.read_src_column()
     hit = (server.kind_column() == 0) & (srcs >= ws) & (srcs < we)
-    addrs = server.addr_column()[mark:][hit]
+    addrs = server.addr_column(mark)[hit]
     contents = server.data_column()[hit]
     matched = tuple(zip(addrs.tolist(), contents.tolist()))
     checksum = _data_checksum(block_data(y, layout, i)) if with_checksum else None

@@ -7,8 +7,8 @@ and outdegree at most one, so the edge count never exceeds N - 1 and a probe
 trace always has at least as many probes as its graph has edges.
 
 Construction is lazy: the graph wraps an ``AccessSequence`` and builds
-``pred``/``succ`` on first use (one stable sort); prefix-only analyses read
-``window``s, which on a repeating trace never build the whole array (``A`` does).
+``pred`` on first use (one stable sort); prefix-only analyses read
+``trace.window``s, which on a repeating trace never build the whole array (``A`` does).
 ``consecutive_pairs`` is the only place edges are derived from addresses.
 """
 
@@ -35,13 +35,12 @@ def consecutive_pairs(addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class AccessGraph:
     """Ordered graph of consecutive same-address probe pairs."""
 
-    __slots__ = ("trace", "N", "_pred", "_succ", "_edge_u", "_edge_v")
+    __slots__ = ("trace", "N", "_pred", "_edge_u", "_edge_v")
 
     def __init__(self, trace):
         self.trace = trace if isinstance(trace, AccessSequence) else AccessSequence(trace)
         self.N = self.trace.N
         self._pred = None
-        self._succ = None
         self._edge_u = None
         self._edge_v = None
 
@@ -49,10 +48,6 @@ class AccessGraph:
     def A(self) -> np.ndarray:
         """The whole address array (built on first use for a repeating trace)."""
         return self.trace.addrs
-
-    def window(self, b: int, e: int) -> np.ndarray:
-        """A[b:e], building only that stretch of a repeating trace."""
-        return self.trace.window(b, e)
 
     @property
     def pred(self) -> np.ndarray:
@@ -64,24 +59,11 @@ class AccessGraph:
             self._pred = pred
         return self._pred
 
-    @property
-    def succ(self) -> np.ndarray:
-        """succ[u] = next timestamp of A[u], or -1 (unique by construction)."""
-        if self._succ is None:
-            succ = np.full(self.N, -1, dtype=np.int64)
-            pred = self.pred
-            vs = np.nonzero(pred >= 0)[0]
-            succ[pred[vs]] = vs
-            self._succ = succ
-        return self._succ
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edges as parallel (u, v) arrays ordered by target v."""
         if self._edge_v is None:
-            pred = self.pred
-            vs = np.nonzero(pred >= 0)[0]
-            self._edge_v = vs
-            self._edge_u = pred[vs]
+            self._edge_v = np.flatnonzero(self.pred >= 0)
+            self._edge_u = self.pred[self._edge_v]
         return self._edge_u, self._edge_v
 
     @property
@@ -93,24 +75,14 @@ class AccessGraph:
     def edge_count(self) -> int:
         return len(self.edge_arrays()[0])
 
-    def crossing_edge_count(self, a: int, m: int, b: int) -> int:
-        """Number of edges from {a..m-1} into {m..b-1}."""
+    def crossing_edges(self, a: int, m: int, b: int) -> np.ndarray:
+        """Positions, in ``edge_arrays()`` order, of the edges from {a..m-1} into {m..b-1}."""
         if not 0 <= a <= m <= b <= self.N:
             raise ValueError(f"need 0 <= a <= m <= b <= N, got ({a}, {m}, {b}) with N={self.N}")
         u, v = self.edge_arrays()
         lo, hi = np.searchsorted(v, (m, b))
         seg = u[lo:hi]
-        return int(((seg >= a) & (seg < m)).sum())
-
-    def edges_in_window(self, a: int, m: int, b: int) -> list[tuple[int, int]]:
-        """The crossing edges themselves (for certificate audits and export)."""
-        if not 0 <= a <= m <= b <= self.N:
-            raise ValueError(f"need 0 <= a <= m <= b <= N, got ({a}, {m}, {b}) with N={self.N}")
-        u, v = self.edge_arrays()
-        lo, hi = np.searchsorted(v, (m, b))
-        seg_u, seg_v = u[lo:hi], v[lo:hi]
-        keep = (seg_u >= a) & (seg_u < m)
-        return list(zip(seg_u[keep].tolist(), seg_v[keep].tolist()))
+        return lo + np.flatnonzero((seg >= a) & (seg < m))
 
     def __repr__(self) -> str:
         return f"AccessGraph(N={self.N}, edges={self.edge_count})"

@@ -70,7 +70,7 @@ def is_dense(graph: AccessGraph, partition: Partition, ell) -> bool:
     ell = as_fraction(ell)
     if partition.end != graph.N:
         return False
-    return all(graph.crossing_edge_count(b, m, e) >= ell for b, m, e in partition.parts())
+    return all(len(graph.crossing_edges(b, m, e)) >= ell for b, m, e in partition.parts())
 
 
 def _trivial_partition(k: int, n: int) -> Partition:
@@ -95,7 +95,7 @@ def _close_part(graph: AccessGraph, b: int, threshold: int) -> tuple[int, int] |
     if b + hi > n:
         return None
     while True:
-        u, v = consecutive_pairs(graph.window(b, b + hi))
+        u, v = consecutive_pairs(graph.trace.window(b, b + hi))
         cut = _first_heavy_cut(u, v, hi, threshold)
         if cut is not None:
             break
@@ -187,11 +187,18 @@ def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | 
 
 @dataclass
 class PartitionCertificate:
-    """Witnessed dense partitions for a family threshold base_ell.
+    """Witnessed dense partitions for a family threshold ell = base_ell.
 
     For every k in K (powers of 4 only) the stored partition is
-    (base_ell/k)-dense, which certifies the graph has at least
-    ceil(base_ell/2 * |K|) edges.
+    (ell/k)-dense, so its parts' crossing edges certify the graph has at
+    least ceil(ell/2 * |K|) edges:
+
+    * a coarse part's crossing edges all span its cut m (u < m <= v), so
+      only the one finer part holding m - 1 and m can share them;
+    * powers of 4 k_1 < k_2 < ... have k_1 + ... + k_{j-1} <= k_j/3, so at
+      least 2k_j/3 parts at scale k_j share no coarser witness's edge, and
+      each of them adds at least ell/k_j new ones;
+    * so the union holds at least ell + (|K| - 1) * 2ell/3 >= ell/2 * |K|.
     """
 
     base_ell: Fraction
@@ -202,14 +209,33 @@ class PartitionCertificate:
     def K(self) -> frozenset[int]:
         return frozenset(self.witnessed)
 
-    def verify(self) -> None:
+    def verify(self) -> int:
+        """Re-check every witness; return the distinct crossing edges they exhibit (at most N - 1).
+
+        Raises CertificateError unless each key k is a power of 4 whose witness
+        has k parts and ends at N, the witnesses' crossing edges (one mask over
+        ``edge_arrays()``) number at least the bound, and each witness is (base_ell/k)-dense.
+        """
+        graph = self.graph
+        exhibited = np.zeros(graph.edge_count, dtype=bool)
         for k, partition in self.witnessed.items():
             if not is_power_of_4(k):
                 raise CertificateError(f"certificate key {k} is not a power of 4")
-            if partition.k != k:
-                raise CertificateError(f"witness for k={k} has {partition.k} parts")
-            if not is_dense(self.graph, partition, self.base_ell / k):
+            if (partition.k, partition.end) != (k, graph.N):
+                raise CertificateError(
+                    f"witness for k={k} has {partition.k} parts ending at {partition.end}; N={graph.N}"
+                )
+            for b, m, e in partition.parts():
+                exhibited[graph.crossing_edges(b, m, e)] = True
+        count, bound = int(np.count_nonzero(exhibited)), frac_ceil(self.base_ell / 2 * len(self.witnessed))
+        if count < bound:
+            raise CertificateError(
+                f"witnesses exhibit {count} distinct crossing edges, fewer than the bound {bound}"
+            )
+        for k, partition in self.witnessed.items():
+            if not is_dense(graph, partition, self.base_ell / k):
                 raise CertificateError(f"witness for k={k} fails the density re-check")
+        return count
 
 
 def certify(graph: AccessGraph, ell, k_max: int) -> PartitionCertificate:
@@ -232,11 +258,9 @@ def certify(graph: AccessGraph, ell, k_max: int) -> PartitionCertificate:
 def edge_lower_bound_from_certificate(cert: PartitionCertificate) -> int:
     """Certified lower bound ceil(base_ell/2 * |K|) on the graph's edge count.
 
-    Re-verifies every witness before trusting it.
+    Re-verifies every witness, and that they exhibit that many edges, before trusting it.
     """
     cert.verify()
-    if not cert.witnessed:
-        return 0
     return frac_ceil(cert.base_ell / 2 * len(cert.witnessed))
 
 
@@ -257,20 +281,3 @@ def expected_edge_lower_bound(ell, s: int, t: int, p) -> Fraction:
     bound = p * ell / 2 * span
     return bound if bound > 0 else Fraction(0)
 
-
-def disjoint_part_count(graph: AccessGraph, fine: Partition, coarse: Partition) -> int:
-    """Number of parts of the finer partition whose crossing-edge set avoids
-    every crossing-edge set of the coarser partition.
-
-    Nested dense partitions overlap in a controlled way: at least
-    fine.k - coarse.k parts of the finer partition must come out clean, which
-    is what makes certified bounds add up across scales.
-    """
-    coarse_edges = set()
-    for b, m, e in coarse.parts():
-        coarse_edges.update(graph.edges_in_window(b, m, e))
-    count = 0
-    for b, m, e in fine.parts():
-        if not coarse_edges.intersection(graph.edges_in_window(b, m, e)):
-            count += 1
-    return count

@@ -14,13 +14,14 @@ stay of the order of the workload, not of 2^w); a batch views them through
 ``np.frombuffer``.  A trace that repeats one period (the linear scan's, logged
 without metadata) is kept as ``AccessSequence.repeating`` through
 ``adversary_view``: ``window`` builds only what is read, and ``addrs`` and
-``addr_column()`` build it all, once.
+``addr_column()`` build it all, once; ``addr_column(start)`` builds none of
+it when start is past it.
 
 Metadata can start part way through a run: a server made with
 ``record_meta=False`` logs addresses only until ``begin_meta()`` returns the
 mark, the index of the next probe.  From then on the four metadata columns
 (kind, data, op, read_src) log every probe, so they line up with
-``addr_column()[mark:]``; the transfer codec's sender starts them at the
+``addr_column(mark)``; the transfer codec's sender starts them at the
 read block, the only probes she reads them for.
 """
 
@@ -46,31 +47,30 @@ _KIND_NAME = {0: READ, 1: WRITE}
 class _Column:
     """Append-only int64 column.
 
-    Batches are copied into a numpy buffer that grows fourfold, and the
-    first array appended to an empty column becomes that buffer uncopied.
-    Single probes append to a list, flushed into the buffer before the next
-    batch or read.  A repeating AccessSequence stays ``lazy`` until needed.
+    A repeating AccessSequence appended to an empty column stays its
+    ``head``, built only by a read that starts inside it.  Later batches are
+    copied into a buffer that grows fourfold (the first one becomes it
+    uncopied); single probes go to a list, flushed before a batch or a read.
     """
 
-    __slots__ = ("buf", "size", "tail", "lazy")
+    __slots__ = ("head", "buf", "size", "tail")
 
     def __init__(self):
+        self.head = AccessSequence(())
         self.buf = np.empty(0, dtype=np.int64)
-        self.size = 0
+        self.size = 0  # entries of buf in use
         self.tail: list[int] = []
-        self.lazy: AccessSequence | None = None
 
     def __len__(self) -> int:
-        return self.size + len(self.tail)
+        return self.head.N + self.size + len(self.tail)
 
     def extend(self, arr) -> None:
         """Append arr (array or AccessSequence), which the column may keep: the caller must not change it."""
-        if isinstance(arr, AccessSequence) and not len(self):
-            self.lazy, self.size = arr, arr.N
-            return
-        if self.lazy is not None:
-            self.buf, self.lazy = self.lazy.addrs, None
-        arr = arr.addrs if isinstance(arr, AccessSequence) else arr
+        if isinstance(arr, AccessSequence):
+            if not len(self):
+                self.head = arr
+                return
+            arr = arr.addrs
         if self.tail:
             tail, self.tail = self.tail, []
             self.extend(np.array(tail, dtype=np.int64))
@@ -87,10 +87,15 @@ class _Column:
             self.buf[self.size : end] = arr
         self.size = end
 
-    def to_array(self) -> np.ndarray:
-        if self.tail or self.lazy is not None:
+    def to_array(self, start: int = 0) -> np.ndarray:
+        """Entries start..len-1; a start inside the head folds the head into the buffer, once."""
+        if self.tail:
             self.extend(np.empty(0, dtype=np.int64))
-        return self.buf[: self.size]
+        if start < self.head.N:
+            head, self.head = self.head.addrs, AccessSequence(())
+            self.buf = np.concatenate((head, self.buf[: self.size])) if self.size else head
+            self.size = len(self.buf)
+        return self.buf[start - self.head.N : self.size]
 
 
 class AccessSequence:
@@ -306,8 +311,9 @@ class ServerState:
 
     # -- columnar access -------------------------------------------------
 
-    def addr_column(self) -> np.ndarray:
-        return self._addr.to_array()
+    def addr_column(self, start: int = 0) -> np.ndarray:
+        """Addresses of probes start..probe_count-1."""
+        return self._addr.to_array(start)
 
     def kind_column(self) -> np.ndarray:
         return self._kind.to_array()
@@ -330,4 +336,4 @@ def adversary_view(state: ServerState) -> AccessSequence:
     here: the adversary sees addresses only.  A repeating log stays repeating.
     """
     col = state._addr
-    return col.lazy if col.lazy is not None and not col.tail else AccessSequence(col.to_array())
+    return col.head if len(col) == col.head.N else AccessSequence(col.to_array())

@@ -14,7 +14,6 @@ one numpy pass.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,9 +224,6 @@ class ExperimentReport:
             "overhead_ratio": self.overhead_ratio,
             "deviations": self.deviations,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=False)
 
     def csv_rows(self) -> list[str]:
         rows = ["k,ell_over_k,found,bound_cumulative"]

@@ -48,17 +48,22 @@ def random_degree_bounded_graph(rng: random.Random, max_n: int = 10) -> AccessGr
     return graph_from_edges(n, edges)
 
 
-def brute_force_crossing(addrs, a: int, m: int, b: int) -> int:
-    """Independent crossing-edge counter straight off the definition."""
-    count = 0
+def brute_force_crossing_edges(addrs, a: int, m: int, b: int) -> list[tuple[int, int]]:
+    """Crossing edges (u, v), a <= u < m <= v < b, straight off the definition, ordered by v."""
+    edges = []
     for j in range(m, b):
         target = addrs[j]
         for i in range(j - 1, a - 1, -1):
             if addrs[i] == target:
                 if i < m:
-                    count += 1
+                    edges.append((i, j))
                 break
-    return count
+    return edges
+
+
+def brute_force_crossing(addrs, a: int, m: int, b: int) -> int:
+    """Independent crossing-edge counter straight off the definition."""
+    return len(brute_force_crossing_edges(addrs, a, m, b))
 
 
 def reference_greedy_witness(addrs, k: int, threshold: int) -> tuple[int, ...] | None:

@@ -195,6 +195,35 @@ def test_unparsable_ell_is_a_usage_error(tmp_path, capsys, ell):
     assert capsys.readouterr().err.count("oramlab: usage error") == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("analyze", "--trace", "t.trace", "--ell", "-5"), "--ell"),
+        (("report", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--ell=-1/2"), "--ell"),
+        (("frequency", "--engine", "passthrough", "--n", "8", "--k", "1", "--trials", "2", "--seed", "1",
+          "--jobs", "0"), "--jobs"),
+        (("distinguish", "--engine", "passthrough", "--y", "alt:n=8", "--yprime", "blocks:n=8,k=1",
+          "--trials", "2", "--seed", "1", "--jobs", "-1"), "--jobs"),
+    ],
+)
+def test_out_of_range_ell_and_jobs_are_usage_errors(monkeypatch, capsys, argv, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a command ran before its flags were checked")
+
+    for name in ("read_trace", "run_trace", "dense_partition_frequency", "estimate_advantage"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert run_cli(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("oramlab: usage error: argument " + flag) and "must be at least" in err
+
+
+def test_zero_ell_is_accepted(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--out", str(trace))
+    assert run_cli("analyze", "--trace", str(trace), "--ell", "0") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["certified_probe_bound"] == 0
+
+
 @pytest.mark.parametrize("where", ["header", "body"])
 def test_op_index_beyond_int64_is_a_usage_error(tmp_path, capsys, where):
     trace = tmp_path / "t.trace"

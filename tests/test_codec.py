@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
+    AccessSequence,
     DecodeError,
     OramConfig,
     TransferMessage,
@@ -52,6 +53,23 @@ def test_passthrough_matches_one_probe_per_block_address():
 def test_scan_engine_matches_every_cell_once():
     msg = alice_encode("linear-scan", CFG, *_instance(1), i=1, shared_seed=0)
     assert len(msg.matched) == CFG.M  # first read pass re-reads the whole memory
+
+
+def test_scan_round_trip_builds_no_repeating_head(monkeypatch):
+    y, layout = _instance(3)
+    heads = []
+    repeating = AccessSequence.repeating
+    monkeypatch.setattr(
+        AccessSequence, "repeating", lambda period, reps: heads.append(reps) or repeating(period, reps)
+    )
+
+    def unbuilt(seq):
+        raise AssertionError("a codec party built the addresses of its repeating prefix")
+
+    monkeypatch.setattr(AccessSequence, "addrs", property(unbuilt))
+    msg = alice_encode("linear-scan", CFG, y, layout, 2, shared_seed=4)
+    assert bob_decode(msg, "linear-scan", CFG, y, layout, 2, shared_seed=4) == block_data(y, layout, 2)
+    assert len(heads) == 2  # each party logged its prefix as one repeating run
 
 
 def test_block_index_bounds():

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from oramlab import build_access_graph, graph_from_edges
 
-from conftest import assert_graph_invariants, brute_force_crossing, random_degree_bounded_graph
+from conftest import (
+    assert_graph_invariants,
+    brute_force_crossing,
+    brute_force_crossing_edges,
+    random_degree_bounded_graph,
+)
 
 addr_lists = st.lists(st.integers(min_value=1, max_value=6), max_size=24)
 
@@ -25,22 +30,22 @@ def test_consecutive_occurrences_only():
 def test_empty_trace():
     g = build_access_graph([])
     assert g.N == 0 and g.edge_count == 0
-    assert g.crossing_edge_count(0, 0, 0) == 0
+    assert len(g.crossing_edges(0, 0, 0)) == 0
 
 
 def test_crossing_examples():
     g = build_access_graph([5, 7, 5, 7])
-    assert g.crossing_edge_count(0, 2, 4) == 2
-    assert g.crossing_edge_count(0, 1, 4) == 1
-    assert g.crossing_edge_count(2, 3, 4) == 0
+    assert len(g.crossing_edges(0, 2, 4)) == 2
+    assert len(g.crossing_edges(0, 1, 4)) == 1
+    assert len(g.crossing_edges(2, 3, 4)) == 0
 
 
 def test_crossing_rejects_bad_bounds():
     g = build_access_graph([1, 1])
     with pytest.raises(ValueError):
-        g.crossing_edge_count(1, 0, 2)
+        g.crossing_edges(1, 0, 2)
     with pytest.raises(ValueError):
-        g.crossing_edge_count(0, 1, 3)
+        g.crossing_edges(0, 1, 3)
 
 
 @given(addrs=addr_lists)
@@ -48,9 +53,11 @@ def test_crossing_rejects_bad_bounds():
 def test_structural_invariants(addrs):
     g = build_access_graph(addrs)
     assert_graph_invariants(g)
-    # succ is the inverse of pred
+    # pred holds exactly the edges: each edge's source at its target, -1 elsewhere
+    want = np.full(g.N, -1, dtype=np.int64)
     for u, v in g.edges:
-        assert g.succ[u] == v and g.pred[v] == u
+        want[v] = u
+    assert g.pred.tolist() == want.tolist()
 
 
 @given(addrs=addr_lists)
@@ -69,15 +76,30 @@ def test_crossing_count_against_brute_force(addrs, data):
     a = data.draw(st.integers(0, n))
     m = data.draw(st.integers(a, n))
     b = data.draw(st.integers(m, n))
-    assert g.crossing_edge_count(a, m, b) == brute_force_crossing(addrs, a, m, b)
+    assert len(g.crossing_edges(a, m, b)) == brute_force_crossing(addrs, a, m, b)
 
 
-def test_edges_in_window_matches_count():
+@given(addrs=st.lists(st.integers(min_value=1, max_value=5), max_size=20), data=st.data())
+@settings(max_examples=200)
+def test_crossing_edges_match_brute_force_edge_set(addrs, data):
+    g = build_access_graph(addrs)
+    a = data.draw(st.integers(0, g.N))
+    m = data.draw(st.integers(a, g.N))
+    b = data.draw(st.integers(m, g.N))
+    at = g.crossing_edges(a, m, b)
+    assert at.tolist() == sorted(set(at.tolist()))  # distinct positions in edge_arrays() order
+    u, v = g.edge_arrays()
+    assert list(zip(u[at].tolist(), v[at].tolist())) == brute_force_crossing_edges(addrs, a, m, b)
+
+
+def test_crossing_edges_lie_in_their_window():
     addrs = [1, 2, 1, 3, 2, 1, 3]
     g = build_access_graph(addrs)
+    u, v = g.edge_arrays()
     for a, m, b in [(0, 3, 7), (1, 2, 5), (0, 0, 7), (2, 4, 6)]:
-        window = g.edges_in_window(a, m, b)
-        assert len(window) == g.crossing_edge_count(a, m, b)
+        at = g.crossing_edges(a, m, b)
+        window = list(zip(u[at].tolist(), v[at].tolist()))
+        assert len(window) == brute_force_crossing(addrs, a, m, b)
         assert all(a <= u < m <= v < b for u, v in window)
 
 

@@ -16,7 +16,6 @@ from oramlab import (
     brute_force_dense_partition,
     build_access_graph,
     certify,
-    disjoint_part_count,
     edge_lower_bound_from_certificate,
     expected_edge_lower_bound,
     gen_write_read_blocks,
@@ -26,7 +25,7 @@ from oramlab import (
     run_sequence,
 )
 
-from conftest import random_degree_bounded_graph, reference_greedy_witness
+from conftest import ALL_ENGINES, random_degree_bounded_graph, reference_greedy_witness
 
 PATH4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
 CROSSED4 = graph_from_edges(4, [(0, 2), (1, 3)])
@@ -238,9 +237,52 @@ class TestCertificates:
     def test_nested_partitions_leave_clean_parts(self):
         g, cert = self._scan_certificate()
         ks = sorted(cert.K)
+
+        def part_edges(k):
+            return [set(g.crossing_edges(b, m, e).tolist()) for b, m, e in cert.witnessed[k].parts()]
+
         for lo, hi in zip(ks, ks[1:]):
-            clean = disjoint_part_count(g, cert.witnessed[hi], cert.witnessed[lo])
+            coarse = set().union(*part_edges(lo))
+            clean = sum(1 for edges in part_edges(hi) if not edges & coarse)
             assert clean >= hi - lo
+
+    def test_inflated_base_ell_fails_the_exhibited_count(self):
+        g, cert = self._scan_certificate()
+        exhibited = cert.verify()
+        assert edge_lower_bound_from_certificate(cert) <= exhibited <= g.edge_count
+        # a bound one edge past what the witnesses exhibit
+        cert.base_ell = Fraction(2 * (exhibited + 1), len(cert.K))
+        with pytest.raises(CertificateError, match=f"exhibit {exhibited} distinct crossing edges, "
+                                                   f"fewer than the bound {exhibited + 1}"):
+            edge_lower_bound_from_certificate(cert)
+        # a bound the witnesses meet, but whose thresholds they are not dense for
+        cert.base_ell = Fraction(2 * exhibited, len(cert.K))
+        with pytest.raises(CertificateError, match="density re-check"):
+            edge_lower_bound_from_certificate(cert)
+
+    def test_repeated_witness_edges_fail_the_density_check(self):
+        g, cert = self._scan_certificate()
+        _, m, _ = cert.witnessed[1].parts()[0]
+        # k = 4 exhibits only k = 1's edges: the union still meets ell, the bound for |K| = 2
+        cert.witnessed = {1: cert.witnessed[1], 4: Partition((0,) * 7 + (m, g.N))}
+        with pytest.raises(CertificateError, match="witness for k=4 fails the density re-check"):
+            edge_lower_bound_from_certificate(cert)
+
+    @given(engine=st.sampled_from(ALL_ENGINES), half=st.integers(2, 48), seed=st.integers(0, 2**16),
+           ell=st.fractions(min_value=0, max_value=40, max_denominator=7))
+    @settings(max_examples=150, deadline=None)
+    def test_verify_returns_between_bound_and_edge_count(self, engine, half, seed, ell):
+        n = 2 * half
+        cfg = OramConfig(m=2, M=n, w=32)
+        y, _ = gen_write_read_blocks(n, 2, cfg.w, random.Random(seed))
+        _, srv = run_sequence(engine, cfg, y, seed=seed, record_meta=False)
+        g = build_access_graph(adversary_view(srv))
+        cert = certify(g, ell, 64)
+        exhibited = set()
+        for partition in cert.witnessed.values():
+            for b, m, e in partition.parts():
+                exhibited.update(g.crossing_edges(b, m, e).tolist())
+        assert edge_lower_bound_from_certificate(cert) <= cert.verify() == len(exhibited) <= g.edge_count
 
 
 class TestExpectedEdgeBound:

@@ -307,7 +307,7 @@ class TestAnalyze:
     def test_reports_are_reproducible(self):
         r1 = analyze_trace(_trace_file(engine="dummy-encoder"), ell=2, k_max=4)
         r2 = analyze_trace(_trace_file(engine="dummy-encoder"), ell=2, k_max=4)
-        assert r1.to_json() == r2.to_json()
+        assert r1.as_dict() == r2.as_dict()
 
 
 @pytest.mark.parametrize(
