@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import sqrt
 from typing import Iterable, Mapping, Sequence
@@ -128,13 +128,7 @@ class AdvantageEstimate:
     half_width: float
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "p1_on_y": self.p1_on_y,
-            "p1_on_yprime": self.p1_on_yprime,
-            "advantage": self.advantage,
-            "half_width": self.half_width,
-        }
+        return asdict(self)
 
 
 def _advantage_trial(args) -> tuple[int, int]:

@@ -216,7 +216,7 @@ def _cmd_codec(args) -> int:
     seed = _resolve_seed(args)
     config = _config_for(args, args.n)
     y, layout = gen_write_read_blocks(args.n, args.k, config.w, random.Random(seed))
-    msg = alice_encode(args.engine, config, y, layout, args.i, shared_seed=seed, with_checksum=True)
+    msg = alice_encode(args.engine, config, y, layout, args.i, shared_seed=seed)
     recovered = bob_decode(msg, args.engine, config, y, layout, args.i, shared_seed=seed)
     hidden = block_data(y, layout, args.i)
     _emit(

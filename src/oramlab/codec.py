@@ -4,10 +4,12 @@ The sender (Alice) and receiver (Bob) share everything about a block workload
 except the data written in block i: the engine, config, seed, and all other
 op data.  Alice simulates the engine through write block i, ships the
 engine's client state, then continues through read block i and also ships
-every probe that reads a cell last written during the write block.  Bob
-replays his own simulation up to the write block, installs Alice's client
-state, and serves exactly those reads from her list while simulating every
-other probe himself; the answers of the read block are the hidden data.
+every probe that reads a cell last written during the write block, with the
+content it read, and a checksum of the hidden data.  Bob replays the
+simulation up to the write block, installs Alice's client state, loads the
+shipped (address, content) pairs into the server's cells (``ServerState.load``:
+no probe, no log) and runs the read block.  Its read answers are the hidden
+data, checked against the checksum before they are returned.
 
 Both drive the engine over op ranges with ``Engine.advance``, so an engine's
 own fast path covers the prefix before the blocks (the linear scan logs it as
@@ -20,18 +22,18 @@ m cells (the tree engine's position map) still gets charged only m*w here;
 that undercount is the engine's documented compliance deviation, not the
 codec's.
 
-Decoding works for any deterministic engine because both simulations issue
-the same probe sequence, and a read probe matches the front of Alice's list
-if and only if it was one of her matched probes: once a cell's reader stops
-matching (the cell was rewritten after the write block, or never written in
-it), no later read of that cell can match again, so front-of-list address
-comparison never fires early.
+Decoding works for any deterministic engine because Bob's replay of the read
+block reads what Alice's did, probe by probe.  A read of a cell last written
+in the write block sees that block's value until the cell is rewritten, and
+every such read is in Alice's list, so Bob loaded that value.  Every other
+read sees a cell last written before the write block or inside the read
+block, which agrees between the two runs by induction.  Equal reads give
+equal client behaviour, so the two runs issue the same probes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 
 from .core import READ, BlockLayout, InputSequence, OramConfig
@@ -45,13 +47,13 @@ class DecodeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransferMessage:
-    """Client-state snapshot plus the matched (address, content) probe list."""
+    """Client-state snapshot, the matched (address, content) probe list and the data's checksum."""
 
     m: int
     w: int
     client_state: dict
     matched: tuple[tuple[int, int], ...]
-    checksum: str | None = None
+    checksum: str
 
     @property
     def bit_length(self) -> int:
@@ -84,7 +86,6 @@ def alice_encode(
     layout: BlockLayout,
     i: int,
     shared_seed: int,
-    with_checksum: bool = False,
 ) -> TransferMessage:
     """Simulate through write block i, snapshot client state, then collect the
     read-block probes that read cells last written inside the write block."""
@@ -101,7 +102,7 @@ def alice_encode(
     addrs = server.addr_column(mark)[hit]
     contents = server.data_column()[hit]
     matched = tuple(zip(addrs.tolist(), contents.tolist()))
-    checksum = _data_checksum(block_data(y, layout, i)) if with_checksum else None
+    checksum = _data_checksum(block_data(y, layout, i))
     return TransferMessage(
         m=config.m, w=config.w, client_state=snapshot, matched=matched, checksum=checksum
     )
@@ -116,12 +117,14 @@ def bob_decode(
     i: int,
     shared_seed: int,
 ) -> tuple[int, ...]:
-    """Replay up to the write block, install Alice's client state, and run the
-    read block serving matched reads from her list.  Returns the read answers,
-    which are exactly the write block's hidden data.
+    """Replay up to the write block, install Alice's client state, load the
+    matched cells and run the read block.  Returns the read answers, which
+    are exactly the write block's hidden data.
 
-    Bob never executes the write block's ops, so the data inside them is dead
-    weight in y_template as far as he is concerned.
+    Raises DecodeError for a message that gives one address two contents
+    (before loading) and for answers that fail the checksum.  Bob never
+    executes the write block's ops, so the data inside them is dead weight
+    in y_template as far as he is concerned.
     """
     config.bind_workload_length(len(y_template))
     ws, we, rs, re = _block_bounds(layout, i)
@@ -132,10 +135,12 @@ def bob_decode(
     not_read = [idx for idx in range(rs, re) if y_template.ops[idx].kind != READ]
     if not_read:
         raise DecodeError(f"op {not_read[0]} in the read block is not a read")
-    server.read_overrides = deque(msg.matched)
+    cells: dict[int, int] = {}
+    for addr, content in msg.matched:
+        if cells.setdefault(addr, content) != content:
+            raise DecodeError(f"the message gives address {addr} two contents")
+    server.load(cells.items())
     recovered = tuple(machine.advance(server, y_template, rs, re))
-    if server.read_overrides:
-        raise DecodeError(f"{len(server.read_overrides)} matched probes were never consumed")
-    if msg.checksum is not None and _data_checksum(recovered) != msg.checksum:
-        raise DecodeError("recovered data fails the debug checksum")
+    if _data_checksum(recovered) != msg.checksum:
+        raise DecodeError("recovered data fails the checksum")
     return recovered

@@ -94,67 +94,47 @@ class LinearScan(Engine):
 
     The write-back touches every cell even when unchanged, so the address
     trace is a fixed function of (n, M): perfect obliviousness by construction.
-    Only O(1) registers persist between probes.  Two simulation fast paths
-    reproduce the honest probe loop bit for bit; both read and update
-    ``_mirror``, the contents of cells 1..M, which belongs to the simulator,
-    not to client memory, and is current after every step or advance:
+    Only O(1) registers persist between probes.  The simulation takes one
+    shortcut: the scan reads each cell just before writing it back, so it
+    takes cells 1..M from the server's store (``ServerState.contents``)
+    rather than from its reads.  Then
 
-    * ``step`` makes one ``probe_batch`` per op while no read override is
-      pending (a codec replay leaves it only until its override deque is
-      empty);
-    * ``advance`` over any range of ops, on a server logging addresses only
-      with no override pending, probes nothing: it replays the ops on
-      ``_mirror`` and logs one op's period with a repeat count (see
-      ``server.AccessSequence``).  That covers a whole run and the codec's
-      prefix before the blocks.
+    * ``step`` makes one ``probe_batch`` per op;
+    * ``advance`` over any range of ops, on a server logging addresses only,
+      probes nothing: it replays the ops on the cells and logs one op's
+      period with a repeat count (see ``server.AccessSequence``).  That
+      covers a whole run and the codec's ranges.
+
+    Both reproduce the honest probe loop bit for bit; the tests keep that
+    loop as their oracle.
     """
 
     name = "linear-scan"
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
-        m = config.M
-        self._mirror = np.zeros(m + 1, dtype=np.int64)
-        self._addrs = np.repeat(np.arange(1, m + 1, dtype=np.int64), 2)
-        self._kinds = np.tile(np.array([0, 1], dtype=np.int64), m)
+        self._addrs = np.repeat(np.arange(1, config.M + 1, dtype=np.int64), 2)
+        self._kinds = np.tile(np.array([0, 1], dtype=np.int64), config.M)
 
     def step(self, server, op, op_index):
-        if not server.read_overrides:
-            return self._step_bulk(server, op)
-        answer = 0
-        for j in range(1, self.config.M + 1):
-            v = server.probe(READ, j)
-            if j == op.addr:
-                if op.kind == WRITE:
-                    v = op.data
-                else:
-                    answer = v
-            server.probe(WRITE, j, v)
-            self._mirror[j] = v
-        return answer
-
-    def _step_bulk(self, server, op):
-        mirror = self._mirror
+        cells = server.contents(self.config.M)
         if op.kind == WRITE:
-            mirror[op.addr] = op.data
-        data = np.zeros(2 * self.config.M, dtype=np.int64)
-        data[1::2] = mirror[1:]
-        server.probe_batch(self._kinds, self._addrs, data)
-        return int(mirror[op.addr]) if op.kind == READ else 0
+            cells[op.addr - 1] = op.data
+        server.probe_batch(self._kinds, self._addrs, np.repeat(cells, 2))  # data is ignored for reads
+        return int(cells[op.addr - 1]) if op.kind == READ else 0
 
     def advance(self, server, y, start, stop):
-        if server.record_meta or server.read_overrides:
+        if server.record_meta:
             return super().advance(server, y, start, stop)
         answers = []
-        vals = self._mirror.tolist()
+        cells = server.contents(self.config.M).tolist()
         for op in y.ops[start:stop]:
             if op.kind == WRITE:
-                vals[op.addr] = op.data
+                cells[op.addr - 1] = op.data
             else:
-                answers.append(vals[op.addr])
+                answers.append(cells[op.addr - 1])
         if stop > start:
-            self._mirror[:] = vals
-            server._log_run(self._addrs, stop - start, self._mirror[1:], stop - 1)
+            server._log_run(self._addrs, stop - start, cells, stop - 1)
         return answers
 
 

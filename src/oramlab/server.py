@@ -11,7 +11,8 @@ a batch lands in each column's numpy buffer as one array.  Cell contents and
 last writers live in a dense store, two ``array('q')`` indexed by address and
 doubled as needed to cover the highest address probed (so addresses should
 stay of the order of the workload, not of 2^w); a batch views them through
-``np.frombuffer``.  A trace that repeats one period (the linear scan's, logged
+``np.frombuffer``; ``load`` and ``contents`` set and read cells without a
+probe.  A trace that repeats one period (the linear scan's, logged
 without metadata) is kept as ``AccessSequence.repeating`` through
 ``adversary_view``: ``window`` builds only what is read, and ``addrs`` and
 ``addr_column()`` build it all, once; ``addr_column(start)`` builds none of
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import mmap
 from array import array
-from collections import deque
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class _Column:
     """Append-only int64 column.
 
     A repeating AccessSequence appended to an empty column stays its
-    ``head``, built only by a read that starts inside it.  Later batches are
+    ``head``, built only by a read that starts inside it; one that repeats
+    the same period right after the head lengthens it.  Later batches are
     copied into a buffer that grows fourfold (the first one becomes it
     uncopied); single probes go to a list, flushed before a batch or a read.
     """
@@ -65,10 +66,14 @@ class _Column:
         return self.head.N + self.size + len(self.tail)
 
     def extend(self, arr) -> None:
-        """Append arr (array or AccessSequence), which the column may keep: the caller must not change it."""
+        """Append arr (array or repeating AccessSequence); the column may keep it, so leave it unchanged."""
         if isinstance(arr, AccessSequence):
+            head, period = self.head, arr._period
             if not len(self):
                 self.head = arr
+                return
+            if len(self) == head.N and head._period is not None and np.array_equal(head._period, period):
+                self.head = AccessSequence.repeating(period, (head.N + arr.N) // len(period))
                 return
             arr = arr.addrs
         if self.tail:
@@ -104,7 +109,7 @@ class AccessSequence:
     __slots__ = ("_addrs", "_period", "N")
 
     def __init__(self, addrs):
-        self._addrs = np.asarray(addrs, dtype=np.int64)
+        self._addrs, self._period = np.asarray(addrs, dtype=np.int64), None
         self.N = len(self._addrs)
 
     @classmethod
@@ -162,8 +167,6 @@ class ServerState:
         if record_meta:
             self.begin_meta()
         self._addr_limit = 1 << config.w
-        # decode-replay hook: queued (addr, content) pairs consumed by reads
-        self.read_overrides: deque[tuple[int, int]] | None = None
 
     def begin_meta(self) -> int:
         """Log the metadata columns from the next probe on; returns its index, the mark.
@@ -202,9 +205,6 @@ class ServerState:
                 src, ret, logged = NO_WRITER, 0, data
             elif kind == READ:
                 src = self._writer[addr]
-                overrides = self.read_overrides
-                if overrides and overrides[0][0] == addr:
-                    self._val[addr] = overrides.popleft()[1]
                 ret = logged = self._val[addr]
             else:
                 raise ModelViolationError(f"unknown probe kind {kind!r}")
@@ -222,8 +222,8 @@ class ServerState:
     def probe_batch(self, kinds, addrs, data) -> np.ndarray:
         """Execute probes i = 0, 1, ... (kinds[i]: 0 read, 1 write) in order.
 
-        Results, log, errors and read-override consumption are exactly those
-        of calling ``probe`` once per probe; data is ignored for reads.
+        Results, log and errors are exactly those of calling ``probe`` once
+        per probe; data is ignored for reads.
         Returns the values read (0 for writes).
         """
         kinds, addrs, data = (np.array(x, dtype=np.int64) for x in (kinds, addrs, data))
@@ -233,13 +233,12 @@ class ServerState:
         limit = self._addr_limit
         top = int(addrs.max()) if n else 0
         if (
-            self.read_overrides
-            or not n  # the loop below returns the empty result
+            not n  # the loop below returns the empty result
             or np.count_nonzero(kinds) != len(written)
             or not 1 <= addrs.min() <= top <= limit
             or (len(written) and not 0 <= written.min() <= written.max() < limit)
         ):
-            # the per-probe loop consumes overrides and raises at the first bad probe
+            # the per-probe loop raises at the first bad probe
             probes = zip(kinds.tolist(), addrs.tolist(), data.tolist())
             return np.array([self.probe(_KIND_NAME.get(k, k), a, d) for k, a, d in probes], dtype=np.int64)
         self._grow(top)
@@ -279,6 +278,26 @@ class ServerState:
             self._read_src.extend(src)
         return np.where(is_write, 0, logged)
 
+    def load(self, pairs) -> None:
+        """Set cell addr to content for each (addr, content) pair, in order, with no probe.
+
+        Nothing is logged and last writers stay as they are.  Raises
+        ModelViolationError, before changing anything, for the pairs that
+        ``probe`` would refuse as a write.
+        """
+        pairs, limit, w = list(pairs), self._addr_limit, self.config.w
+        bad = [(a, c) for a, c in pairs if not (1 <= a <= limit and 0 <= c < limit)]
+        if bad:
+            raise ModelViolationError(f"cannot load {bad[0]}: cells are [1, 2^{w}] and contents fit in {w} bits")
+        self._grow(max((addr for addr, _ in pairs), default=0))
+        for addr, content in pairs:
+            self._val[addr] = content
+
+    def contents(self, m: int) -> np.ndarray:
+        """Contents of cells 1..m as a fresh array (0 for a cell never written), with no probe."""
+        self._grow(m)
+        return np.frombuffer(self._val, dtype=np.int64)[1 : m + 1].copy()
+
     def _grow(self, top: int) -> None:
         """Extend the store to cover addresses up to top, at least doubling it."""
         size = len(self._val)
@@ -301,7 +320,7 @@ class ServerState:
         written = np.flatnonzero(np.frombuffer(self._writer, dtype=np.int64) != NO_WRITER)
         return dict(zip(written.tolist(), np.frombuffer(store, dtype=np.int64)[written].tolist()))
 
-    def _log_run(self, period: np.ndarray, reps: int, values: np.ndarray, last_op: int) -> None:
+    def _log_run(self, period: np.ndarray, reps: int, values: list[int], last_op: int) -> None:
         """Log period x reps addresses; cells 1..len(values) end holding values, written by last_op."""
         m = len(values)
         self._grow(m)

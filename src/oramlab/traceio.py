@@ -15,7 +15,7 @@ one numpy pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import compress
 
@@ -207,23 +207,7 @@ class ExperimentReport:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "workload": self.workload,
-            "n": self.n,
-            "m": self.m,
-            "M": self.M,
-            "w": self.w,
-            "seed": self.seed,
-            "measured_probes": self.measured_probes,
-            "ell": str(self.ell),
-            "k_max": self.k_max,
-            "per_k": self.per_k,
-            "certified_edge_bound": self.certified_edge_bound,
-            "certified_probe_bound": self.certified_probe_bound,
-            "overhead_ratio": self.overhead_ratio,
-            "deviations": self.deviations,
-        }
+        return {**asdict(self), "ell": str(self.ell)}
 
     def csv_rows(self) -> list[str]:
         rows = ["k,ell_over_k,found,bound_cumulative"]

@@ -1,5 +1,6 @@
 """Shared helpers for the suite: graph invariant checks, random graphs and
-line-by-line oracles for the vectorized code paths."""
+line-by-line oracles for the vectorized code paths (the scan engine's honest
+probe loop among them)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from oramlab import AccessGraph, TraceFile, graph_from_edges
+from oramlab import READ, WRITE, AccessGraph, TraceFile, graph_from_edges
 from oramlab.orams import ENGINE_NAMES
 from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
 
@@ -92,6 +93,27 @@ def reference_greedy_witness(addrs, k: int, threshold: int) -> tuple[int, ...] |
         b = close[1]
     boundaries[-1] = n
     return tuple(boundaries)
+
+
+def honest_scan_advance(server, M: int, y, start: int, stop: int) -> list[int]:
+    """The linear scan straight off its definition over ops start..stop-1 of y.
+
+    Each op reads every cell 1..M with a scalar probe and writes it back, its
+    own data in place of what it read at its address for a write; returns the
+    answers of the reads.
+    """
+    answers = []
+    for i, op in enumerate(y.ops[start:stop], start):
+        server.begin_op(i)
+        for j in range(1, M + 1):
+            v = server.probe(READ, j)
+            if j == op.addr:
+                if op.kind == WRITE:
+                    v = op.data
+                else:
+                    answers.append(v)
+            server.probe(WRITE, j, v)
+    return answers
 
 
 def reference_read_trace(path) -> TraceFile:

@@ -167,12 +167,13 @@ def test_decode_failure_exit_code(monkeypatch, capsys):
 
     def tampered(*args, **kwargs):
         msg = encode(*args, **kwargs)
-        return dataclasses.replace(msg, matched=msg.matched + ((1, 0),))  # never consumed
+        addr, content = msg.matched[0]
+        return dataclasses.replace(msg, matched=msg.matched + ((addr, content ^ 1),))
 
     monkeypatch.setattr(cli, "alice_encode", tampered)
     assert run_cli("codec", "--engine", "passthrough", "--n", "8", "--k", "2", "--i", "1",
                    "--seed", "3") == EXIT_MODEL
-    assert "never consumed" in capsys.readouterr().err
+    assert "two contents" in capsys.readouterr().err
 
 
 def test_invalid_trace_is_a_usage_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from oramlab import (
     AccessSequence,
     DecodeError,
     OramConfig,
-    TransferMessage,
+    ServerState,
     alice_encode,
     block_data,
     bob_decode,
@@ -69,7 +70,9 @@ def test_scan_round_trip_builds_no_repeating_head(monkeypatch):
     monkeypatch.setattr(AccessSequence, "addrs", property(unbuilt))
     msg = alice_encode("linear-scan", CFG, y, layout, 2, shared_seed=4)
     assert bob_decode(msg, "linear-scan", CFG, y, layout, 2, shared_seed=4) == block_data(y, layout, 2)
-    assert len(heads) == 2  # each party logged its prefix as one repeating run
+    # each party logged its prefix as one repeating run; Bob's read block, a
+    # second run of the same period, lengthened Bob's
+    assert len(heads) == 4
 
 
 def test_block_index_bounds():
@@ -80,49 +83,43 @@ def test_block_index_bounds():
         alice_encode("passthrough", CFG, y, layout, layout.k + 1, shared_seed=0)
 
 
-def test_corrupted_content_decodes_to_wrong_data():
+def test_corrupted_content_fails_the_checksum():
     y, layout = _instance(2)
     msg = alice_encode("passthrough", CFG, y, layout, 1, shared_seed=0)
     addr, content = msg.matched[0]
-    bad = TransferMessage(
-        m=msg.m,
-        w=msg.w,
-        client_state=msg.client_state,
-        matched=((addr, content ^ 1),) + msg.matched[1:],
-        checksum=msg.checksum,
-    )
-    got = bob_decode(bad, "passthrough", CFG, y, layout, 1, shared_seed=0)
-    assert got != block_data(y, layout, 1)
+    bad = dataclasses.replace(msg, matched=((addr, content ^ 1),) + msg.matched[1:])
+    with pytest.raises(DecodeError, match="checksum"):
+        bob_decode(bad, "passthrough", CFG, y, layout, 1, shared_seed=0)
 
 
 def test_checksum_flags_corruption():
     y, layout = _instance(2)
-    msg = alice_encode("passthrough", CFG, y, layout, 1, shared_seed=0, with_checksum=True)
+    msg = alice_encode("passthrough", CFG, y, layout, 1, shared_seed=0)
+    assert msg.checksum is not None
     assert bob_decode(msg, "passthrough", CFG, y, layout, 1, shared_seed=0) == block_data(y, layout, 1)
-    addr, content = msg.matched[0]
-    bad = TransferMessage(
-        m=msg.m,
-        w=msg.w,
-        client_state=msg.client_state,
-        matched=((addr, content ^ 1),) + msg.matched[1:],
-        checksum=msg.checksum,
-    )
-    with pytest.raises(DecodeError):
+    bad = dataclasses.replace(msg, checksum="0" * 16)
+    with pytest.raises(DecodeError, match="checksum"):
         bob_decode(bad, "passthrough", CFG, y, layout, 1, shared_seed=0)
 
 
-def test_unconsumed_entries_are_a_context_mismatch():
+def test_two_contents_for_one_address_are_refused_before_loading(monkeypatch):
     y, layout = _instance(2)
     msg = alice_encode("passthrough", CFG, y, layout, 1, shared_seed=0)
-    padded = TransferMessage(
-        m=msg.m,
-        w=msg.w,
-        client_state=msg.client_state,
-        matched=msg.matched + ((CFG.M, 0),),
-        checksum=None,
-    )
-    with pytest.raises(DecodeError):
-        bob_decode(padded, "passthrough", CFG, y, layout, 1, shared_seed=0)
+    addr, content = msg.matched[0]
+    bad = dataclasses.replace(msg, matched=msg.matched + ((addr, content ^ 1),))
+    monkeypatch.setattr(ServerState, "load", lambda *a: pytest.fail("loaded a conflicting message"))
+    with pytest.raises(DecodeError, match=f"address {addr} two contents"):
+        bob_decode(bad, "passthrough", CFG, y, layout, 1, shared_seed=0)
+
+
+def test_extra_entry_for_a_cell_never_read_still_decodes():
+    y, layout = _instance(2)
+    msg = alice_encode("passthrough", CFG, y, layout, 1, shared_seed=0)
+    rs, re = layout.read_ranges[0]
+    unread = min(set(range(1, CFG.M + 1)) - {y.ops[j].addr for j in range(rs, re)})
+    padded = dataclasses.replace(msg, matched=msg.matched + ((unread, 1),))
+    assert padded.bit_length == msg.bit_length + 2 * CFG.w
+    assert bob_decode(padded, "passthrough", CFG, y, layout, 1, shared_seed=0) == block_data(y, layout, 1)
 
 
 @given(

@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import random
-from collections import deque
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from oramlab import (
     READ,
     WRITE,
+    AccessSequence,
     InputOp,
     InputSequence,
     ModelViolationError,
@@ -26,7 +26,7 @@ from oramlab import (
 from oramlab.orams import TreeOram, op_order_key
 from oramlab.server import FINAL_OP
 
-from conftest import ALL_ENGINES
+from conftest import ALL_ENGINES, honest_scan_advance
 
 CFG = OramConfig(m=1, M=24, w=12)
 
@@ -96,6 +96,18 @@ class TestLinearScan:
         assert np.array_equal(s1.addr_column(), s2.addr_column())
         assert np.array_equal(s1.kind_column(), s2.kind_column())
 
+    @staticmethod
+    def _assert_same_log(fast, slow, record_meta):
+        """fast logged exactly what slow did (slow logs metadata from probe 0)."""
+        assert np.array_equal(fast.addr_column(), slow.addr_column())
+        assert fast.cells == slow.cells
+        assert fast.last_write_op == slow.last_write_op
+        if record_meta:
+            assert np.array_equal(fast.kind_column(), slow.kind_column())
+            assert np.array_equal(fast.data_column(), slow.data_column())
+            assert np.array_equal(fast.op_column(), slow.op_column())
+            assert np.array_equal(fast.read_src_column(), slow.read_src_column())
+
     @pytest.mark.parametrize("record_meta", [True, False])
     def test_bulk_path_equals_honest_path(self, record_meta):
         cfg = OramConfig(m=1, M=6, w=8)
@@ -103,20 +115,27 @@ class TestLinearScan:
             y = random_sequence(random.Random(seed), 6, cfg.M, cfg.w)
             a_fast, s_fast = run_sequence("linear-scan", cfg, y, seed=0, record_meta=record_meta)
             s_slow = ServerState(cfg, record_meta=True)
-            # address 0 is never probed, so this override is never consumed and
-            # keeps the engine on its honest loop of scalar probes
-            s_slow.read_overrides = deque([(0, 0)])
-            a_slow = make_engine("linear-scan", cfg, 0).run(s_slow, y)
-            assert list(s_slow.read_overrides) == [(0, 0)]
+            assert a_fast == honest_scan_advance(s_slow, cfg.M, y, 0, len(y))
+            self._assert_same_log(s_fast, s_slow, record_meta)
+
+    @pytest.mark.parametrize("record_meta", [True, False])
+    def test_advance_after_load_equals_honest_path(self, record_meta):
+        cfg = OramConfig(m=1, M=6, w=8)
+        for seed in range(4):
+            rng = random.Random(seed)
+            y = random_sequence(rng, 8, cfg.M, cfg.w)
+            cut = rng.randint(0, len(y))
+            loaded = [(rng.randint(1, cfg.M), rng.getrandbits(cfg.w)) for _ in range(3)]
+            engine = make_engine("linear-scan", cfg, 0)
+            s_fast, s_slow = ServerState(cfg, record_meta=record_meta), ServerState(cfg, record_meta=True)
+            a_fast = engine.advance(s_fast, y, 0, cut)
+            a_slow = honest_scan_advance(s_slow, cfg.M, y, 0, cut)
+            for srv in (s_fast, s_slow):
+                srv.load(loaded)
+            a_fast += engine.advance(s_fast, y, cut, len(y))
+            a_slow += honest_scan_advance(s_slow, cfg.M, y, cut, len(y))
             assert a_fast == a_slow
-            assert np.array_equal(s_fast.addr_column(), s_slow.addr_column())
-            assert s_fast.cells == s_slow.cells
-            assert s_fast.last_write_op == s_slow.last_write_op
-            if record_meta:
-                assert np.array_equal(s_fast.kind_column(), s_slow.kind_column())
-                assert np.array_equal(s_fast.data_column(), s_slow.data_column())
-                assert np.array_equal(s_fast.op_column(), s_slow.op_column())
-                assert np.array_equal(s_fast.read_src_column(), s_slow.read_src_column())
+            self._assert_same_log(s_fast, s_slow, record_meta)
 
     def test_whole_run_fast_path_matches_stepped(self):
         cfg = OramConfig(m=1, M=8, w=8)
@@ -126,6 +145,21 @@ class TestLinearScan:
         assert a1 == a2
         assert np.array_equal(s1.addr_column(), s2.addr_column())
         assert s1.cells == s2.cells
+
+    def test_ranges_of_a_run_log_one_repeating_run(self):
+        cfg = OramConfig(m=1, M=4, w=8)
+        y = random_sequence(random.Random(12), 8, cfg.M, cfg.w)
+        engine, srv = make_engine("linear-scan", cfg, 0), ServerState(cfg, record_meta=False)
+        engine.advance(srv, y, 0, 3)
+        srv.load([(2, 5)])
+        engine.advance(srv, y, 5, 8)
+        view = adversary_view(srv)
+        assert view is srv._addr.head and view.N == 2 * cfg.M * 6
+        assert view == AccessSequence(np.tile(engine._addrs, 6))
+        srv.begin_op(8)
+        srv.probe(READ, 1)
+        engine.advance(srv, y, 0, 1)  # a run after a probe is appended as addresses
+        assert adversary_view(srv).addrs.tolist() == np.tile(engine._addrs, 6).tolist() + [1] + engine._addrs.tolist()
 
 
 class TestTreeEngine:
@@ -344,13 +378,13 @@ def test_server_logs_are_frozen(engine, n, k, record_meta):
     assert got == GOLDEN_SERVER_LOGS[engine, n, k, record_meta]
 
 
-def _scan_state(engine, srv, meta_from=None):
-    """Log, store and mirror; metadata from meta_from on, if that is given."""
+def _scan_state(srv, meta_from=None):
+    """Log and store; metadata from meta_from on, if that is given."""
     cols = [srv.addr_column().tolist()]
     if meta_from is not None:
         meta = (srv.kind_column, srv.data_column, srv.op_column, srv.read_src_column)
         cols += [column()[meta_from:].tolist() for column in meta]
-    return cols, srv.cells, srv.last_write_op, engine._mirror.tolist()
+    return cols, srv.cells, srv.last_write_op, srv.contents(srv.config.M).tolist()
 
 
 def _scan_op(is_write, addr, data, M):
@@ -366,14 +400,15 @@ _OP = st.tuples(st.booleans(), st.integers(1, 6), st.integers(0, 255))
     ops=st.lists(_OP, max_size=12),
     cuts=st.lists(st.integers(0, 12), max_size=4),
     mark=st.none() | st.integers(0, 5),
+    load_at=st.none() | st.integers(0, 5),
+    loaded=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 255)), min_size=1, max_size=4),
     extra=_OP,
-    override=st.integers(0, 255),
 )
 @settings(max_examples=150, deadline=None)
-def test_scan_advance_matches_stepping(M, ops, cuts, mark, extra, override):
-    """advance over consecutive ranges, with metadata from one cut on, leaves
-    the engine and the server exactly as stepping op by op does, also for the
-    steps that follow."""
+def test_scan_advance_matches_stepping(M, ops, cuts, mark, load_at, loaded, extra):
+    """advance over consecutive ranges, with metadata from one cut on and a
+    load at one cut, leaves the engine and the server exactly as stepping op
+    by op does, also for the step that follows."""
     cfg = OramConfig(m=1, M=M, w=8)
     y = InputSequence(tuple(_scan_op(*t, M) for t in ops))
     n = len(y)
@@ -381,25 +416,25 @@ def test_scan_advance_matches_stepping(M, ops, cuts, mark, extra, override):
     ranges = [*zip(bounds, bounds[1:]), (n, n)]
     advanced, stepped = make_engine("linear-scan", cfg, 0), make_engine("linear-scan", cfg, 0)
     adv_srv, step_srv = ServerState(cfg, record_meta=False), ServerState(cfg, record_meta=True)
-    answers, meta_from = [], None
+    answers, want, meta_from = [], [], None
     for r, (start, stop) in enumerate(ranges):
         if r == mark:
             meta_from = adv_srv.begin_meta()
+        if r == load_at:
+            cells = [((a - 1) % M + 1, c) for a, c in loaded]
+            adv_srv.load(cells)
+            step_srv.load(cells)
         answers += advanced.advance(adv_srv, y, start, stop)
-    want = []
-    for i, op in enumerate(y):
-        step_srv.begin_op(i)
-        got = stepped.step(step_srv, op, i)
-        if op.kind == READ:
-            want.append(got)
+        for i in range(start, stop):
+            step_srv.begin_op(i)
+            got = stepped.step(step_srv, y.ops[i], i)
+            if y.ops[i].kind == READ:
+                want.append(got)
     assert answers == want
     adv_from = None if meta_from is None else 0  # the advanced server's columns start at its mark
-    assert _scan_state(advanced, adv_srv, adv_from) == _scan_state(stepped, step_srv, meta_from)
+    assert _scan_state(adv_srv, adv_from) == _scan_state(step_srv, meta_from)
     op = _scan_op(*extra, M)
-    for j, pending in enumerate((None, [(op.addr, override)])):
-        for engine, srv in ((advanced, adv_srv), (stepped, step_srv)):
-            srv.begin_op(n + j)
-            srv.read_overrides = None if pending is None else deque(pending)
-            engine.step(srv, op, n + j)
-        assert adv_srv.read_overrides == step_srv.read_overrides
-        assert _scan_state(advanced, adv_srv, adv_from) == _scan_state(stepped, step_srv, meta_from)
+    for engine, srv in ((advanced, adv_srv), (stepped, step_srv)):
+        srv.begin_op(n)
+        engine.step(srv, op, n)
+    assert _scan_state(adv_srv, adv_from) == _scan_state(step_srv, meta_from)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from collections import deque
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -93,6 +92,31 @@ def test_read_after_write_matches_dict_oracle(ops):
     assert adversary_view(srv).N == len(ops)
 
 
+def test_load_sets_cells_without_a_probe():
+    srv = ServerState(CFG)
+    srv.begin_op(0)
+    srv.probe(WRITE, 2, 7)
+    srv.load([(2, 9), (5, 4), (2, 11)])
+    assert srv.probe_count == 1
+    assert srv.contents(6).tolist() == [0, 11, 0, 0, 4, 0]
+    assert srv.last_write_op == {2: 0}
+    assert srv.probe(READ, 5) == 4
+    assert srv.read_src_column().tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (2**8 + 1, 1), (3, 2**8), (3, -1)])
+def test_load_refuses_what_a_write_probe_refuses_before_any_work(bad):
+    srv = ServerState(CFG)
+    srv.begin_op(0)
+    srv.probe(WRITE, 2, 7)
+    before = srv.contents(CFG.M).tolist(), srv.last_write_op, srv.probe_count
+    with pytest.raises(ModelViolationError, match=rf"cannot load \({bad[0]}, {bad[1]}\)"):
+        srv.load([(1, 5), bad])
+    assert (srv.contents(CFG.M).tolist(), srv.last_write_op, srv.probe_count) == before
+    with pytest.raises(ModelViolationError):
+        srv.probe(WRITE, *bad)
+
+
 def test_meta_free_log_keeps_addresses_only():
     srv = ServerState(CFG, record_meta=False)
     srv.begin_op(0)
@@ -107,7 +131,7 @@ def _server_state(srv):
     cols = [srv.addr_column()]
     if srv.record_meta:
         cols += [srv.kind_column(), srv.data_column(), srv.op_column(), srv.read_src_column()]
-    return [c.tolist() for c in cols], srv.cells, srv.last_write_op, list(srv.read_overrides or ())
+    return [c.tolist() for c in cols], srv.cells, srv.last_write_op
 
 
 def _outcome(call):
@@ -125,15 +149,14 @@ _BAD_PROBES = [(1, 0, 0), (0, 2**8 + 1, 0), (1, 3, 2**8), (1, 3, -1), (2, 1, 0)]
     before=st.lists(_PROBE, max_size=8),
     batch=st.lists(_PROBE, max_size=24),
     bad=st.none() | st.tuples(st.sampled_from(_BAD_PROBES), st.integers(0, 24)),
-    overrides=st.none() | st.lists(st.tuples(st.integers(1, 5), st.integers(0, 255)), max_size=4),
     record_meta=st.booleans(),
 )
-@example(before=[], batch=[], bad=None, overrides=None, record_meta=True)
-@example(before=[], batch=[(1, 2, 9), (0, 2, 0)], bad=None, overrides=None, record_meta=True)
-@example(before=[(1, 2, 4)], batch=[(0, 2, 0), (1, 2, 9), (0, 2, 0)], bad=None, overrides=None, record_meta=True)
-@example(before=[], batch=[(0, 2, 0), (1, 2, 5)], bad=None, overrides=[(2, 77)], record_meta=True)
+@example(before=[], batch=[], bad=None, record_meta=True)
+@example(before=[], batch=[(1, 2, 9), (0, 2, 0)], bad=None, record_meta=True)
+@example(before=[(1, 2, 4)], batch=[(0, 2, 0), (1, 2, 9), (0, 2, 0)], bad=None, record_meta=True)
+@example(before=[], batch=[(0, 2, 0), (1, 2, 5)], bad=None, record_meta=True)
 @settings(max_examples=200, deadline=None)
-def test_probe_batch_matches_probe_loop(before, batch, bad, overrides, record_meta):
+def test_probe_batch_matches_probe_loop(before, batch, bad, record_meta):
     if bad is not None:
         batch = batch[: bad[1]] + [bad[0]] + batch[bad[1] :]
     loop, batched = ServerState(CFG, record_meta=record_meta), ServerState(CFG, record_meta=record_meta)
@@ -142,7 +165,6 @@ def test_probe_batch_matches_probe_loop(before, batch, bad, overrides, record_me
         for k, a, d in before:
             srv.probe((READ, WRITE)[k], a, d)
         srv.begin_op(4)
-        srv.read_overrides = None if overrides is None else deque(overrides)
     kinds, addrs, data = (np.array([p[i] for p in batch], dtype=np.int64) for i in range(3))
     want = _outcome(lambda: np.array([loop.probe({0: READ, 1: WRITE}.get(k, k), a, d) for k, a, d in batch]))
     got = _outcome(lambda: batched.probe_batch(kinds, addrs, data))
