@@ -34,7 +34,7 @@ from .core import (
     instantiate_workload,
     parse_workload_spec,
 )
-from .graph import AccessGraph, build_access_graph, graph_from_edges
+from .graph import AccessGraph, build_access_graph
 from .orams import (
     ENGINE_NAMES,
     DummyLengthEncoder,

@@ -92,33 +92,3 @@ def build_access_graph(trace) -> AccessGraph:
     """Build the access graph of an access sequence (or raw address list)."""
     return AccessGraph(trace)
 
-
-def graph_from_edges(n: int, edges) -> AccessGraph:
-    """Realize an ordered degree-bounded edge set as an actual access graph.
-
-    Any ordered graph with in/outdegree at most one splits into vertex-disjoint
-    forward paths; giving each path its own address (and every isolated vertex
-    a fresh one) yields an address sequence whose access graph has exactly the
-    requested edges.  Used by tests to enumerate graphs directly.
-    """
-    succ = {}
-    tails = set()
-    for u, v in edges:
-        if not 0 <= u < v < n:
-            raise ValueError(f"edge ({u}, {v}) not ordered within [0, {n})")
-        if u in succ or v in tails:
-            raise ValueError("edge set violates the degree-one bound")
-        succ[u] = v
-        tails.add(v)
-    addr = [0] * n
-    next_name = 1
-    for start in range(n):
-        if start in tails:
-            continue
-        cur = start
-        addr[cur] = next_name
-        while cur in succ:
-            cur = succ[cur]
-            addr[cur] = next_name
-        next_name += 1
-    return AccessGraph(addr)

@@ -40,7 +40,11 @@ class StashOverflowError(RuntimeError):
 
 
 class Engine:
-    """Base engine: drives per-op probes against a server it owns exclusively."""
+    """Base engine: drives probes against a server it owns exclusively.
+
+    ``advance`` runs a range of ops; an engine either overrides it or inherits
+    the one here, which calls its ``step`` once per op.
+    """
 
     name: str = "abstract"
 
@@ -49,6 +53,7 @@ class Engine:
         self.rng = rng
 
     def step(self, server: ServerState, op: InputOp, op_index: int) -> int:
+        """Probe for op, the op_index-th input op; returns its answer (0 for a write)."""
         raise NotImplementedError
 
     def finalize(self, server: ServerState) -> None:
@@ -58,7 +63,6 @@ class Engine:
         """Step ops start..stop-1 of y in order; returns the answers of their reads."""
         answers = []
         for i, op in enumerate(y.ops[start:stop], start):
-            server.begin_op(i)
             ans = self.step(server, op, i)
             if op.kind == READ:
                 answers.append(ans)
@@ -67,7 +71,6 @@ class Engine:
     def run(self, server: ServerState, y: InputSequence) -> list[int]:
         """Every op of y, then the wrap-up probes; returns the answers of all read ops."""
         answers = self.advance(server, y, 0, len(y))
-        server.begin_op(FINAL_OP)
         self.finalize(server)
         return answers
 
@@ -80,13 +83,31 @@ class Engine:
             raise ValueError(f"{self.name} engine carries no client state")
 
 
+def _direct_probes(server: ServerState, ops: tuple[InputOp, ...], start: int, extra_reads) -> list[int]:
+    """Input ops start, start+1, ... as one batch; returns the answers of their reads.
+
+    Each op probes its own address, then reads address 1 extra_reads times
+    (one count for every op, or one per op).
+    """
+    counts = np.full(len(ops), 1, dtype=np.int64) + np.asarray(extra_reads, dtype=np.int64)
+    firsts = np.cumsum(counts) - counts  # each op's own probe
+    kinds, data = np.zeros((2, int(counts.sum())), dtype=np.int64)
+    addrs = np.ones_like(kinds)
+    is_write = np.array([op.kind == WRITE for op in ops], dtype=bool)
+    kinds[firsts] = is_write
+    addrs[firsts] = [op.addr for op in ops]
+    data[firsts] = [op.data for op in ops]
+    got = server.probe_batch(kinds, addrs, data, np.repeat(np.arange(start, start + len(ops)), counts))
+    return got[firsts][~is_write].tolist()
+
+
 class Passthrough(Engine):
     """One probe per op, straight to the logical address."""
 
     name = "passthrough"
 
-    def step(self, server, op, op_index):
-        return server.probe(op.kind, op.addr, op.data if op.kind == WRITE else 0)
+    def advance(self, server, y, start, stop):
+        return _direct_probes(server, y.ops[start:stop], start, 0)
 
 
 class LinearScan(Engine):
@@ -120,7 +141,7 @@ class LinearScan(Engine):
         cells = server.contents(self.config.M)
         if op.kind == WRITE:
             cells[op.addr - 1] = op.data
-        server.probe_batch(self._kinds, self._addrs, np.repeat(cells, 2))  # data is ignored for reads
+        server.probe_batch(self._kinds, self._addrs, np.repeat(cells, 2), op_index)  # data is ignored for reads
         return int(cells[op.addr - 1]) if op.kind == READ else 0
 
     def advance(self, server, y, start, stop):
@@ -184,7 +205,7 @@ class TreeOram(Engine):
         slots = (addrs - 1).tolist()
         blank = np.zeros(len(slots), dtype=np.int64)
         owners = self.slot_owner
-        for slot, v in zip(slots, server.probe_batch(blank, addrs, blank).tolist()):
+        for slot, v in zip(slots, server.probe_batch(blank, addrs, blank, op_index).tolist()):
             owner, owners[slot] = owners[slot], None
             if owner is not None:
                 self.stash[owner] = v
@@ -199,7 +220,7 @@ class TreeOram(Engine):
             for s, (addr, val) in enumerate(blocks):
                 owners[slots[level * z + s]] = addr
                 data[level * z + s] = val
-        server.probe_batch(np.ones(len(slots), dtype=np.int64), addrs, data)
+        server.probe_batch(np.ones(len(slots), dtype=np.int64), addrs, data, op_index)
         if len(self.stash) > self.STASH_LIMIT:
             raise StashOverflowError(
                 f"stash holds {len(self.stash)} blocks (> {self.STASH_LIMIT}) after op {op_index}"
@@ -266,20 +287,21 @@ class DummyLengthEncoder(Engine):
         data = self.rng.getrandbits(self.config.w)
         return kind, addr, data
 
-    def step(self, server, op, op_index):
-        answer = server.probe(op.kind, op.addr, op.data if op.kind == WRITE else 0)
-        server.probe(READ, 1)
-        r_kind, r_addr, r_data = self._draw_op()
-        if self._cmp == 0:
-            a = op_order_key(r_kind, r_addr, r_data)
-            b = op_order_key(op.kind, op.addr, op.data)
-            self._cmp = -1 if a < b else (1 if a > b else 0)
-        return answer
+    def advance(self, server, y, start, stop):
+        ops = y.ops[start:stop]
+        answers = _direct_probes(server, ops, start, 1)
+        for op in ops:  # one comparand per op in op order: the RNG state does not depend on the cuts
+            r_kind, r_addr, r_data = self._draw_op()
+            if self._cmp == 0:
+                a = op_order_key(r_kind, r_addr, r_data)
+                b = op_order_key(op.kind, op.addr, op.data)
+                self._cmp = -1 if a < b else (1 if a > b else 0)
+        return answers
 
     def finalize(self, server):
         # ties count as "not smaller": no extra probe when the sequences match
         if self._cmp < 0:
-            server.probe(READ, 1)
+            server.probe_batch([0], [1], [0], FINAL_OP)
 
     def export_state(self):
         return {"cmp": self._cmp, "rng": self.rng.getstate()}
@@ -314,19 +336,15 @@ class DummyLengthLeaker(Engine):
             self.i = rng.randrange(n) + 1
             self.r = rng.randrange(config.M) + 1
 
-    def step(self, server, op, op_index):
-        if op_index >= self.n:
+    def advance(self, server, y, start, stop):
+        if stop > self.n:
             raise ModelViolationError(f"dummy-leaker was sized for n={self.n} ops")
-        answer = server.probe(op.kind, op.addr, op.data if op.kind == WRITE else 0)
-        j = op_index + 1
-        if j < self.i:
-            server.probe(READ, 1)
-            server.probe(READ, 1)
-        elif j == self.i:
-            server.probe(READ, 1)
-            if self.r <= op.addr:
-                server.probe(READ, 1)
-        return answer
+        ops = y.ops[start:stop]
+        extra = [
+            2 if j < self.i else 1 + (self.r <= op.addr) if j == self.i else 0
+            for j, op in enumerate(ops, start + 1)  # j: 1-based op number
+        ]
+        return _direct_probes(server, ops, start, extra)
 
     def export_state(self):
         return {"i": self.i, "r": self.r, "rng": self.rng.getstate()}

@@ -227,7 +227,7 @@ class PartitionCertificate:
                 )
             for b, m, e in partition.parts():
                 exhibited[graph.crossing_edges(b, m, e)] = True
-        count, bound = int(np.count_nonzero(exhibited)), frac_ceil(self.base_ell / 2 * len(self.witnessed))
+        count, bound = int(np.count_nonzero(exhibited)), certified_bound(self.base_ell, len(self.witnessed))
         if count < bound:
             raise CertificateError(
                 f"witnesses exhibit {count} distinct crossing edges, fewer than the bound {bound}"
@@ -255,13 +255,18 @@ def certify(graph: AccessGraph, ell, k_max: int) -> PartitionCertificate:
     return PartitionCertificate(base_ell=ell, witnessed=witnessed, graph=graph)
 
 
+def certified_bound(ell: Fraction, witnessed: int) -> int:
+    """ceil(ell/2 * witnessed): the edges that witnesses at that many powers of 4 certify (see PartitionCertificate)."""
+    return frac_ceil(ell / 2 * witnessed)
+
+
 def edge_lower_bound_from_certificate(cert: PartitionCertificate) -> int:
     """Certified lower bound ceil(base_ell/2 * |K|) on the graph's edge count.
 
     Re-verifies every witness, and that they exhibit that many edges, before trusting it.
     """
     cert.verify()
-    return frac_ceil(cert.base_ell / 2 * len(cert.witnessed))
+    return certified_bound(cert.base_ell, len(cert.witnessed))
 
 
 def expected_edge_lower_bound(ell, s: int, t: int, p) -> Fraction:

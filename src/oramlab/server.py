@@ -6,14 +6,15 @@ the input-op index that triggered each probe, and for reads the op index of
 the probed cell's last writer).  ``adversary_view`` projects the log down to
 the bare address list, which is all an adversary ever sees in this model.
 
-The log is columnar: ``probe`` and ``probe_batch`` produce the same log, and
-a batch lands in each column's numpy buffer as one array.  Cell contents and
-last writers live in a dense store, two ``array('q')`` indexed by address and
-doubled as needed to cover the highest address probed (so addresses should
-stay of the order of the workload, not of 2^w); a batch views them through
-``np.frombuffer``; ``load`` and ``contents`` set and read cells without a
-probe.  A trace that repeats one period (the linear scan's, logged
-without metadata) is kept as ``AccessSequence.repeating`` through
+There is one probe path, ``probe_batch``: every engine sends its probes in
+batches, each probe tagged with the input op it serves.  The log is
+columnar, so a batch lands in each column's numpy buffer as one array.  Cell
+contents and last writers live in a dense store, two ``array('q')`` indexed
+by address and doubled as needed to cover the highest address probed (so
+addresses should stay of the order of the workload, not of 2^w); a batch
+views them through ``np.frombuffer``; ``load`` and ``contents`` set and read
+cells without a probe.  A trace that repeats one period (the linear scan's,
+logged without metadata) is kept as ``AccessSequence.repeating`` through
 ``adversary_view``: ``window`` builds only what is read, and ``addrs`` and
 ``addr_column()`` build it all, once; ``addr_column(start)`` builds none of
 it when start is past it.
@@ -34,14 +35,12 @@ from array import array
 import numpy as np
 
 from ._util import ModelViolationError
-from .core import READ, WRITE, OramConfig
+from .core import OramConfig
 
-# op_index sentinel for probes emitted after the last input op (engine wrap-up)
+# op sentinel for probes emitted after the last input op (engine wrap-up)
 FINAL_OP = -2
 # read_src sentinel for "cell never written" and for write probes
 NO_WRITER = -1
-
-_KIND_NAME = {0: READ, 1: WRITE}
 
 
 class _Column:
@@ -51,19 +50,18 @@ class _Column:
     ``head``, built only by a read that starts inside it; one that repeats
     the same period right after the head lengthens it.  Later batches are
     copied into a buffer that grows fourfold (the first one becomes it
-    uncopied); single probes go to a list, flushed before a batch or a read.
+    uncopied).
     """
 
-    __slots__ = ("head", "buf", "size", "tail")
+    __slots__ = ("head", "buf", "size")
 
     def __init__(self):
         self.head = AccessSequence(())
         self.buf = np.empty(0, dtype=np.int64)
         self.size = 0  # entries of buf in use
-        self.tail: list[int] = []
 
     def __len__(self) -> int:
-        return self.head.N + self.size + len(self.tail)
+        return self.head.N + self.size
 
     def extend(self, arr) -> None:
         """Append arr (array or repeating AccessSequence); the column may keep it, so leave it unchanged."""
@@ -76,9 +74,6 @@ class _Column:
                 self.head = AccessSequence.repeating(period, (head.N + arr.N) // len(period))
                 return
             arr = arr.addrs
-        if self.tail:
-            tail, self.tail = self.tail, []
-            self.extend(np.array(tail, dtype=np.int64))
         end = self.size + len(arr)
         if not self.size:
             self.buf = arr
@@ -94,8 +89,6 @@ class _Column:
 
     def to_array(self, start: int = 0) -> np.ndarray:
         """Entries start..len-1; a start inside the head folds the head into the buffer, once."""
-        if self.tail:
-            self.extend(np.empty(0, dtype=np.int64))
         if start < self.head.N:
             head, self.head = self.head.addrs, AccessSequence(())
             self.buf = np.concatenate((head, self.buf[: self.size])) if self.size else head
@@ -162,7 +155,6 @@ class ServerState:
         # index 0 is never probed; it keeps np.frombuffer off empty buffers
         self._val = array("q", [0])
         self._writer = array("q", [NO_WRITER])
-        self.op_index = FINAL_OP
         self._addr = _Column()
         if record_meta:
             self.begin_meta()
@@ -185,62 +177,43 @@ class ServerState:
     def probe_count(self) -> int:
         return len(self._addr)
 
-    def begin_op(self, op_index: int) -> None:
-        self.op_index = op_index
+    def probe_batch(self, kinds, addrs, data, op) -> np.ndarray:
+        """Execute probes i = 0, 1, ... (kinds[i]: 0 read, 1 write) in order: the server's one probe.
 
-    def probe(self, kind: str, addr: int, data: int = 0) -> int:
-        """Execute one array-maintenance probe and log it.
-
-        Writes store data and return 0; reads return the last value written
-        at addr (0 if the cell was never written).
-        """
-        if not 1 <= addr <= self._addr_limit:
-            raise ModelViolationError(f"probe address {addr} outside [1, 2^{self.config.w}]")
-        try:
-            if kind == WRITE:
-                if not 0 <= data < self._addr_limit:
-                    raise ModelViolationError(f"probe payload {data} does not fit in {self.config.w} bits")
-                self._val[addr] = data
-                self._writer[addr] = self.op_index
-                src, ret, logged = NO_WRITER, 0, data
-            elif kind == READ:
-                src = self._writer[addr]
-                ret = logged = self._val[addr]
-            else:
-                raise ModelViolationError(f"unknown probe kind {kind!r}")
-        except IndexError:  # the first probe past the store's end grows it
-            self._grow(addr)
-            return self.probe(kind, addr, data)
-        self._addr.tail.append(addr)
-        if self.record_meta:
-            self._kind.tail.append(kind == WRITE)  # 1 for writes, 0 for reads
-            self._data.tail.append(logged)
-            self._op.tail.append(self.op_index)
-            self._read_src.tail.append(src)
-        return ret
-
-    def probe_batch(self, kinds, addrs, data) -> np.ndarray:
-        """Execute probes i = 0, 1, ... (kinds[i]: 0 read, 1 write) in order.
-
-        Results, log and errors are exactly those of calling ``probe`` once
-        per probe; data is ignored for reads.
-        Returns the values read (0 for writes).
+        op is the input-op index of the probes, one int for the whole batch or
+        one per probe; the log keeps it, and the cells a write stores data in
+        keep it as their last writer.  Writes return 0; reads return the last
+        value written at the address (0 if the cell was never written), seeing
+        earlier writes of the batch; data is ignored for reads.  A batch with
+        an address outside [1, 2^w], a write payload outside w bits or a kind
+        other than 0 and 1 raises ModelViolationError, naming its first bad
+        probe, before any work.
         """
         kinds, addrs, data = (np.array(x, dtype=np.int64) for x in (kinds, addrs, data))
         n = len(addrs)
+        if not n:
+            return addrs
         is_write = kinds == 1
         written = data[is_write]
         limit = self._addr_limit
-        top = int(addrs.max()) if n else 0
+        top = int(addrs.max())
         if (
-            not n  # the loop below returns the empty result
-            or np.count_nonzero(kinds) != len(written)
+            np.count_nonzero(kinds) != len(written)
             or not 1 <= addrs.min() <= top <= limit
             or (len(written) and not 0 <= written.min() <= written.max() < limit)
         ):
-            # the per-probe loop raises at the first bad probe
-            probes = zip(kinds.tolist(), addrs.tolist(), data.tolist())
-            return np.array([self.probe(_KIND_NAME.get(k, k), a, d) for k, a, d in probes], dtype=np.int64)
+            # masks only now, to name the first bad probe
+            bad_addr = (addrs < 1) | (addrs > limit)
+            bad_data = is_write & ((data < 0) | (data >= limit))
+            i = int(np.argmax(bad_addr | bad_data | ((kinds != 0) & ~is_write)))
+            if bad_addr[i]:
+                raise ModelViolationError(f"probe address {addrs[i]} outside [1, 2^{self.config.w}]")
+            if bad_data[i]:
+                raise ModelViolationError(f"probe payload {data[i]} does not fit in {self.config.w} bits")
+            raise ModelViolationError(f"unknown probe kind {int(kinds[i])!r}")
+        per_probe = not isinstance(op, (int, np.integer))
+        if per_probe:
+            op = np.array(op, dtype=np.int64)
         self._grow(top)
         vals = np.frombuffer(self._val, dtype=np.int64)
         writers = np.frombuffer(self._writer, dtype=np.int64)
@@ -249,6 +222,7 @@ class ServerState:
             logged = np.where(is_write, data, vals[addrs])
             src = writers[addrs]
             final = addrs[is_write]
+            final_op = op[is_write] if per_probe else op
             vals[final] = written
         else:
             # sort stably by address (each address keeps batch order) and give
@@ -261,20 +235,22 @@ class ServerState:
             last_write = np.maximum.accumulate(np.where(is_write[order], pos, -1))
             hit = last_write >= group
             got = np.where(hit, data[order][last_write], vals[a])
+            hit_op = op[order][last_write] if per_probe else op
             logged, src = np.empty((2, n), dtype=np.int64)
             logged[order] = got
-            src[order] = np.where(hit, self.op_index, writers[a])
+            src[order] = np.where(hit, hit_op, writers[a])
             last = hit & np.append(first[1:], True)
             final = a[last]
+            final_op = hit_op[last] if per_probe else op
             vals[final] = got[last]
-        writers[final] = self.op_index
+        writers[final] = final_op
         src[is_write] = NO_WRITER
         del vals, writers  # release the buffers so the store can grow again
         self._addr.extend(addrs)
         if self.record_meta:
             self._kind.extend(kinds)
             self._data.extend(logged)
-            self._op.extend(np.full(n, self.op_index, dtype=np.int64))
+            self._op.extend(op if per_probe else np.full(n, op, dtype=np.int64))
             self._read_src.extend(src)
         return np.where(is_write, 0, logged)
 
@@ -283,7 +259,7 @@ class ServerState:
 
         Nothing is logged and last writers stay as they are.  Raises
         ModelViolationError, before changing anything, for the pairs that
-        ``probe`` would refuse as a write.
+        ``probe_batch`` would refuse as a write.
         """
         pairs, limit, w = list(pairs), self._addr_limit, self.config.w
         bad = [(a, c) for a, c in pairs if not (1 <= a <= limit and 0 <= c < limit)]

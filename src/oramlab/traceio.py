@@ -21,11 +21,11 @@ from itertools import compress
 
 import numpy as np
 
-from ._util import as_fraction, frac_ceil, powers_of_4_up_to
+from ._util import as_fraction, powers_of_4_up_to
 from .core import InputSequence, OramConfig
 from .graph import AccessGraph, build_access_graph
 from .orams import ENGINE_NAMES, run_sequence
-from .partition import CertificateError, certify, edge_lower_bound_from_certificate
+from .partition import CertificateError, certified_bound, certify, edge_lower_bound_from_certificate
 
 TRACE_FORMAT = "oramlab-trace/1"
 _HEADER_KEYS = ("format", "engine", "workload", "n", "m", "M", "w", "seed", "N")
@@ -245,7 +245,7 @@ def analyze_trace(tf: TraceFile, ell=None, k_max: int | None = None) -> Experime
                 "k": k,
                 "ell_over_k": str(ell / k),
                 "found": found,
-                "bound_cumulative": frac_ceil(ell / 2 * found_so_far) if found_so_far else 0,
+                "bound_cumulative": certified_bound(ell, found_so_far),
             }
         )
     return ExperimentReport(

@@ -1,6 +1,6 @@
 """Shared helpers for the suite: graph invariant checks, random graphs and
-line-by-line oracles for the vectorized code paths (the scan engine's honest
-probe loop among them)."""
+line-by-line oracles for the vectorized code paths (the server's probe, one
+at a time, and the scan engine's honest probe loop among them)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import random
 import numpy as np
 import pytest
 
-from oramlab import READ, WRITE, AccessGraph, TraceFile, graph_from_edges
+from oramlab import WRITE, AccessGraph, ModelViolationError, TraceFile
 from oramlab.orams import ENGINE_NAMES
+from oramlab.server import NO_WRITER
 from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
 
 ALL_ENGINES = ("passthrough", "linear-scan", "tree", "dummy-encoder", "dummy-leaker")
@@ -31,6 +32,37 @@ def assert_graph_invariants(graph: AccessGraph) -> None:
     assert np.bincount(v, minlength=graph.N).max(initial=0) <= 1, "a vertex has indegree > 1"
     distinct = len(np.unique(graph.A)) if graph.N else 0
     assert graph.edge_count == graph.N - distinct
+
+
+def graph_from_edges(n: int, edges) -> AccessGraph:
+    """Realize an ordered degree-bounded edge set as an actual access graph.
+
+    Any ordered graph with in/outdegree at most one splits into vertex-disjoint
+    forward paths; giving each path its own address (and every isolated vertex
+    a fresh one) yields an address sequence whose access graph has exactly the
+    requested edges.  Lets tests enumerate graphs directly.
+    """
+    succ = {}
+    tails = set()
+    for u, v in edges:
+        if not 0 <= u < v < n:
+            raise ValueError(f"edge ({u}, {v}) not ordered within [0, {n})")
+        if u in succ or v in tails:
+            raise ValueError("edge set violates the degree-one bound")
+        succ[u] = v
+        tails.add(v)
+    addr = [0] * n
+    next_name = 1
+    for start in range(n):
+        if start in tails:
+            continue
+        cur = start
+        addr[cur] = next_name
+        while cur in succ:
+            cur = succ[cur]
+            addr[cur] = next_name
+        next_name += 1
+    return AccessGraph(addr)
 
 
 def random_degree_bounded_graph(rng: random.Random, max_n: int = 10) -> AccessGraph:
@@ -95,24 +127,88 @@ def reference_greedy_witness(addrs, k: int, threshold: int) -> tuple[int, ...] |
     return tuple(boundaries)
 
 
-def honest_scan_advance(server, M: int, y, start: int, stop: int) -> list[int]:
+class ReferenceServer:
+    """The server straight off the model, one probe at a time: the oracle for ``ServerState.probe_batch``.
+
+    A dict maps each cell set so far to its content and the op of its last
+    write; every probe appends to one list per log column, metadata included.
+    The column, ``cells``, ``last_write_op`` and ``contents`` readers answer
+    as the server's do.
+    """
+
+    def __init__(self, config):
+        self.w = config.w
+        self.store: dict[int, tuple[int, int]] = {}
+        self.log: dict[str, list[int]] = {col: [] for col in ("addr", "kind", "data", "op", "read_src")}
+
+    def probe(self, kind: int, addr: int, data: int, op: int) -> int:
+        """One probe (kind 0 read, 1 write) for input op `op`; returns the value read, 0 for a write."""
+        limit = 1 << self.w
+        if not 1 <= addr <= limit:
+            raise ModelViolationError(f"probe address {addr} outside [1, 2^{self.w}]")
+        if kind == 1:
+            if not 0 <= data < limit:
+                raise ModelViolationError(f"probe payload {data} does not fit in {self.w} bits")
+            self.store[addr] = (data, op)
+            ret, logged, src = 0, data, NO_WRITER
+        elif kind == 0:
+            logged, src = self.store.get(addr, (0, NO_WRITER))
+            ret = logged
+        else:
+            raise ModelViolationError(f"unknown probe kind {kind!r}")
+        for col, v in zip(self.log.values(), (addr, kind, logged, op, src)):
+            col.append(v)
+        return ret
+
+    def load(self, pairs) -> None:
+        """Set cells with no probe; last writers stay as they are."""
+        for addr, content in pairs:
+            self.store[addr] = (content, self.store.get(addr, (0, NO_WRITER))[1])
+
+    def contents(self, m: int) -> np.ndarray:
+        return np.array([self.store.get(a, (0,))[0] for a in range(1, m + 1)], dtype=np.int64)
+
+    @property
+    def cells(self) -> dict[int, int]:
+        return {a: c for a, (c, op) in self.store.items() if op != NO_WRITER}
+
+    @property
+    def last_write_op(self) -> dict[int, int]:
+        return {a: op for a, (c, op) in self.store.items() if op != NO_WRITER}
+
+    def addr_column(self) -> np.ndarray:
+        return np.array(self.log["addr"], dtype=np.int64)
+
+    def kind_column(self) -> np.ndarray:
+        return np.array(self.log["kind"], dtype=np.int64)
+
+    def data_column(self) -> np.ndarray:
+        return np.array(self.log["data"], dtype=np.int64)
+
+    def op_column(self) -> np.ndarray:
+        return np.array(self.log["op"], dtype=np.int64)
+
+    def read_src_column(self) -> np.ndarray:
+        return np.array(self.log["read_src"], dtype=np.int64)
+
+
+def honest_scan_advance(server: ReferenceServer, M: int, y, start: int, stop: int) -> list[int]:
     """The linear scan straight off its definition over ops start..stop-1 of y.
 
-    Each op reads every cell 1..M with a scalar probe and writes it back, its
-    own data in place of what it read at its address for a write; returns the
+    Each op reads every cell 1..M with one probe and writes it back, its own
+    data in place of what it read at its address for a write; returns the
     answers of the reads.
     """
     answers = []
     for i, op in enumerate(y.ops[start:stop], start):
-        server.begin_op(i)
         for j in range(1, M + 1):
-            v = server.probe(READ, j)
+            v = server.probe(0, j, 0, i)
             if j == op.addr:
                 if op.kind == WRITE:
                     v = op.data
                 else:
                     answers.append(v)
-            server.probe(WRITE, j, v)
+            server.probe(1, j, v, i)
     return answers
 
 

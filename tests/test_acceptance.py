@@ -25,7 +25,6 @@ from oramlab import (
     estimate_advantage,
     gen_alternating_sequence,
     gen_write_read_blocks,
-    graph_from_edges,
     greedy_dense_partition,
     run_sequence,
     statistical_distance_empirical,
@@ -34,7 +33,7 @@ from oramlab import (
 from oramlab.orams import op_order_key
 from oramlab.traceio import TraceFile, analyze_trace
 
-from conftest import ALL_ENGINES, assert_graph_invariants, random_degree_bounded_graph
+from conftest import ALL_ENGINES, assert_graph_invariants, graph_from_edges, random_degree_bounded_graph
 
 
 def _passed(name: str) -> None:

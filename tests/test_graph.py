@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oramlab import build_access_graph, graph_from_edges
+from oramlab import build_access_graph
 
 from conftest import (
     assert_graph_invariants,
     brute_force_crossing,
     brute_force_crossing_edges,
+    graph_from_edges,
     random_degree_bounded_graph,
 )
 

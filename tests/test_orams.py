@@ -26,7 +26,7 @@ from oramlab import (
 from oramlab.orams import TreeOram, op_order_key
 from oramlab.server import FINAL_OP
 
-from conftest import ALL_ENGINES, honest_scan_advance
+from conftest import ALL_ENGINES, ReferenceServer, honest_scan_advance
 
 CFG = OramConfig(m=1, M=24, w=12)
 
@@ -114,7 +114,7 @@ class TestLinearScan:
         for seed in range(4):
             y = random_sequence(random.Random(seed), 6, cfg.M, cfg.w)
             a_fast, s_fast = run_sequence("linear-scan", cfg, y, seed=0, record_meta=record_meta)
-            s_slow = ServerState(cfg, record_meta=True)
+            s_slow = ReferenceServer(cfg)
             assert a_fast == honest_scan_advance(s_slow, cfg.M, y, 0, len(y))
             self._assert_same_log(s_fast, s_slow, record_meta)
 
@@ -127,7 +127,7 @@ class TestLinearScan:
             cut = rng.randint(0, len(y))
             loaded = [(rng.randint(1, cfg.M), rng.getrandbits(cfg.w)) for _ in range(3)]
             engine = make_engine("linear-scan", cfg, 0)
-            s_fast, s_slow = ServerState(cfg, record_meta=record_meta), ServerState(cfg, record_meta=True)
+            s_fast, s_slow = ServerState(cfg, record_meta=record_meta), ReferenceServer(cfg)
             a_fast = engine.advance(s_fast, y, 0, cut)
             a_slow = honest_scan_advance(s_slow, cfg.M, y, 0, cut)
             for srv in (s_fast, s_slow):
@@ -156,8 +156,7 @@ class TestLinearScan:
         view = adversary_view(srv)
         assert view is srv._addr.head and view.N == 2 * cfg.M * 6
         assert view == AccessSequence(np.tile(engine._addrs, 6))
-        srv.begin_op(8)
-        srv.probe(READ, 1)
+        srv.probe_batch([0], [1], [0], 8)
         engine.advance(srv, y, 0, 1)  # a run after a probe is appended as addresses
         assert adversary_view(srv).addrs.tolist() == np.tile(engine._addrs, 6).tolist() + [1] + engine._addrs.tolist()
 
@@ -182,7 +181,6 @@ class TestTreeEngine:
         srv = ServerState(cfg)
         peak = 0
         for i, op in enumerate(y):
-            srv.begin_op(i)
             engine.step(srv, op, i)
             peak = max(peak, len(engine.stash))
         assert peak <= TreeOram.STASH_LIMIT
@@ -276,6 +274,15 @@ class TestDummyLeaker:
     def test_needs_length_up_front(self):
         with pytest.raises(ModelViolationError):
             make_engine("dummy-leaker", CFG, 0)
+
+    def test_advance_past_n_probes_nothing(self):
+        y = random_sequence(random.Random(7), 6, CFG.M, CFG.w)
+        engine, srv = make_engine("dummy-leaker", CFG, 0, n=4), ServerState(CFG)
+        engine.advance(srv, y, 0, 2)
+        count = srv.probe_count
+        with pytest.raises(ModelViolationError, match="sized for n=4"):
+            engine.advance(srv, y, 2, 5)
+        assert srv.probe_count == count
 
 
 @pytest.mark.parametrize("engine", [e for e in ALL_ENGINES if e != "dummy-leaker"])
@@ -395,6 +402,24 @@ def _scan_op(is_write, addr, data, M):
 _OP = st.tuples(st.booleans(), st.integers(1, 6), st.integers(0, 255))
 
 
+def _advance_in_ranges(engine, srv, y, cuts, mark, before_range):
+    """advance over the ranges the cuts make of y, then an empty range at n.
+
+    Metadata starts at range `mark` (if there is one) and before_range(r,
+    start, stop) runs before range r; returns the answers and the mark, or
+    None for no metadata.
+    """
+    n = len(y)
+    bounds = [0, *sorted(min(c, n) for c in cuts), n]
+    answers, meta_from = [], None
+    for r, (start, stop) in enumerate([*zip(bounds, bounds[1:]), (n, n)]):
+        if r == mark:
+            meta_from = srv.begin_meta()
+        before_range(r, start, stop)
+        answers += engine.advance(srv, y, start, stop)
+    return answers, meta_from
+
+
 @given(
     M=st.integers(1, 6),
     ops=st.lists(_OP, max_size=12),
@@ -412,29 +437,47 @@ def test_scan_advance_matches_stepping(M, ops, cuts, mark, load_at, loaded, extr
     cfg = OramConfig(m=1, M=M, w=8)
     y = InputSequence(tuple(_scan_op(*t, M) for t in ops))
     n = len(y)
-    bounds = [0, *sorted(min(c, n) for c in cuts), n]
-    ranges = [*zip(bounds, bounds[1:]), (n, n)]
     advanced, stepped = make_engine("linear-scan", cfg, 0), make_engine("linear-scan", cfg, 0)
     adv_srv, step_srv = ServerState(cfg, record_meta=False), ServerState(cfg, record_meta=True)
-    answers, want, meta_from = [], [], None
-    for r, (start, stop) in enumerate(ranges):
-        if r == mark:
-            meta_from = adv_srv.begin_meta()
+    want = []
+
+    def step_range(r, start, stop):
         if r == load_at:
             cells = [((a - 1) % M + 1, c) for a, c in loaded]
             adv_srv.load(cells)
             step_srv.load(cells)
-        answers += advanced.advance(adv_srv, y, start, stop)
         for i in range(start, stop):
-            step_srv.begin_op(i)
             got = stepped.step(step_srv, y.ops[i], i)
             if y.ops[i].kind == READ:
                 want.append(got)
+
+    answers, meta_from = _advance_in_ranges(advanced, adv_srv, y, cuts, mark, step_range)
     assert answers == want
     adv_from = None if meta_from is None else 0  # the advanced server's columns start at its mark
     assert _scan_state(adv_srv, adv_from) == _scan_state(step_srv, meta_from)
     op = _scan_op(*extra, M)
     for engine, srv in ((advanced, adv_srv), (stepped, step_srv)):
-        srv.begin_op(n)
         engine.step(srv, op, n)
     assert _scan_state(adv_srv, adv_from) == _scan_state(step_srv, meta_from)
+
+
+@pytest.mark.parametrize("engine", ["passthrough", "dummy-encoder", "dummy-leaker"])
+@given(
+    ops=st.lists(_OP, min_size=1, max_size=12),
+    cuts=st.lists(st.integers(0, 12), max_size=4),
+    mark=st.none() | st.integers(0, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_engine_advance_over_cuts_matches_one_range(engine, ops, cuts, mark):
+    """advance over any cut of the ops into ranges, with metadata from one cut
+    on as the codec's sender has it, leaves the server, the answers and the
+    client state as one advance over all the ops does."""
+    cfg = OramConfig(m=1, M=6, w=8)
+    y = InputSequence(tuple(_scan_op(*t, cfg.M) for t in ops))
+    cut, whole = (make_engine(engine, cfg, 5, n=len(y)) for _ in range(2))
+    cut_srv, whole_srv = ServerState(cfg, record_meta=False), ServerState(cfg)
+    answers, meta_from = _advance_in_ranges(cut, cut_srv, y, cuts, mark, lambda r, start, stop: None)
+    assert answers == whole.advance(whole_srv, y, 0, len(y))
+    cut_from = None if meta_from is None else 0
+    assert _scan_state(cut_srv, cut_from) == _scan_state(whole_srv, meta_from)
+    assert cut.export_state() == whole.export_state()

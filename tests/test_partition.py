@@ -19,13 +19,12 @@ from oramlab import (
     edge_lower_bound_from_certificate,
     expected_edge_lower_bound,
     gen_write_read_blocks,
-    graph_from_edges,
     greedy_dense_partition,
     is_dense,
     run_sequence,
 )
 
-from conftest import ALL_ENGINES, random_degree_bounded_graph, reference_greedy_witness
+from conftest import ALL_ENGINES, graph_from_edges, random_degree_bounded_graph, reference_greedy_witness
 
 PATH4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
 CROSSED4 = graph_from_edges(4, [(0, 2), (1, 3)])

@@ -16,56 +16,55 @@ from oramlab import (
     run_sequence,
 )
 from oramlab.adversary import trace_digest
+from oramlab.server import FINAL_OP
+
+from conftest import ReferenceServer
 
 CFG = OramConfig(m=1, M=16, w=8)
 
 
+def _batch(probes):
+    """kinds, addrs and data of a list of (kind, addr, data) probes, as int64 arrays."""
+    return tuple(np.array([p[i] for p in probes], dtype=np.int64) for i in range(3))
+
+
 def test_write_then_read_returns_payload():
     srv = ServerState(CFG)
-    srv.begin_op(0)
-    assert srv.probe(WRITE, 5, 0xAB) == 0
-    assert srv.probe(READ, 5) == 0xAB
+    assert srv.probe_batch([1], [5], [0xAB], 0).tolist() == [0]
+    assert srv.probe_batch([0], [5], [0], 0).tolist() == [0xAB]
 
 
 def test_uninitialized_read_is_zero():
     srv = ServerState(CFG)
-    srv.begin_op(0)
-    assert srv.probe(READ, 7) == 0
+    assert srv.probe_batch([0], [7], [0], 0).tolist() == [0]
 
 
 def test_address_and_payload_range_checks():
     srv = ServerState(CFG)
-    srv.begin_op(0)
-    with pytest.raises(ModelViolationError):
-        srv.probe(WRITE, 2**8 + 1, 0)
-    with pytest.raises(ModelViolationError):
-        srv.probe(WRITE, 1, 2**8)
-    with pytest.raises(ModelViolationError):
-        srv.probe("X", 1, 0)
-    srv.probe(WRITE, 2**8, 0)  # top address is in range
+    with pytest.raises(ModelViolationError, match="address 257 outside"):
+        srv.probe_batch([1], [2**8 + 1], [0], 0)
+    with pytest.raises(ModelViolationError, match="payload 256 does not fit"):
+        srv.probe_batch([1], [1], [2**8], 0)
+    with pytest.raises(ModelViolationError, match="unknown probe kind 2"):
+        srv.probe_batch([2], [1], [0], 0)
+    srv.probe_batch([1], [2**8], [0], 0)  # top address is in range
 
 
 def test_adversary_view_is_address_projection():
     srv = ServerState(CFG)
-    srv.begin_op(0)
-    srv.probe(WRITE, 3, 1)
-    srv.probe(WRITE, 9, 2)
-    srv.probe(READ, 3)
+    srv.probe_batch([1, 1, 0], [3, 9, 3], [1, 2, 0], 0)
     assert list(adversary_view(srv)) == [3, 9, 3]
     assert adversary_view(ServerState(CFG)).N == 0
 
 
 def test_records_and_columns_agree():
     srv = ServerState(CFG)
-    srv.begin_op(4)
-    srv.probe(WRITE, 2, 7)
-    srv.begin_op(5)
-    srv.probe(READ, 2)
+    srv.probe_batch([1, 0], [2, 2], [7, 0], [4, 5])
     kinds = [(READ, WRITE)[k] for k in srv.kind_column().tolist()]
-    cols = (srv.addr_column(), srv.data_column(), srv.op_column())
+    cols = (srv.addr_column(), srv.data_column(), srv.op_column(), srv.read_src_column())
     assert list(zip(range(srv.probe_count), kinds, *(c.tolist() for c in cols))) == [
-        (0, WRITE, 2, 7, 4),
-        (1, READ, 2, 7, 5),
+        (0, WRITE, 2, 7, 4, -1),
+        (1, READ, 2, 7, 5, 4),
     ]
     assert srv.probe_count == 2
     ops, counts = np.unique(srv.op_column(), return_counts=True)
@@ -80,56 +79,52 @@ def test_records_and_columns_agree():
 @settings(max_examples=60)
 def test_read_after_write_matches_dict_oracle(ops):
     srv = ServerState(CFG)
-    srv.begin_op(0)
     oracle: dict[int, int] = {}
+    want = []
     for is_write, addr, data in ops:
         if is_write:
-            srv.probe(WRITE, addr, data)
             oracle[addr] = data
-        else:
-            assert srv.probe(READ, addr) == oracle.get(addr, 0)
+        want.append(0 if is_write else oracle.get(addr, 0))
+    assert srv.probe_batch(*_batch(ops), 0).tolist() == want
     assert srv.cells == oracle
     assert adversary_view(srv).N == len(ops)
 
 
 def test_load_sets_cells_without_a_probe():
     srv = ServerState(CFG)
-    srv.begin_op(0)
-    srv.probe(WRITE, 2, 7)
+    srv.probe_batch([1], [2], [7], 0)
     srv.load([(2, 9), (5, 4), (2, 11)])
     assert srv.probe_count == 1
     assert srv.contents(6).tolist() == [0, 11, 0, 0, 4, 0]
     assert srv.last_write_op == {2: 0}
-    assert srv.probe(READ, 5) == 4
+    assert srv.probe_batch([0], [5], [0], 0).tolist() == [4]
     assert srv.read_src_column().tolist() == [-1, -1]
 
 
 @pytest.mark.parametrize("bad", [(0, 1), (2**8 + 1, 1), (3, 2**8), (3, -1)])
 def test_load_refuses_what_a_write_probe_refuses_before_any_work(bad):
     srv = ServerState(CFG)
-    srv.begin_op(0)
-    srv.probe(WRITE, 2, 7)
+    srv.probe_batch([1], [2], [7], 0)
     before = srv.contents(CFG.M).tolist(), srv.last_write_op, srv.probe_count
     with pytest.raises(ModelViolationError, match=rf"cannot load \({bad[0]}, {bad[1]}\)"):
         srv.load([(1, 5), bad])
     assert (srv.contents(CFG.M).tolist(), srv.last_write_op, srv.probe_count) == before
     with pytest.raises(ModelViolationError):
-        srv.probe(WRITE, *bad)
+        srv.probe_batch([1], [bad[0]], [bad[1]], 0)
 
 
 def test_meta_free_log_keeps_addresses_only():
     srv = ServerState(CFG, record_meta=False)
-    srv.begin_op(0)
-    srv.probe(WRITE, 4, 1)
-    srv.probe(READ, 4)
+    srv.probe_batch([1, 0], [4, 4], [1, 0], 0)
     assert list(adversary_view(srv)) == [4, 4]
     with pytest.raises(AttributeError):
         srv.kind_column()
 
 
-def _server_state(srv):
+def _server_state(srv, meta):
+    """Log (the metadata columns too if meta), cells and last writers, as lists and dicts."""
     cols = [srv.addr_column()]
-    if srv.record_meta:
+    if meta:
         cols += [srv.kind_column(), srv.data_column(), srv.op_column(), srv.read_src_column()]
     return [c.tolist() for c in cols], srv.cells, srv.last_write_op
 
@@ -142,46 +137,69 @@ def _outcome(call):
 
 
 _PROBE = st.tuples(st.integers(0, 1), st.integers(1, 5), st.integers(0, 255))
-_BAD_PROBES = [(1, 0, 0), (0, 2**8 + 1, 0), (1, 3, 2**8), (1, 3, -1), (2, 1, 0)]
+_BAD_PROBES = [(1, 0, 0), (0, 2**8 + 1, 0), (1, 3, 2**8), (1, 3, -1), (2, 1, 0), (2, 0, 0), (1, -4, 2**8)]
 
 
 @given(
     before=st.lists(_PROBE, max_size=8),
     batch=st.lists(_PROBE, max_size=24),
     bad=st.none() | st.tuples(st.sampled_from(_BAD_PROBES), st.integers(0, 24)),
+    ops=st.integers(0, 4) | st.lists(st.sampled_from([0, 1, 2, 3, FINAL_OP]), min_size=25, max_size=25),
     record_meta=st.booleans(),
 )
-@example(before=[], batch=[], bad=None, record_meta=True)
-@example(before=[], batch=[(1, 2, 9), (0, 2, 0)], bad=None, record_meta=True)
-@example(before=[(1, 2, 4)], batch=[(0, 2, 0), (1, 2, 9), (0, 2, 0)], bad=None, record_meta=True)
-@example(before=[], batch=[(0, 2, 0), (1, 2, 5)], bad=None, record_meta=True)
+@example(before=[], batch=[], bad=None, ops=4, record_meta=True)
+@example(before=[], batch=[(1, 2, 9), (0, 2, 0)], bad=None, ops=4, record_meta=True)
+@example(before=[(1, 2, 4)], batch=[(0, 2, 0), (1, 2, 9), (0, 2, 0)], bad=None, ops=4, record_meta=True)
+@example(before=[], batch=[(0, 2, 0), (1, 2, 5)], bad=None, ops=4, record_meta=True)
+@example(before=[(1, 2, 4)], batch=[(1, 2, 9), (0, 2, 0), (1, 3, 1), (0, 2, 0)], bad=None, ops=[1, 2, 2, 3] * 7,
+         record_meta=True)
+@example(before=[(1, 2, 4)], batch=[(1, 1, 3), (0, 2, 0), (1, 4, 5)], bad=None, ops=[1, 2, 3] * 9, record_meta=True)
 @settings(max_examples=200, deadline=None)
-def test_probe_batch_matches_probe_loop(before, batch, bad, record_meta):
+def test_probe_batch_matches_probe_loop(before, batch, bad, ops, record_meta):
+    """probe_batch returns, logs and stores what the reference server's probes
+    do one at a time, the op given once or per probe; a batch the reference
+    refuses part way through raises the same error before any work."""
     if bad is not None:
         batch = batch[: bad[1]] + [bad[0]] + batch[bad[1] :]
-    loop, batched = ServerState(CFG, record_meta=record_meta), ServerState(CFG, record_meta=record_meta)
-    for srv in (loop, batched):
-        srv.begin_op(3)
-        for k, a, d in before:
-            srv.probe((READ, WRITE)[k], a, d)
-        srv.begin_op(4)
-    kinds, addrs, data = (np.array([p[i] for p in batch], dtype=np.int64) for i in range(3))
-    want = _outcome(lambda: np.array([loop.probe({0: READ, 1: WRITE}.get(k, k), a, d) for k, a, d in batch]))
-    got = _outcome(lambda: batched.probe_batch(kinds, addrs, data))
+    if isinstance(ops, int):
+        op_arg, ops = ops, [ops] * len(batch)
+    else:
+        op_arg = ops = ops[: len(batch)]
+    ref, srv = ReferenceServer(CFG), ServerState(CFG, record_meta=record_meta)
+    for k, a, d in before:
+        ref.probe(k, a, d, 3)
+    srv.probe_batch(*_batch(before), 3)
+    unchanged = _server_state(ref, record_meta)
+    want = _outcome(lambda: np.array([ref.probe(k, a, d, op) for (k, a, d), op in zip(batch, ops)], dtype=np.int64))
+    got = _outcome(lambda: srv.probe_batch(*_batch(batch), op_arg))
     assert got == want
     assert (bad is None) == (got[1] is None)
-    assert _server_state(batched) == _server_state(loop)
+    assert _server_state(srv, record_meta) == (_server_state(ref, record_meta) if bad is None else unchanged)
+
+
+@pytest.mark.parametrize("bad", _BAD_PROBES)
+def test_refused_batch_changes_nothing(bad):
+    srv = ServerState(CFG)
+    srv.probe_batch([1], [2], [7], 0)
+    before = _server_state(srv, meta=True)
+    with pytest.raises(ModelViolationError):
+        srv.probe_batch(*_batch([(1, 2, 9), (1, 4, 5), (0, 2, 0), bad]), 1)
+    assert _server_state(srv, meta=True) == before
+    assert srv.contents(4).tolist() == [0, 7, 0, 0]
 
 
 def test_probe_batch_reads_see_earlier_writes_of_the_batch():
     srv = ServerState(CFG)
-    srv.begin_op(0)
-    srv.probe(WRITE, 3, 5)
-    srv.begin_op(1)
-    got = srv.probe_batch([0, 1, 0, 1, 0, 0], [3, 3, 3, 3, 3, 4], [0, 7, 0, 9, 0, 0])
+    srv.probe_batch([1], [3], [5], 0)
+    got = srv.probe_batch([0, 1, 0, 1, 0, 0], [3, 3, 3, 3, 3, 4], [0, 7, 0, 9, 0, 0], 1)
     assert got.tolist() == [5, 0, 7, 0, 9, 0]
     assert srv.read_src_column().tolist() == [-1, 0, -1, 1, -1, 1, -1]
     assert srv.cells == {3: 9} and srv.last_write_op == {3: 1}
+    # a batch spanning ops: a read names the op of the write it sees, a cell keeps its last write's op
+    got = srv.probe_batch([1, 0, 1, 0, 0], [4, 4, 4, 3, 4], [6, 0, 8, 0, 0], [2, 3, 3, 4, 5])
+    assert got.tolist() == [0, 6, 0, 9, 8]
+    assert srv.read_src_column()[7:].tolist() == [-1, 2, -1, 1, 3]
+    assert srv.cells == {3: 9, 4: 8} and srv.last_write_op == {3: 1, 4: 3}
 
 
 @given(
@@ -218,7 +236,7 @@ def test_repeating_scan_log_is_its_tile():
         assert view.window(5, 40).tolist() == tile[5:40].tolist()
     assert np.array_equal(servers[0].addr_column(), tile)
     assert adversary_view(servers[0]) == AccessSequence(tile)
-    servers[1].probe(READ, 3)  # an append after the repeating run extends its array
+    servers[1].probe_batch([0], [3], [0], FINAL_OP)  # an append after the repeating run extends its array
     assert servers[1].probe_count == len(tile) + 1
     assert adversary_view(servers[1]).addrs.tolist() == tile.tolist() + [3]
     assert servers[1].addr_column().tolist() == tile.tolist() + [3]
@@ -235,12 +253,11 @@ def test_begin_meta_logs_metadata_from_the_mark(probes, mark, batched):
     full, late = ServerState(CFG), ServerState(CFG, record_meta=False)
 
     def send(srv, part, op):
-        srv.begin_op(op)
         if batched:
-            srv.probe_batch(*(np.array([p[i] for p in part], dtype=np.int64) for i in range(3)))
+            srv.probe_batch(*_batch(part), op)
         else:
-            for k, a, d in part:
-                srv.probe((READ, WRITE)[k], a, d)
+            for probe in part:
+                srv.probe_batch(*_batch([probe]), op)
 
     for srv in (full, late):
         send(srv, probes[:mark], 0)
@@ -255,7 +272,7 @@ def test_begin_meta_logs_metadata_from_the_mark(probes, mark, batched):
     assert (late.cells, late.last_write_op) == (full.cells, full.last_write_op)
     # a second switch, or one on a server logging metadata from the start, is refused and changes nothing
     for srv in (late, full):
-        before = _server_state(srv)
+        before = _server_state(srv, meta=True)
         with pytest.raises(ValueError):
             srv.begin_meta()
-        assert _server_state(srv) == before
+        assert _server_state(srv, meta=True) == before
