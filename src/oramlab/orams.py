@@ -1,8 +1,13 @@
 """The engine contract and five concrete memory engines.
 
-Every engine is an online state machine: it receives one input op at a time,
-issues zero or more server probes for it, and answers reads correctly with
-probability 1.  The five engines span the security spectrum on purpose:
+Every engine is an online state machine: it decides each input op's server
+probes before it sees the next op, and answers reads correctly with
+probability 1.  The adversary sees only the flat address list, with no op
+boundaries, so an engine that plans a range of ops op by op may send the
+planned probes in a few batches: the trace, and the machine, stay the same.
+``Engine.advance`` runs a range of ops that way; every batch holds at most
+``BATCH_PROBES`` probes.  The five engines span the security spectrum on
+purpose:
 
 * ``passthrough``    executes ops directly; maximally leaky baseline.
 * ``linear-scan``    full read+write-back pass over all M cells per op; the
@@ -33,6 +38,9 @@ from .core import READ, WRITE, InputOp, InputSequence, OramConfig
 from .server import FINAL_OP, ServerState
 
 ENGINE_NAMES = ("passthrough", "linear-scan", "tree", "dummy-encoder", "dummy-leaker")
+# the most probes one batch holds: a batch's columns and the server's work on
+# them are materialised at once, so this bounds an engine run's extra memory
+BATCH_PROBES = 1 << 14
 
 
 class StashOverflowError(RuntimeError):
@@ -42,8 +50,10 @@ class StashOverflowError(RuntimeError):
 class Engine:
     """Base engine: drives probes against a server it owns exclusively.
 
-    ``advance`` runs a range of ops; an engine either overrides it or inherits
-    the one here, which calls its ``step`` once per op.
+    ``advance`` is the contract: every engine runs a range of ops with it,
+    planning each op's probes before it looks at the next op and sending
+    them in batches of at most ``BATCH_PROBES`` probes (one op's probes, if
+    they are more).
     """
 
     name: str = "abstract"
@@ -52,21 +62,12 @@ class Engine:
         self.config = config
         self.rng = rng
 
-    def step(self, server: ServerState, op: InputOp, op_index: int) -> int:
-        """Probe for op, the op_index-th input op; returns its answer (0 for a write)."""
+    def advance(self, server: ServerState, y: InputSequence, start: int, stop: int) -> list[int]:
+        """Ops start..stop-1 of y in order; returns the answers of their reads."""
         raise NotImplementedError
 
     def finalize(self, server: ServerState) -> None:
         """Trailing probes after the last input op (most engines: none)."""
-
-    def advance(self, server: ServerState, y: InputSequence, start: int, stop: int) -> list[int]:
-        """Step ops start..stop-1 of y in order; returns the answers of their reads."""
-        answers = []
-        for i, op in enumerate(y.ops[start:stop], start):
-            ans = self.step(server, op, i)
-            if op.kind == READ:
-                answers.append(ans)
-        return answers
 
     def run(self, server: ServerState, y: InputSequence) -> list[int]:
         """Every op of y, then the wrap-up probes; returns the answers of all read ops."""
@@ -83,22 +84,31 @@ class Engine:
             raise ValueError(f"{self.name} engine carries no client state")
 
 
+def _ops_per_batch(probes_per_op: int) -> int:
+    return max(1, BATCH_PROBES // probes_per_op)
+
+
 def _direct_probes(server: ServerState, ops: tuple[InputOp, ...], start: int, extra_reads) -> list[int]:
-    """Input ops start, start+1, ... as one batch; returns the answers of their reads.
+    """Input ops start, start+1, ... in bounded batches; returns the answers of their reads.
 
     Each op probes its own address, then reads address 1 extra_reads times
     (one count for every op, or one per op).
     """
     counts = np.full(len(ops), 1, dtype=np.int64) + np.asarray(extra_reads, dtype=np.int64)
-    firsts = np.cumsum(counts) - counts  # each op's own probe
-    kinds, data = np.zeros((2, int(counts.sum())), dtype=np.int64)
-    addrs = np.ones_like(kinds)
-    is_write = np.array([op.kind == WRITE for op in ops], dtype=bool)
-    kinds[firsts] = is_write
-    addrs[firsts] = [op.addr for op in ops]
-    data[firsts] = [op.data for op in ops]
-    got = server.probe_batch(kinds, addrs, data, np.repeat(np.arange(start, start + len(ops)), counts))
-    return got[firsts][~is_write].tolist()
+    per = _ops_per_batch(int(counts.max(initial=1)))
+    answers = []
+    for lo in range(0, len(ops), per):
+        batch, c = ops[lo : lo + per], counts[lo : lo + per]
+        firsts = np.cumsum(c) - c  # each op's own probe
+        kinds, data = np.zeros((2, int(c.sum())), dtype=np.int64)
+        addrs = np.ones_like(kinds)
+        is_write = np.array([op.kind == WRITE for op in batch], dtype=bool)
+        kinds[firsts] = is_write
+        addrs[firsts] = [op.addr for op in batch]
+        data[firsts] = [op.data for op in batch]
+        got = server.probe_batch(kinds, addrs, data, np.repeat(np.arange(start + lo, start + lo + len(batch)), c))
+        answers += got[firsts][~is_write].tolist()
+    return answers
 
 
 class Passthrough(Engine):
@@ -118,15 +128,14 @@ class LinearScan(Engine):
     Only O(1) registers persist between probes.  The simulation takes one
     shortcut: the scan reads each cell just before writing it back, so it
     takes cells 1..M from the server's store (``ServerState.contents``)
-    rather than from its reads.  Then
+    rather than from its reads.  ``advance`` probes nothing: it replays the
+    ops on the cells and logs their passes as one run (``ServerState._log_run``).
+    A server logging addresses only keeps a run as one op's period with a
+    repeat count (see ``server.AccessSequence``), whatever its length; with
+    metadata on, a run logs every probe's columns, so it goes in batches of
+    at most ``BATCH_PROBES`` probes.
 
-    * ``step`` makes one ``probe_batch`` per op;
-    * ``advance`` over any range of ops, on a server logging addresses only,
-      probes nothing: it replays the ops on the cells and logs one op's
-      period with a repeat count (see ``server.AccessSequence``).  That
-      covers a whole run and the codec's ranges.
-
-    Both reproduce the honest probe loop bit for bit; the tests keep that
+    This reproduces the honest probe loop bit for bit; the tests keep that
     loop as their oracle.
     """
 
@@ -137,25 +146,24 @@ class LinearScan(Engine):
         self._addrs = np.repeat(np.arange(1, config.M + 1, dtype=np.int64), 2)
         self._kinds = np.tile(np.array([0, 1], dtype=np.int64), config.M)
 
-    def step(self, server, op, op_index):
-        cells = server.contents(self.config.M)
-        if op.kind == WRITE:
-            cells[op.addr - 1] = op.data
-        server.probe_batch(self._kinds, self._addrs, np.repeat(cells, 2), op_index)  # data is ignored for reads
-        return int(cells[op.addr - 1]) if op.kind == READ else 0
-
     def advance(self, server, y, start, stop):
-        if server.record_meta:
-            return super().advance(server, y, start, stop)
+        meta = server.record_meta
+        per = _ops_per_batch(len(self._addrs)) if meta else max(stop - start, 1)
         answers = []
-        cells = server.contents(self.config.M).tolist()
-        for op in y.ops[start:stop]:
-            if op.kind == WRITE:
-                cells[op.addr - 1] = op.data
-            else:
-                answers.append(cells[op.addr - 1])
-        if stop > start:
-            server._log_run(self._addrs, stop - start, cells, stop - 1)
+        for lo in range(start, stop, per):
+            ops = y.ops[lo : min(lo + per, stop)]
+            cells = server.contents(self.config.M).tolist()
+            rows, row = [], None  # row: cells after the last op, as an array; a read keeps it
+            for op in ops:
+                if op.kind == WRITE:
+                    cells[op.addr - 1] = op.data
+                    row = None
+                else:
+                    answers.append(cells[op.addr - 1])
+                if meta:
+                    row = np.array(cells, dtype=np.int64) if row is None else row
+                    rows.append(row)
+            server._log_run(self._addrs, self._kinds, range(lo, lo + len(ops)), rows or [cells])
         return answers
 
 
@@ -163,13 +171,20 @@ class TreeOram(Engine):
     """Non-recursive path-tree engine: complete binary tree over M leaves,
     buckets of Z=4 slots, client-side position map and stash.
 
-    Each op reads every slot on a root-to-leaf path in one ``probe_batch``,
-    serves the op from the fetched blocks plus the stash, remaps the accessed
-    address to a fresh uniform leaf, and writes the path back in a second
-    batch.  Eviction is Path ORAM's (Stefanov et al., CCS 2013): each stash
-    block goes, in stash order, to the deepest non-full bucket at or above its
-    deepest legal level, the level where its leaf's path leaves this one.
-    Probes per op are exactly 2*Z*(ceil(log2 M) + 1).
+    Each op reads every slot on a root-to-leaf path, serves the op from the
+    fetched blocks plus the stash, remaps the accessed address to a fresh
+    uniform leaf, and writes the path back.  Eviction is Path ORAM's
+    (Stefanov et al., CCS 2013): each stash block goes, in stash order, to the
+    deepest non-full bucket at or above its deepest legal level, the level
+    where its leaf's path leaves this one.  Probes per op are exactly
+    2*Z*(ceil(log2 M) + 1).
+
+    ``advance`` plans its ops one at a time in plain Python and sends them in
+    batches of at most ``BATCH_PROBES`` probes, each op's reads then its
+    writes.  The simulation takes the scan's shortcut: the client takes the
+    blocks it reads from the server's store as the batch starts
+    (``ServerState.contents``) and from its own record of the slots it wrote
+    earlier in the batch, which is what those reads return.
 
     Deviation (reported by the analysis CLI): the position map and the
     slot-occupancy directory live in client memory, far beyond the m-cell
@@ -197,35 +212,61 @@ class TreeOram(Engine):
     def probes_per_op(self) -> int:
         return 2 * self.Z * (self.depth + 1)
 
-    def step(self, server, op, op_index):
-        z = self.Z
-        leaf = self.pos[op.addr - 1]
-        buckets = ((self.leaves + leaf) >> np.arange(self.depth, -1, -1)) - 1  # root first
-        addrs = (buckets[:, None] * z + np.arange(1, z + 1)).ravel()
-        slots = (addrs - 1).tolist()
-        blank = np.zeros(len(slots), dtype=np.int64)
-        owners = self.slot_owner
-        for slot, v in zip(slots, server.probe_batch(blank, addrs, blank, op_index).tolist()):
-            owner, owners[slot] = owners[slot], None
-            if owner is not None:
-                self.stash[owner] = v
-        if op.kind == WRITE:
-            self.stash[op.addr] = op.data
-            answer = 0
-        else:
-            answer = self.stash.setdefault(op.addr, 0)
-        self.pos[op.addr - 1] = self.rng.randrange(self.leaves)
-        data = blank.copy()
-        for level, blocks in enumerate(self._plan_eviction(leaf)):
-            for s, (addr, val) in enumerate(blocks):
-                owners[slots[level * z + s]] = addr
-                data[level * z + s] = val
-        server.probe_batch(np.ones(len(slots), dtype=np.int64), addrs, data, op_index)
-        if len(self.stash) > self.STASH_LIMIT:
-            raise StashOverflowError(
-                f"stash holds {len(self.stash)} blocks (> {self.STASH_LIMIT}) after op {op_index}"
-            )
-        return answer
+    def advance(self, server, y, start, stop):
+        per = _ops_per_batch(self.probes_per_op())
+        answers = []
+        for lo in range(start, stop, per):
+            answers += self._advance_batch(server, y.ops[lo : min(lo + per, stop)], lo)
+        return answers
+
+    def _advance_batch(self, server, ops, first_op):
+        """Plan ops first_op, first_op+1, ... op by op, then send their probes as one batch.
+
+        On a stash overflow, sends the probes through the failing op and raises.
+        """
+        z, depth, owners, stash = self.Z, self.depth, self.slot_owner, self.stash
+        width = z * (depth + 1)  # slots on a path
+        store = server.contents(len(owners))  # slot s is server cell s + 1
+        written: dict[int, int] = {}  # slots written earlier in the batch
+        leaves, write_at, write_val, answers = [], [], [], []
+        overflow = None
+        for i, op in enumerate(ops):
+            leaf = self.pos[op.addr - 1]
+            path = [((self.leaves + leaf) >> (depth - level)) - 1 for level in range(depth + 1)]  # root first
+            for bucket in path:
+                for slot, owner in enumerate(owners[bucket * z : bucket * z + z], bucket * z):
+                    if owner is not None:
+                        owners[slot] = None
+                        stash[owner] = written[slot] if slot in written else int(store[slot])
+            if op.kind == WRITE:
+                stash[op.addr] = op.data
+            else:
+                answers.append(stash.setdefault(op.addr, 0))
+            self.pos[op.addr - 1] = self.rng.randrange(self.leaves)
+            base = (2 * i + 1) * width  # this op's first write probe
+            for level, blocks in enumerate(self._plan_eviction(leaf)):
+                for s, (addr, val) in enumerate(blocks):
+                    slot = path[level] * z + s
+                    owners[slot], written[slot] = addr, val
+                    write_at.append(base + level * z + s)
+                    write_val.append(val)
+            leaves.append(leaf)
+            if len(stash) > self.STASH_LIMIT:
+                overflow = StashOverflowError(
+                    f"stash holds {len(stash)} blocks (> {self.STASH_LIMIT}) after op {first_op + i}"
+                )
+                break
+        shifts = np.arange(depth, -1, -1)
+        buckets = ((self.leaves + np.array(leaves, dtype=np.int64)[:, None]) >> shifts) - 1
+        path_addrs = (buckets[:, :, None] * z + np.arange(1, z + 1)).reshape(len(leaves), width)
+        addrs = np.concatenate((path_addrs, path_addrs), axis=1).ravel()  # each op's reads, then its writes
+        kinds = np.tile(np.repeat([0, 1], width), len(leaves))
+        data = np.zeros(len(addrs), dtype=np.int64)
+        data[write_at] = write_val
+        server.probe_batch(kinds, addrs, data, np.repeat(np.arange(first_op, first_op + len(leaves)), 2 * width))
+        if overflow is not None:
+            raise overflow
+        return answers
 
     def _plan_eviction(self, leaf: int) -> list[list[tuple[int, int]]]:
         """Per level of leaf's path, the (addr, value) blocks that leave the stash for it."""

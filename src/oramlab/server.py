@@ -13,11 +13,16 @@ contents and last writers live in a dense store, two ``array('q')`` indexed
 by address and doubled as needed to cover the highest address probed (so
 addresses should stay of the order of the workload, not of 2^w); a batch
 views them through ``np.frombuffer``; ``load`` and ``contents`` set and read
-cells without a probe.  A trace that repeats one period (the linear scan's,
-logged without metadata) is kept as ``AccessSequence.repeating`` through
-``adversary_view``: ``window`` builds only what is read, and ``addrs`` and
-``addr_column()`` build it all, once; ``addr_column(start)`` builds none of
-it when start is past it.
+cells without a probe.  The linear scan logs its passes with no probe either,
+through the one run logger ``_log_run``: with metadata off, a run is its
+period of addresses and a repeat count; with metadata on, it logs every
+column of every probe (each read logs its cell as it was before the op,
+each write as it is after, and a read's last writer is the op before, or
+the store's for the run's first op).  A trace that repeats one period (the
+linear scan's, logged without metadata) is kept as ``AccessSequence.repeating``
+through ``adversary_view``: ``window`` builds only what is read, and
+``addrs`` and ``addr_column()`` build it all, once; ``addr_column(start)``
+builds none of it when start is past it.
 
 Metadata can start part way through a run: a server made with
 ``record_meta=False`` logs addresses only until ``begin_meta()`` returns the
@@ -296,13 +301,33 @@ class ServerState:
         written = np.flatnonzero(np.frombuffer(self._writer, dtype=np.int64) != NO_WRITER)
         return dict(zip(written.tolist(), np.frombuffer(store, dtype=np.int64)[written].tolist()))
 
-    def _log_run(self, period: np.ndarray, reps: int, values: list[int], last_op: int) -> None:
-        """Log period x reps addresses; cells 1..len(values) end holding values, written by last_op."""
-        m = len(values)
+    def _log_run(self, period: np.ndarray, kinds: np.ndarray, ops: range, cells) -> None:
+        """Log the linear scan's passes for ops, one per op, with no probe.
+
+        A pass probes the addresses of period, kinds[i] the kind of the i-th
+        (0 read, 1 write), and reads and writes back every cell 1..m once:
+        it reads a cell as it was before the op and writes it as it is after.
+        cells holds cells 1..m after each op, one row per op; a server logging
+        addresses only reads just the last row, so it may be the only one.
+        The cells end holding the last row, every one written by the last op.
+        """
+        cells = np.asarray(cells, dtype=np.int64)
+        m, reps = cells.shape[1], len(ops)
         self._grow(m)
-        np.frombuffer(self._val, dtype=np.int64)[1 : m + 1] = values
-        np.frombuffer(self._writer, dtype=np.int64)[1 : m + 1] = last_op
-        self._addr.extend(AccessSequence.repeating(period, reps))
+        if self.record_meta:
+            before = np.concatenate((self.contents(m)[None], cells[:-1]))
+            is_write = kinds == 1
+            src = np.empty((reps, len(period)), dtype=np.int64)
+            src[0] = np.frombuffer(self._writer, dtype=np.int64)[period]
+            src[1:] = np.arange(ops.start, ops.stop - 1)[:, None]  # each cell's writer is the op before
+            src[:, is_write] = NO_WRITER
+            self._kind.extend(np.tile(kinds, reps))
+            self._data.extend(np.where(is_write, cells[:, period - 1], before[:, period - 1]).ravel())
+            self._op.extend(np.repeat(np.arange(ops.start, ops.stop), len(period)))
+            self._read_src.extend(src.ravel())
+        np.frombuffer(self._val, dtype=np.int64)[1 : m + 1] = cells[-1]
+        np.frombuffer(self._writer, dtype=np.int64)[1 : m + 1] = ops.stop - 1
+        self._addr.extend(np.tile(period, reps) if self.record_meta else AccessSequence.repeating(period, reps))
 
     # -- columnar access -------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Shared helpers for the suite: graph invariant checks, random graphs and
 line-by-line oracles for the vectorized code paths (the server's probe, one
-at a time, and the scan engine's honest probe loop among them)."""
+at a time, and the scan and tree engines' honest per-op probe loops among
+them)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from oramlab import WRITE, AccessGraph, ModelViolationError, TraceFile
+from oramlab import WRITE, AccessGraph, ModelViolationError, StashOverflowError, TraceFile
 from oramlab.orams import ENGINE_NAMES
 from oramlab.server import NO_WRITER
 from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
@@ -209,6 +210,44 @@ def honest_scan_advance(server: ReferenceServer, M: int, y, start: int, stop: in
                 else:
                     answers.append(v)
             server.probe(1, j, v, i)
+    return answers
+
+
+def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: int) -> list[int]:
+    """The tree engine straight off its definition over ops start..stop-1 of y, one probe at a time.
+
+    For each op, engine's client state reads every slot on the op's path
+    (moving owned blocks into the stash with the values it read), serves
+    the op, remaps its address, plans the eviction and writes the path back
+    slot by slot; it raises StashOverflowError after the write-back of an op
+    that leaves the stash over its limit.  Returns the answers of the reads.
+    """
+    z, answers = engine.Z, []
+    for i, op in enumerate(y.ops[start:stop], start):
+        leaf = engine.pos[op.addr - 1]
+        buckets = [((engine.leaves + leaf) >> (engine.depth - level)) - 1 for level in range(engine.depth + 1)]
+        slots = [b * z + s for b in buckets for s in range(z)]
+        for slot in slots:
+            v = server.probe(0, slot + 1, 0, i)
+            owner, engine.slot_owner[slot] = engine.slot_owner[slot], None
+            if owner is not None:
+                engine.stash[owner] = v
+        if op.kind == WRITE:
+            engine.stash[op.addr] = op.data
+        else:
+            answers.append(engine.stash.setdefault(op.addr, 0))
+        engine.pos[op.addr - 1] = engine.rng.randrange(engine.leaves)
+        data = [0] * len(slots)
+        for level, blocks in enumerate(engine._plan_eviction(leaf)):
+            for s, (addr, val) in enumerate(blocks):
+                engine.slot_owner[slots[level * z + s]] = addr
+                data[level * z + s] = val
+        for slot, v in zip(slots, data):
+            server.probe(1, slot + 1, v, i)
+        if len(engine.stash) > engine.STASH_LIMIT:
+            raise StashOverflowError(
+                f"stash holds {len(engine.stash)} blocks (> {engine.STASH_LIMIT}) after op {i}"
+            )
     return answers
 
 

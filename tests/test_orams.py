@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from oramlab import (
     make_engine,
     run_sequence,
 )
-from oramlab.orams import TreeOram, op_order_key
+from oramlab import orams
+from oramlab.orams import StashOverflowError, TreeOram, op_order_key
 from oramlab.server import FINAL_OP
 
-from conftest import ALL_ENGINES, ReferenceServer, honest_scan_advance
+from conftest import ALL_ENGINES, ReferenceServer, honest_scan_advance, honest_tree_advance
 
 CFG = OramConfig(m=1, M=24, w=12)
 
@@ -137,7 +139,7 @@ class TestLinearScan:
             assert a_fast == a_slow
             self._assert_same_log(s_fast, s_slow, record_meta)
 
-    def test_whole_run_fast_path_matches_stepped(self):
+    def test_run_without_metadata_matches_run_with_it(self):
         cfg = OramConfig(m=1, M=8, w=8)
         y = random_sequence(random.Random(11), 8, cfg.M, cfg.w)
         a1, s1 = run_sequence("linear-scan", cfg, y, seed=0, record_meta=False)
@@ -180,8 +182,8 @@ class TestTreeEngine:
         engine = make_engine("tree", cfg, 13)
         srv = ServerState(cfg)
         peak = 0
-        for i, op in enumerate(y):
-            engine.step(srv, op, i)
+        for i in range(len(y)):
+            engine.advance(srv, y, i, i + 1)
             peak = max(peak, len(engine.stash))
         assert peak <= TreeOram.STASH_LIMIT
 
@@ -190,8 +192,6 @@ class TestTreeEngine:
             make_engine("tree", OramConfig(m=1, M=256, w=10), 0)  # 511 buckets * 4 > 2^10
 
     def test_stash_overflow_aborts_loudly(self, monkeypatch):
-        from oramlab import StashOverflowError
-
         # zero allowance: the first block parked in the stash must abort the run
         monkeypatch.setattr(TreeOram, "STASH_LIMIT", 0)
         cfg = OramConfig(m=4, M=64, w=16)
@@ -385,13 +385,13 @@ def test_server_logs_are_frozen(engine, n, k, record_meta):
     assert got == GOLDEN_SERVER_LOGS[engine, n, k, record_meta]
 
 
-def _scan_state(srv, meta_from=None):
-    """Log and store; metadata from meta_from on, if that is given."""
+def _server_state(srv, n_cells, meta_from=None):
+    """Log and store (cells 1..n_cells); metadata from meta_from on, if that is given."""
     cols = [srv.addr_column().tolist()]
     if meta_from is not None:
         meta = (srv.kind_column, srv.data_column, srv.op_column, srv.read_src_column)
         cols += [column()[meta_from:].tolist() for column in meta]
-    return cols, srv.cells, srv.last_write_op, srv.contents(srv.config.M).tolist()
+    return cols, srv.cells, srv.last_write_op, srv.contents(n_cells).tolist()
 
 
 def _scan_op(is_write, addr, data, M):
@@ -420,45 +420,80 @@ def _advance_in_ranges(engine, srv, y, cuts, mark, before_range):
     return answers, meta_from
 
 
+def _honest_advance(engine, server, y, start, stop):
+    """The honest per-op probe loop of engine (scan or tree) on a ReferenceServer."""
+    if engine.name == "tree":
+        return honest_tree_advance(engine, server, y, start, stop)
+    return honest_scan_advance(server, engine.config.M, y, start, stop)
+
+
+@pytest.mark.parametrize("engine", ["linear-scan", "tree"])
 @given(
     M=st.integers(1, 6),
     ops=st.lists(_OP, max_size=12),
     cuts=st.lists(st.integers(0, 12), max_size=4),
     mark=st.none() | st.integers(0, 5),
     load_at=st.none() | st.integers(0, 5),
-    loaded=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 255)), min_size=1, max_size=4),
+    loaded=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 255)), min_size=1, max_size=4),
     extra=_OP,
+    batch=st.integers(1, 64),
 )
 @settings(max_examples=150, deadline=None)
-def test_scan_advance_matches_stepping(M, ops, cuts, mark, load_at, loaded, extra):
-    """advance over consecutive ranges, with metadata from one cut on and a
-    load at one cut, leaves the engine and the server exactly as stepping op
-    by op does, also for the step that follows."""
+def test_advance_over_cuts_matches_honest_oracle(engine, M, ops, cuts, mark, load_at, loaded, extra, batch):
+    """advance over consecutive ranges, in batches of any bound, with metadata
+    from one cut on and a load at one cut, leaves the answers, the server and
+    the client state exactly as the honest per-op probe loop does, also for
+    an op that follows a skipped one, as the codec's read block can."""
     cfg = OramConfig(m=1, M=M, w=8)
-    y = InputSequence(tuple(_scan_op(*t, M) for t in ops))
-    n = len(y)
-    advanced, stepped = make_engine("linear-scan", cfg, 0), make_engine("linear-scan", cfg, 0)
-    adv_srv, step_srv = ServerState(cfg, record_meta=False), ServerState(cfg, record_meta=True)
+    y = InputSequence(tuple(_scan_op(*t, M) for t in [*ops, extra, extra]))
+    n = len(ops)
+    advanced, honest = make_engine(engine, cfg, 0), make_engine(engine, cfg, 0)
+    n_cells = len(advanced.slot_owner) if engine == "tree" else M  # the server cells the engine uses
+    srv, ref = ServerState(cfg, record_meta=False), ReferenceServer(cfg)
     want = []
 
-    def step_range(r, start, stop):
+    def honest_range(r, start, stop):
         if r == load_at:
-            cells = [((a - 1) % M + 1, c) for a, c in loaded]
-            adv_srv.load(cells)
-            step_srv.load(cells)
-        for i in range(start, stop):
-            got = stepped.step(step_srv, y.ops[i], i)
-            if y.ops[i].kind == READ:
-                want.append(got)
+            cells = [((a - 1) % n_cells + 1, c) for a, c in loaded]
+            srv.load(cells)
+            ref.load(cells)
+        want.extend(_honest_advance(honest, ref, y, start, stop))
 
-    answers, meta_from = _advance_in_ranges(advanced, adv_srv, y, cuts, mark, step_range)
-    assert answers == want
-    adv_from = None if meta_from is None else 0  # the advanced server's columns start at its mark
-    assert _scan_state(adv_srv, adv_from) == _scan_state(step_srv, meta_from)
-    op = _scan_op(*extra, M)
-    for engine, srv in ((advanced, adv_srv), (stepped, step_srv)):
-        engine.step(srv, op, n)
-    assert _scan_state(adv_srv, adv_from) == _scan_state(step_srv, meta_from)
+    with mock.patch.object(orams, "BATCH_PROBES", batch):
+        answers, meta_from = _advance_in_ranges(advanced, srv, InputSequence(y.ops[:n]), cuts, mark, honest_range)
+        assert answers == want
+        srv_from = None if meta_from is None else 0  # the advanced server's columns start at its mark
+        assert _server_state(srv, n_cells, srv_from) == _server_state(ref, n_cells, meta_from)
+        assert advanced.export_state() == honest.export_state()
+        assert advanced.advance(srv, y, n + 1, n + 2) == _honest_advance(honest, ref, y, n + 1, n + 2)
+        assert _server_state(srv, n_cells, srv_from) == _server_state(ref, n_cells, meta_from)
+        assert advanced.export_state() == honest.export_state()
+
+
+@pytest.mark.parametrize("ops_per_batch", [None, 3])
+@pytest.mark.parametrize("limit", [0, 1])
+def test_stash_overflow_mid_batch_matches_honest_oracle(monkeypatch, limit, ops_per_batch):
+    """An op that overflows the stash in the middle of a batch sends the
+    probes through it, then raises naming it, as the honest per-op loop does."""
+    monkeypatch.setattr(TreeOram, "STASH_LIMIT", limit)
+    cfg = OramConfig(m=4, M=64, w=16)
+    y = InputSequence(tuple(InputOp(WRITE, a, a) for a in range(1, 65)))
+    engine, honest = make_engine("tree", cfg, 0), make_engine("tree", cfg, 0)
+    if ops_per_batch is not None:
+        monkeypatch.setattr(orams, "BATCH_PROBES", ops_per_batch * engine.probes_per_op())
+    srv, ref = ServerState(cfg), ReferenceServer(cfg)
+    with pytest.raises(StashOverflowError) as got:
+        engine.advance(srv, y, 0, len(y))
+    with pytest.raises(StashOverflowError) as want:
+        honest_tree_advance(honest, ref, y, 0, len(y))
+    assert str(got.value) == str(want.value)
+    failing = int(str(got.value).rsplit(" ", 1)[1])
+    per = orams.BATCH_PROBES // engine.probes_per_op()
+    assert failing % per and failing < len(y) - 1  # its batch had ops before it and was cut after it
+    n_cells = len(engine.slot_owner)
+    assert _server_state(srv, n_cells, 0) == _server_state(ref, n_cells, 0)
+    assert srv.op_column().max() == failing
+    assert engine.export_state() == honest.export_state()
 
 
 @pytest.mark.parametrize("engine", ["passthrough", "dummy-encoder", "dummy-leaker"])
@@ -466,18 +501,21 @@ def test_scan_advance_matches_stepping(M, ops, cuts, mark, load_at, loaded, extr
     ops=st.lists(_OP, min_size=1, max_size=12),
     cuts=st.lists(st.integers(0, 12), max_size=4),
     mark=st.none() | st.integers(0, 5),
+    batch=st.integers(1, 16),
 )
 @settings(max_examples=60, deadline=None)
-def test_batched_engine_advance_over_cuts_matches_one_range(engine, ops, cuts, mark):
-    """advance over any cut of the ops into ranges, with metadata from one cut
-    on as the codec's sender has it, leaves the server, the answers and the
-    client state as one advance over all the ops does."""
+def test_batched_engine_advance_over_cuts_matches_one_range(engine, ops, cuts, mark, batch):
+    """advance over any cut of the ops into ranges, in batches of any bound,
+    with metadata from one cut on as the codec's sender has it, leaves the
+    server, the answers and the client state as one advance over all the ops
+    in one batch does."""
     cfg = OramConfig(m=1, M=6, w=8)
     y = InputSequence(tuple(_scan_op(*t, cfg.M) for t in ops))
     cut, whole = (make_engine(engine, cfg, 5, n=len(y)) for _ in range(2))
     cut_srv, whole_srv = ServerState(cfg, record_meta=False), ServerState(cfg)
-    answers, meta_from = _advance_in_ranges(cut, cut_srv, y, cuts, mark, lambda r, start, stop: None)
+    with mock.patch.object(orams, "BATCH_PROBES", batch):
+        answers, meta_from = _advance_in_ranges(cut, cut_srv, y, cuts, mark, lambda r, start, stop: None)
     assert answers == whole.advance(whole_srv, y, 0, len(y))
     cut_from = None if meta_from is None else 0
-    assert _scan_state(cut_srv, cut_from) == _scan_state(whole_srv, meta_from)
+    assert _server_state(cut_srv, cfg.M, cut_from) == _server_state(whole_srv, cfg.M, meta_from)
     assert cut.export_state() == whole.export_state()
