@@ -34,7 +34,7 @@ from .core import (
     instantiate_workload,
     parse_workload_spec,
 )
-from .graph import AccessGraph, build_access_graph
+from .graph import AccessGraph
 from .orams import (
     ENGINE_NAMES,
     DummyLengthEncoder,

@@ -8,7 +8,13 @@ Estimator determinism: per-trial randomness is derived from (seed, trial
 index) by a fixed mixing function, and the two arms of an advantage estimate
 share the engine seed and the decision coin per trial (common random numbers;
 unbiased, and it makes "identical traces -> advantage exactly 0" hold sample
-by sample instead of only in the limit).
+by sample instead of only in the limit).  The trials run in contiguous
+chunks, one per worker; within a chunk each arm keeps its last trace and
+decision, and a trial whose trace equals it reuses the decision.  An
+oblivious engine's trace is the same for every input and seed, so its graph
+is decided once per chunk rather than once per trial.  The reuse is exact
+and every trial still flips its own coin, so results are identical for any
+number of workers.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .core import (
     gen_alternating_sequence,
     gen_write_read_blocks,
 )
-from .graph import build_access_graph
+from .graph import AccessGraph
 from .orams import run_sequence
 from .partition import greedy_dense_partition
 from .server import AccessSequence, adversary_view
@@ -108,15 +114,50 @@ def distinguish(
     it); otherwise it flips the supplied coin.  Consumes only the address
     projection of the trace.
     """
-    n = len(y)
-    if len(y_prime) != n:
+    k_prime = _reference_blocks(y, y_prime)
+    return _verdict(_has_dense_partition(trace, len(y), k_prime), coin)
+
+
+def _reference_blocks(y: InputSequence, y_prime: InputSequence) -> int:
+    """The block count k' of y_prime, for inputs of equal length."""
+    if len(y_prime) != len(y):
         raise ValueError("the distinguisher compares equal-length inputs")
-    k_prime, _ = parse_block_shape(y_prime)
-    threshold = Fraction(n, 5 * k_prime)
-    graph = build_access_graph(trace)
-    if greedy_dense_partition(graph, k_prime, threshold) is None:
+    return parse_block_shape(y_prime)[0]
+
+
+def _has_dense_partition(trace: AccessSequence, n: int, k: int) -> bool:
+    """Whether the trace's access graph has an (n/5k)-dense k-partition: every estimator's one decision."""
+    return greedy_dense_partition(AccessGraph(trace), k, Fraction(n, 5 * k)) is not None
+
+
+def _verdict(found: bool, coin: random.Random) -> DistinguisherVerdict:
+    if not found:
         return DistinguisherVerdict(1, NO_PARTITION)
     return DistinguisherVerdict(1 if coin.random() < 0.5 else 2, COIN_FLIP)
+
+
+class _LastDecision:
+    """The last trace one arm of a chunk produced and whether it held the dense partition.
+
+    Traces are compared with ``AccessSequence.cheap_eq``, so a repeating trace
+    is never built: a pair it cannot compare counts as a miss, one greedy call.
+    """
+
+    __slots__ = ("trace", "found")
+
+    def __init__(self):
+        self.trace, self.found = None, False
+
+    def decide(self, trace: AccessSequence, n: int, k: int) -> bool:
+        if self.trace is None or not self.trace.cheap_eq(trace):
+            self.trace, self.found = trace, _has_dense_partition(trace, n, k)
+        return self.found
+
+
+def _trial_trace(engine: str, config: OramConfig, y: InputSequence, engine_seed: int) -> AccessSequence:
+    """The adversary's view of one engine run on y; the run's server is freed on return."""
+    _, server = run_sequence(engine, config, y, engine_seed, record_meta=False)
+    return adversary_view(server)
 
 
 @dataclass(frozen=True)
@@ -131,16 +172,18 @@ class AdvantageEstimate:
         return asdict(self)
 
 
-def _advantage_trial(args) -> tuple[int, int]:
-    engine, config, y, y_prime, seed, t = args
-    engine_seed = derive_seed(seed, t, 1)
-    coin_seed = derive_seed(seed, t, 2)
-    hits = []
-    for arm in (y, y_prime):
-        _, server = run_sequence(engine, config, arm, engine_seed, record_meta=False)
-        verdict = distinguish(y, y_prime, adversary_view(server), random.Random(coin_seed))
-        hits.append(1 if verdict.guess == 1 else 0)
-    return hits[0], hits[1]
+def _advantage_chunk(args) -> tuple[int, int]:
+    """Guess-1 counts on y and on y_prime over a range of trials."""
+    engine, config, y, y_prime, k_prime, seed, trials = args
+    arms = ((y, _LastDecision()), (y_prime, _LastDecision()))
+    ones = [0, 0]
+    for t in trials:
+        engine_seed = derive_seed(seed, t, 1)
+        coin_seed = derive_seed(seed, t, 2)
+        for arm, (y_arm, last) in enumerate(arms):
+            found = last.decide(_trial_trace(engine, config, y_arm, engine_seed), len(y), k_prime)
+            ones[arm] += _verdict(found, random.Random(coin_seed)).guess == 1
+    return ones[0], ones[1]
 
 
 def estimate_advantage(
@@ -156,16 +199,15 @@ def estimate_advantage(
 
     Runs the engine ``trials`` times on each input with derived per-trial
     seeds and reports both guess-1 frequencies, their absolute difference,
-    and a 95% normal-approximation half-width floored at 1/trials.
+    and a 95% normal-approximation half-width floored at 1/trials.  Each
+    trial decides as ``distinguish`` does, with a trace equal to the arm's
+    previous one reusing its decision.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    argses = [(engine, config, y, y_prime, seed, t) for t in range(trials)]
-    ones_y = 0
-    ones_yp = 0
-    for g1, g2 in _map_trials(_advantage_trial, argses, jobs):
-        ones_y += g1
-        ones_yp += g2
+    k_prime = _reference_blocks(y, y_prime)
+    chunks = _map_chunks(_advantage_chunk, (engine, config, y, y_prime, k_prime, seed), trials, jobs)
+    ones_y, ones_yp = map(sum, zip(*chunks))
     p1 = ones_y / trials
     p2 = ones_yp / trials
     var = p1 * (1 - p1) / trials + p2 * (1 - p2) / trials
@@ -179,8 +221,8 @@ def estimate_advantage(
     )
 
 
-def _frequency_trial(args) -> bool:
-    engine, config, n, k, seed, family, t = args
+def _frequency_trace(engine, config, n, k, seed, family, t) -> AccessSequence:
+    """Trial t's trace: a fresh workload sample run from a fresh engine seed."""
     workload_seed = derive_seed(seed, t, 3)
     engine_seed = derive_seed(seed, t, 4)
     if family == "blocks":
@@ -189,9 +231,14 @@ def _frequency_trial(args) -> bool:
         y = gen_alternating_sequence(n)
     else:
         raise ValueError(f"unknown workload family {family!r}")
-    _, server = run_sequence(engine, config, y, engine_seed, record_meta=False)
-    graph = build_access_graph(adversary_view(server))
-    return greedy_dense_partition(graph, k, Fraction(n, 5 * k)) is not None
+    return _trial_trace(engine, config, y, engine_seed)
+
+
+def _frequency_chunk(args) -> int:
+    """How many of a range of trials find the dense partition."""
+    engine, config, n, k, seed, family, trials = args
+    last = _LastDecision()
+    return sum(last.decide(_frequency_trace(engine, config, n, k, seed, family, t), n, k) for t in trials)
 
 
 def dense_partition_frequency(
@@ -205,19 +252,23 @@ def dense_partition_frequency(
     jobs: int = 1,
 ) -> Fraction:
     """Fraction of fresh (workload sample, engine run) trials whose access
-    graph admits an (n/5k)-dense k-partition."""
+    graph admits an (n/5k)-dense k-partition; a trace equal to the previous
+    trial's reuses its decision."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    argses = [(engine, config, n, k, seed, family, t) for t in range(trials)]
-    found = sum(1 for hit in _map_trials(_frequency_trial, argses, jobs) if hit)
-    return Fraction(found, trials)
+    found = _map_chunks(_frequency_chunk, (engine, config, n, k, seed, family), trials, jobs)
+    return Fraction(sum(found), trials)
 
 
-def _map_trials(worker, argses, jobs):
-    if jobs <= 1:
-        return [worker(a) for a in argses]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, argses, chunksize=max(1, len(argses) // (4 * jobs))))
+def _map_chunks(worker, args: tuple, trials: int, jobs: int) -> list:
+    """worker(args + (chunk,)) over trials 0..trials-1 cut into at most jobs
+    contiguous chunks: in this process for one chunk, else one worker process each."""
+    parts = max(1, min(jobs, trials))
+    argses = [(*args, range(trials * j // parts, trials * (j + 1) // parts)) for j in range(parts)]
+    if parts == 1:
+        return [worker(argses[0])]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        return list(pool.map(worker, argses))
 
 
 # -- statistical distance ---------------------------------------------------

@@ -21,7 +21,7 @@ from ._util import ModelViolationError, as_fraction
 from .adversary import dense_partition_frequency, estimate_advantage
 from .codec import DecodeError, alice_encode, block_data, bob_decode
 from .core import OramConfig, gen_write_read_blocks, instantiate_workload, parse_workload_spec
-from .graph import build_access_graph
+from .graph import AccessGraph
 from .orams import ENGINE_NAMES, StashOverflowError
 from .partition import CertificateError
 from .traceio import TraceFile, analyze_trace, read_trace, run_trace, write_trace
@@ -240,7 +240,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_graph_export(args) -> int:
     tf = read_trace(args.trace)
-    graph = build_access_graph(tf.addrs)
+    graph = AccessGraph(tf.addrs)
     lines = []
     if args.format == "dot":
         lines.append("digraph access {")

@@ -11,6 +11,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ._util import ModelViolationError
 
@@ -61,6 +64,18 @@ class OramConfig:
         if not 0 <= op.data < (1 << self.w):
             raise ModelViolationError(f"data {op.data} does not fit in {self.w} bits")
 
+    def check_ops(self, y: "InputSequence") -> None:
+        """``check_op`` on every op of y, as one range check on y's cached ``extent``.
+
+        Only a sequence that fails it is walked op by op, so the error names its first bad op.
+        """
+        if y.extent is not None:
+            kinds, lo, hi, data_lo, data_hi = y.extent
+            if kinds <= {READ, WRITE} and 1 <= lo and hi <= self.M and 0 <= data_lo and data_hi < 1 << self.w:
+                return
+        for op in y:
+            self.check_op(op)
+
 
 @dataclass(frozen=True)
 class InputOp:
@@ -73,7 +88,33 @@ class InputOp:
 
 @dataclass(frozen=True)
 class InputSequence:
+    """The ops in order; ``extent`` and ``columns`` are built on first use and kept."""
+
     ops: tuple[InputOp, ...]
+
+    @cached_property
+    def extent(self) -> tuple[frozenset, int, int, int, int] | None:
+        """(the op kinds, lowest and highest address, lowest and highest data) of the ops.
+
+        None for no ops, or for fields that do not compare.
+        """
+        if not self.ops:
+            return None
+        addrs, data = [op.addr for op in self.ops], [op.data for op in self.ops]
+        try:
+            return frozenset(op.kind for op in self.ops), min(addrs), max(addrs), min(data), max(data)
+        except TypeError:
+            return None
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every op's (is_write, addr, data), as a bool and two int64 arrays."""
+        ops = self.ops
+        return (
+            np.array([op.kind == WRITE for op in ops], dtype=bool),
+            np.array([op.addr for op in ops], dtype=np.int64),
+            np.array([op.data for op in ops], dtype=np.int64),
+        )
 
     @property
     def n(self) -> int:

@@ -87,8 +87,3 @@ class AccessGraph:
     def __repr__(self) -> str:
         return f"AccessGraph(N={self.N}, edges={self.edge_count})"
 
-
-def build_access_graph(trace) -> AccessGraph:
-    """Build the access graph of an access sequence (or raw address list)."""
-    return AccessGraph(trace)
-

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from ._util import ModelViolationError
-from .core import READ, WRITE, InputOp, InputSequence, OramConfig
+from .core import READ, WRITE, InputSequence, OramConfig
 from .server import FINAL_OP, ServerState
 
 ENGINE_NAMES = ("passthrough", "linear-scan", "tree", "dummy-encoder", "dummy-leaker")
@@ -88,25 +88,27 @@ def _ops_per_batch(probes_per_op: int) -> int:
     return max(1, BATCH_PROBES // probes_per_op)
 
 
-def _direct_probes(server: ServerState, ops: tuple[InputOp, ...], start: int, extra_reads) -> list[int]:
-    """Input ops start, start+1, ... in bounded batches; returns the answers of their reads.
+def _direct_probes(server: ServerState, y: InputSequence, start: int, stop: int, extra_reads) -> list[int]:
+    """Input ops start..stop-1 of y in bounded batches; returns the answers of their reads.
 
     Each op probes its own address, then reads address 1 extra_reads times
-    (one count for every op, or one per op).
+    (one count for every op, or one per op).  The ops come from y's cached
+    ``columns``.
     """
-    counts = np.full(len(ops), 1, dtype=np.int64) + np.asarray(extra_reads, dtype=np.int64)
+    op_writes, op_addrs, op_data = (col[start:stop] for col in y.columns)
+    counts = np.full(len(op_addrs), 1, dtype=np.int64) + np.asarray(extra_reads, dtype=np.int64)
     per = _ops_per_batch(int(counts.max(initial=1)))
     answers = []
-    for lo in range(0, len(ops), per):
-        batch, c = ops[lo : lo + per], counts[lo : lo + per]
+    for lo in range(0, len(op_addrs), per):
+        c = counts[lo : lo + per]
         firsts = np.cumsum(c) - c  # each op's own probe
         kinds, data = np.zeros((2, int(c.sum())), dtype=np.int64)
         addrs = np.ones_like(kinds)
-        is_write = np.array([op.kind == WRITE for op in batch], dtype=bool)
+        is_write = op_writes[lo : lo + per]
         kinds[firsts] = is_write
-        addrs[firsts] = [op.addr for op in batch]
-        data[firsts] = [op.data for op in batch]
-        got = server.probe_batch(kinds, addrs, data, np.repeat(np.arange(start + lo, start + lo + len(batch)), c))
+        addrs[firsts] = op_addrs[lo : lo + per]
+        data[firsts] = op_data[lo : lo + per]
+        got = server.probe_batch(kinds, addrs, data, np.repeat(np.arange(start + lo, start + lo + len(c)), c))
         answers += got[firsts][~is_write].tolist()
     return answers
 
@@ -117,7 +119,7 @@ class Passthrough(Engine):
     name = "passthrough"
 
     def advance(self, server, y, start, stop):
-        return _direct_probes(server, y.ops[start:stop], start, 0)
+        return _direct_probes(server, y, start, stop, 0)
 
 
 class LinearScan(Engine):
@@ -309,6 +311,11 @@ class DummyLengthEncoder(Engine):
     if the random sequence ends up strictly smaller, one extra read of
     address 1 is issued after the last op.  Trace length is always 2n or
     2n + 1, and the 2n+1 probability equals rank(y) / |sample space|.
+
+    Once the comparison is decided, the remaining comparands change nothing
+    but the RNG state: ``advance`` counts them as owed, and only
+    ``export_state`` draws them, so a snapshot holds the state the op-by-op
+    draws leave.
     """
 
     name = "dummy-encoder"
@@ -316,6 +323,7 @@ class DummyLengthEncoder(Engine):
     def __init__(self, config, rng, forced_comparand: Iterable[tuple[str, int, int]] | None = None):
         super().__init__(config, rng)
         self._cmp = 0  # -1: random sequence already smaller, +1: larger, 0: tied so far
+        self._owed = 0  # comparands skipped since the comparison was decided
         self._forced: Iterator[tuple[str, int, int]] | None = (
             iter(forced_comparand) if forced_comparand is not None else None
         )
@@ -329,14 +337,16 @@ class DummyLengthEncoder(Engine):
         return kind, addr, data
 
     def advance(self, server, y, start, stop):
+        answers = _direct_probes(server, y, start, stop, 1)
         ops = y.ops[start:stop]
-        answers = _direct_probes(server, ops, start, 1)
-        for op in ops:  # one comparand per op in op order: the RNG state does not depend on the cuts
-            r_kind, r_addr, r_data = self._draw_op()
-            if self._cmp == 0:
-                a = op_order_key(r_kind, r_addr, r_data)
-                b = op_order_key(op.kind, op.addr, op.data)
-                self._cmp = -1 if a < b else (1 if a > b else 0)
+        # one comparand per op in op order, drawn or owed, so the RNG state does not depend on the cuts
+        for drawn, op in enumerate(ops):
+            if self._cmp:
+                self._owed += len(ops) - drawn
+                break
+            a = op_order_key(*self._draw_op())
+            b = op_order_key(op.kind, op.addr, op.data)
+            self._cmp = -1 if a < b else (1 if a > b else 0)
         return answers
 
     def finalize(self, server):
@@ -345,10 +355,13 @@ class DummyLengthEncoder(Engine):
             server.probe_batch([0], [1], [0], FINAL_OP)
 
     def export_state(self):
+        for _ in range(self._owed):
+            self._draw_op()
+        self._owed = 0
         return {"cmp": self._cmp, "rng": self.rng.getstate()}
 
     def import_state(self, state):
-        self._cmp = state["cmp"]
+        self._cmp, self._owed = state["cmp"], 0
         self.rng.setstate(state["rng"])
 
 
@@ -380,12 +393,10 @@ class DummyLengthLeaker(Engine):
     def advance(self, server, y, start, stop):
         if stop > self.n:
             raise ModelViolationError(f"dummy-leaker was sized for n={self.n} ops")
-        ops = y.ops[start:stop]
-        extra = [
-            2 if j < self.i else 1 + (self.r <= op.addr) if j == self.i else 0
-            for j, op in enumerate(ops, start + 1)  # j: 1-based op number
-        ]
-        return _direct_probes(server, ops, start, extra)
+        addrs = y.columns[1][start:stop]
+        j = np.arange(start + 1, start + 1 + len(addrs))  # 1-based op numbers
+        extra = np.where(j < self.i, 2, np.where(j == self.i, 1 + (self.r <= addrs), 0))
+        return _direct_probes(server, y, start, stop, extra)
 
     def export_state(self):
         return {"i": self.i, "r": self.r, "rng": self.rng.getstate()}
@@ -437,8 +448,7 @@ def run_sequence(
     probe log.  Deterministic given the seed.
     """
     config.bind_workload_length(len(y))
-    for op in y:
-        config.check_op(op)
+    config.check_ops(y)
     engine = make_engine(kind, config, seed, n=len(y) or None, forced=forced)
     server = ServerState(config, record_meta=record_meta)
     answers = engine.run(server, y)

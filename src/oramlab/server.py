@@ -22,7 +22,8 @@ the store's for the run's first op).  A trace that repeats one period (the
 linear scan's, logged without metadata) is kept as ``AccessSequence.repeating``
 through ``adversary_view``: ``window`` builds only what is read, and
 ``addrs`` and ``addr_column()`` build it all, once; ``addr_column(start)``
-builds none of it when start is past it.
+builds none of it when start is past it, and ``==`` builds neither of two
+traces that repeat periods of one length.
 
 Metadata can start part way through a run: a server made with
 ``record_meta=False`` logs addresses only until ``begin_meta()`` returns the
@@ -140,7 +141,20 @@ class AccessSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AccessSequence):
             return NotImplemented
-        return np.array_equal(self.addrs, other.addrs)
+        same = self.cheap_eq(other)
+        return np.array_equal(self.addrs, other.addrs) if same is None else same
+
+    def cheap_eq(self, other: AccessSequence) -> bool | None:
+        """self == other where that builds no repeating trace, else None.
+
+        Two explicit traces compare their arrays; two that repeat periods of
+        one length compare N and the periods.
+        """
+        if self._period is None and other._period is None:
+            return np.array_equal(self._addrs, other._addrs)
+        if self._period is None or other._period is None or len(self._period) != len(other._period):
+            return None
+        return self.N == other.N and (not self.N or np.array_equal(self._period, other._period))
 
     def __repr__(self) -> str:
         return f"AccessSequence(N={self.N})"

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import as_fraction, powers_of_4_up_to
 from .core import InputSequence, OramConfig
-from .graph import AccessGraph, build_access_graph
+from .graph import AccessGraph
 from .orams import ENGINE_NAMES, run_sequence
 from .partition import CertificateError, certified_bound, certify, edge_lower_bound_from_certificate
 
@@ -232,7 +232,7 @@ def analyze_trace(tf: TraceFile, ell=None, k_max: int | None = None) -> Experime
     default_ell, default_kmax = default_analysis_params(tf.n, tf.m)
     ell = as_fraction(ell) if ell is not None else Fraction(default_ell)
     k_max = k_max if k_max is not None else default_kmax
-    graph: AccessGraph = build_access_graph(tf.addrs)
+    graph = AccessGraph(tf.addrs)
     cert = certify(graph, ell, k_max)
     bound = edge_lower_bound_from_certificate(cert)
     per_k = []

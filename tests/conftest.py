@@ -1,16 +1,30 @@
 """Shared helpers for the suite: graph invariant checks, random graphs and
 line-by-line oracles for the vectorized code paths (the server's probe, one
-at a time, and the scan and tree engines' honest per-op probe loops among
-them)."""
+at a time, the scan and tree engines' honest per-op probe loops, and the
+estimators' trial-by-trial loops among them)."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oramlab import WRITE, AccessGraph, ModelViolationError, StashOverflowError, TraceFile
+from oramlab import (
+    WRITE,
+    AccessGraph,
+    ModelViolationError,
+    StashOverflowError,
+    TraceFile,
+    adversary_view,
+    derive_seed,
+    distinguish,
+    gen_alternating_sequence,
+    gen_write_read_blocks,
+    greedy_dense_partition,
+    run_sequence,
+)
 from oramlab.orams import ENGINE_NAMES
 from oramlab.server import NO_WRITER
 from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
@@ -249,6 +263,40 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
                 f"stash holds {len(engine.stash)} blocks (> {engine.STASH_LIMIT}) after op {i}"
             )
     return answers
+
+
+def honest_advantage(engine: str, config, y, y_prime, trials: int, seed: int) -> tuple[float, float]:
+    """The advantage estimate's two guess-1 frequencies, trial by trial, straight off ``distinguish``.
+
+    Trial t runs the engine on each input from seed derive_seed(seed, t, 1)
+    and lets ``distinguish`` judge the trace with a coin seeded
+    derive_seed(seed, t, 2); nothing is shared between trials.
+    """
+    ones = [0, 0]
+    for t in range(trials):
+        engine_seed, coin_seed = derive_seed(seed, t, 1), derive_seed(seed, t, 2)
+        for arm, y_arm in enumerate((y, y_prime)):
+            _, server = run_sequence(engine, config, y_arm, engine_seed, record_meta=False)
+            verdict = distinguish(y, y_prime, adversary_view(server), random.Random(coin_seed))
+            ones[arm] += verdict.guess == 1
+    return ones[0] / trials, ones[1] / trials
+
+
+def honest_frequency(engine: str, config, n: int, k: int, trials: int, seed: int, family: str = "blocks") -> Fraction:
+    """The dense-partition frequency, trial by trial, with one greedy call per trial.
+
+    Trial t samples its workload from seed derive_seed(seed, t, 3) and runs
+    the engine from derive_seed(seed, t, 4).
+    """
+    found = 0
+    for t in range(trials):
+        if family == "blocks":
+            y, _ = gen_write_read_blocks(n, k, config.w, random.Random(derive_seed(seed, t, 3)))
+        else:
+            y = gen_alternating_sequence(n)
+        _, server = run_sequence(engine, config, y, derive_seed(seed, t, 4), record_meta=False)
+        found += greedy_dense_partition(AccessGraph(adversary_view(server)), k, Fraction(n, 5 * k)) is not None
+    return Fraction(found, trials)
 
 
 def reference_read_trace(path) -> TraceFile:

@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from oramlab import (
+    AccessGraph,
     InputOp,
     InputSequence,
     OramConfig,
@@ -20,7 +21,6 @@ from oramlab import (
     block_data,
     bob_decode,
     brute_force_dense_partition,
-    build_access_graph,
     dense_partition_frequency,
     estimate_advantage,
     gen_alternating_sequence,
@@ -100,14 +100,14 @@ def test_02_access_graph_invariants_across_engine_traces():
         for _, y in workloads:
             for seed in (0, 1, 2):
                 _, srv = run_sequence(engine, cfg, y, seed=seed)
-                assert_graph_invariants(build_access_graph(adversary_view(srv)))
+                assert_graph_invariants(AccessGraph(adversary_view(srv)))
                 checked += 1
     # one larger trace per engine family
     big_cfg = OramConfig(m=2, M=256, w=32)
     y_big, _ = gen_write_read_blocks(256, 8, 32, random.Random(9))
     for engine in ("linear-scan", "tree", "dummy-encoder"):
         _, srv = run_sequence(engine, big_cfg, y_big, seed=5, record_meta=False)
-        assert_graph_invariants(build_access_graph(adversary_view(srv)))
+        assert_graph_invariants(AccessGraph(adversary_view(srv)))
         checked += 1
     assert checked == len(ALL_ENGINES) * len(workloads) * 3 + 3
     _passed("02 access-graph invariants")
@@ -226,7 +226,7 @@ def test_08_dense_partition_frequency_at_scale():
     # spot-check the graph invariants on one full-size trace
     y, _ = gen_write_read_blocks(4096, 4, cfg.w, random.Random(0))
     _, srv = run_sequence("linear-scan", cfg, y, seed=0, record_meta=False)
-    g = build_access_graph(adversary_view(srv))
+    g = AccessGraph(adversary_view(srv))
     assert_graph_invariants(g)
     assert g.N == 2 * 4096 * 4096
     _passed("08 dense-partition frequency at scale")
@@ -247,7 +247,7 @@ def test_09_certified_bound_grows_superlinearly():
         assert report.deviations, "tree engine must disclose its memory-budget deviation"
         rows.append((n, report.certified_probe_bound, report.measured_probes))
         if n == 2**10:
-            assert_graph_invariants(build_access_graph(tf.addrs))
+            assert_graph_invariants(AccessGraph(tf.addrs))
     ratios = [bound / n for n, bound, _ in rows]
     assert ratios == sorted(ratios) and len(set(ratios)) == len(ratios), rows
     _passed("09 certificate soundness and growth")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +22,11 @@ from oramlab import (
     statistical_distance_empirical,
     statistical_distance_exact,
 )
-from oramlab.adversary import COIN_FLIP, NO_PARTITION, trace_digest
+from oramlab import adversary
+from oramlab.adversary import COIN_FLIP, NO_PARTITION, _has_dense_partition, _LastDecision, trace_digest
 from oramlab.server import AccessSequence
+
+from conftest import honest_advantage, honest_frequency
 
 
 class TestBlockShapeParsing:
@@ -146,6 +150,71 @@ class TestFrequency:
         cfg = OramConfig(m=1, M=40, w=32)
         freq = dense_partition_frequency("passthrough", cfg, n=40, k=2, trials=50, seed=3, family="alt")
         assert freq == 0
+
+
+ORACLE_CFG = OramConfig(m=1, M=40, w=16)
+ORACLE_TRIALS = 16
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("engine", ["passthrough", "linear-scan", "dummy-encoder", "tree"])
+def test_estimators_match_the_trial_by_trial_loops(engine, jobs):
+    """Reusing the decision of a repeated trace, and splitting the trials
+    over workers, changes no estimate: the first three engines repeat their
+    traces, the tree's differ from trial to trial."""
+    y = gen_alternating_sequence(40)
+    y_prime, _ = gen_write_read_blocks(40, 2, 16, random.Random(5))
+    est = estimate_advantage(engine, ORACLE_CFG, y, y_prime, trials=ORACLE_TRIALS, seed=11, jobs=jobs)
+    assert (est.p1_on_y, est.p1_on_yprime) == honest_advantage(engine, ORACLE_CFG, y, y_prime, ORACLE_TRIALS, 11)
+    for k, family in ((2, "blocks"), (4, "alt")):
+        got = dense_partition_frequency(engine, ORACLE_CFG, 40, k, ORACLE_TRIALS, 11, family=family, jobs=jobs)
+        assert got == honest_frequency(engine, ORACLE_CFG, 40, k, ORACLE_TRIALS, 11, family=family)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_frequency_matches_the_trial_loop_when_decisions_flip(jobs):
+    # every probe hits address 1 and the leaker's draw sets the trace length,
+    # so only the longer traces hold 30 parts
+    got = dense_partition_frequency("dummy-leaker", ORACLE_CFG, 40, 30, 40, 11, family="alt", jobs=jobs)
+    assert 0 < got < 1
+    assert got == honest_frequency("dummy-leaker", ORACLE_CFG, 40, 30, 40, 11, family="alt")
+
+
+@pytest.mark.parametrize("engine, distinct", [("passthrough", 1), ("linear-scan", 1), ("tree", 12)])
+def test_each_distinct_trace_is_decided_once(monkeypatch, engine, distinct):
+    """Passthrough and the scan give one trace per arm over all trials; every tree trace differs."""
+    calls = []
+    greedy = adversary.greedy_dense_partition
+    monkeypatch.setattr(adversary, "greedy_dense_partition", lambda *args: calls.append(args) or greedy(*args))
+    y = gen_alternating_sequence(40)
+    y_prime, _ = gen_write_read_blocks(40, 2, 16, random.Random(5))
+    estimate_advantage(engine, ORACLE_CFG, y, y_prime, trials=12, seed=3)
+    assert len(calls) == 2 * distinct
+    del calls[:]
+    dense_partition_frequency(engine, ORACLE_CFG, 40, 2, trials=12, seed=3)
+    assert len(calls) == distinct
+
+
+def test_last_decision_reuses_only_traces_it_compares_unbuilt(monkeypatch):
+    period = np.repeat(np.arange(1, 9), 2)
+    traces = [
+        AccessSequence.repeating(period, 8),
+        AccessSequence.repeating(period, 8),  # equal: reused
+        AccessSequence(np.tile(period, 8)),  # equal, but comparing it would build the repeating trace
+        AccessSequence(np.tile(period, 8)),  # equal: reused
+        AccessSequence(np.arange(1, 129)),  # no edges, so no partition
+        AccessSequence(np.arange(1, 129)),  # equal: reused
+        AccessSequence.repeating(period, 8),  # the decision before last is gone
+    ]
+    want = [_has_dense_partition(t, 40, 1) for t in traces]
+    assert want == [True] * 4 + [False] * 2 + [True]
+    calls = []
+    greedy = adversary.greedy_dense_partition
+    monkeypatch.setattr(adversary, "greedy_dense_partition", lambda *args: calls.append(args) or greedy(*args))
+    monkeypatch.setattr(AccessSequence, "addrs", property(lambda seq: pytest.fail("a trace was built")))
+    last = _LastDecision()
+    assert [last.decide(t, 40, 1) for t in traces] == want
+    assert len(calls) == 4
 
 
 class TestExactDistance:

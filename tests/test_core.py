@@ -8,12 +8,14 @@ from oramlab import (
     READ,
     WRITE,
     InputOp,
+    InputSequence,
     ModelViolationError,
     OramConfig,
     gen_alternating_sequence,
     gen_write_read_blocks,
     instantiate_workload,
     parse_workload_spec,
+    run_sequence,
 )
 
 
@@ -44,6 +46,28 @@ class TestConfig:
             cfg.check_op(InputOp(WRITE, 5, 0))
         with pytest.raises(ModelViolationError):
             cfg.check_op(InputOp(WRITE, 1, 16))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (InputOp("X", 1, 0), "unknown op kind 'X'"),
+            (InputOp(READ, 0, 0), "address 0 outside [1, 4]"),
+            (InputOp(WRITE, 5, 0), "address 5 outside [1, 4]"),
+            (InputOp(WRITE, 1, -1), "data -1 does not fit in 4 bits"),
+            (InputOp(WRITE, 1, 16), "data 16 does not fit in 4 bits"),
+            (InputOp(WRITE, 1, 1 << 80), f"data {1 << 80} does not fit in 4 bits"),  # beyond int64
+        ],
+    )
+    def test_sequence_check_names_the_first_bad_op(self, bad, message):
+        cfg = OramConfig(m=1, M=4, w=4)
+        good = InputOp(WRITE, 4, 15)
+        for y in (InputSequence((good, bad)), InputSequence((good, bad, InputOp(WRITE, 9, 99)))):
+            for check in (cfg.check_ops, lambda seq: run_sequence("passthrough", cfg, seq, seed=0)):
+                with pytest.raises(ModelViolationError) as got:
+                    check(y)
+                assert str(got.value) == message
+        cfg.check_ops(InputSequence((InputOp(WRITE, 4, 15), InputOp(READ, 1, 0))))
+        cfg.check_ops(InputSequence(()))
 
 
 class TestAlternating:

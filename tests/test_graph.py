@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oramlab import build_access_graph
+from oramlab import AccessGraph
 
 from conftest import (
     assert_graph_invariants,
@@ -19,30 +19,30 @@ addr_lists = st.lists(st.integers(min_value=1, max_value=6), max_size=24)
 
 
 def test_interleaved_pair():
-    g = build_access_graph([5, 7, 5, 7])
+    g = AccessGraph([5, 7, 5, 7])
     assert g.edges == [(0, 2), (1, 3)]
 
 
 def test_consecutive_occurrences_only():
-    g = build_access_graph([3, 3, 3])
+    g = AccessGraph([3, 3, 3])
     assert g.edges == [(0, 1), (1, 2)]  # (0, 2) is excluded: 1 sits in between
 
 
 def test_empty_trace():
-    g = build_access_graph([])
+    g = AccessGraph([])
     assert g.N == 0 and g.edge_count == 0
     assert len(g.crossing_edges(0, 0, 0)) == 0
 
 
 def test_crossing_examples():
-    g = build_access_graph([5, 7, 5, 7])
+    g = AccessGraph([5, 7, 5, 7])
     assert len(g.crossing_edges(0, 2, 4)) == 2
     assert len(g.crossing_edges(0, 1, 4)) == 1
     assert len(g.crossing_edges(2, 3, 4)) == 0
 
 
 def test_crossing_rejects_bad_bounds():
-    g = build_access_graph([1, 1])
+    g = AccessGraph([1, 1])
     with pytest.raises(ValueError):
         g.crossing_edges(1, 0, 2)
     with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ def test_crossing_rejects_bad_bounds():
 @given(addrs=addr_lists)
 @settings(max_examples=100)
 def test_structural_invariants(addrs):
-    g = build_access_graph(addrs)
+    g = AccessGraph(addrs)
     assert_graph_invariants(g)
     # pred holds exactly the edges: each edge's source at its target, -1 elsewhere
     want = np.full(g.N, -1, dtype=np.int64)
@@ -64,15 +64,15 @@ def test_structural_invariants(addrs):
 @given(addrs=addr_lists)
 @settings(max_examples=60)
 def test_build_is_pure(addrs):
-    g1 = build_access_graph(addrs)
-    g2 = build_access_graph(addrs)
+    g1 = AccessGraph(addrs)
+    g2 = AccessGraph(addrs)
     assert g1.edges == g2.edges and g1.N == g2.N
 
 
 @given(addrs=st.lists(st.integers(min_value=1, max_value=4), max_size=12), data=st.data())
 @settings(max_examples=120)
 def test_crossing_count_against_brute_force(addrs, data):
-    g = build_access_graph(addrs)
+    g = AccessGraph(addrs)
     n = g.N
     a = data.draw(st.integers(0, n))
     m = data.draw(st.integers(a, n))
@@ -83,7 +83,7 @@ def test_crossing_count_against_brute_force(addrs, data):
 @given(addrs=st.lists(st.integers(min_value=1, max_value=5), max_size=20), data=st.data())
 @settings(max_examples=200)
 def test_crossing_edges_match_brute_force_edge_set(addrs, data):
-    g = build_access_graph(addrs)
+    g = AccessGraph(addrs)
     a = data.draw(st.integers(0, g.N))
     m = data.draw(st.integers(a, g.N))
     b = data.draw(st.integers(m, g.N))
@@ -95,7 +95,7 @@ def test_crossing_edges_match_brute_force_edge_set(addrs, data):
 
 def test_crossing_edges_lie_in_their_window():
     addrs = [1, 2, 1, 3, 2, 1, 3]
-    g = build_access_graph(addrs)
+    g = AccessGraph(addrs)
     u, v = g.edge_arrays()
     for a, m, b in [(0, 3, 7), (1, 2, 5), (0, 0, 7), (2, 4, 6)]:
         at = g.crossing_edges(a, m, b)
@@ -134,7 +134,7 @@ def test_graph_from_edges_realizes_exactly():
     rng = random.Random(99)
     for _ in range(200):
         g = random_degree_bounded_graph(rng, max_n=9)
-        rebuilt = build_access_graph(g.A)
+        rebuilt = AccessGraph(g.A)
         assert sorted(rebuilt.edges) == sorted(g.edges)
         assert_graph_invariants(g)
 

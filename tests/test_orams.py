@@ -231,6 +231,20 @@ class TestDummyEncoder:
         _, srv = run_sequence("dummy-encoder", cfg, y, seed=0, forced=[(READ, 3, 0), (WRITE, 1, 0)])
         assert srv.probe_count == 2 * 2
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_snapshot_holds_every_comparand_draw(self, seed):
+        # the comparison is decided within a few ops, and the snapshot still
+        # shows the RNG after one comparand per op, as drawing them all leaves it
+        y = random_sequence(random.Random(seed), 9, CFG.M, CFG.w)
+        engine = make_engine("dummy-encoder", CFG, seed)
+        engine.advance(ServerState(CFG), y, 0, 5)
+        engine.advance(ServerState(CFG), y, 5, len(y))
+        honest = random.Random(seed)
+        for _ in y:
+            honest.getrandbits(1), honest.randrange(CFG.M), honest.getrandbits(CFG.w)
+        assert engine.export_state()["rng"] == honest.getstate()
+        assert engine.export_state()["rng"] == honest.getstate()  # owed draws are made once
+
     def test_op_order_key_total_order(self):
         ordering = [
             (WRITE, 1, 0), (WRITE, 1, 1), (WRITE, 2, 0), (WRITE, 2, 1),

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
+    AccessGraph,
     AccessSequence,
     CertificateError,
     OramConfig,
     Partition,
     adversary_view,
     brute_force_dense_partition,
-    build_access_graph,
     certify,
     edge_lower_bound_from_certificate,
     expected_edge_lower_bound,
@@ -58,7 +58,7 @@ class TestFrozenVerdicts:
 
 
 def test_brute_force_is_capped():
-    g = build_access_graph([1] * 19)
+    g = AccessGraph([1] * 19)
     with pytest.raises(ValueError):
         brute_force_dense_partition(g, 1, 1)
 
@@ -92,7 +92,7 @@ def test_greedy_matches_brute_force(seed, k, ell):
 @settings(max_examples=120, deadline=None)
 def test_greedy_matches_brute_force_on_raw_traces(addrs, k, ell):
     # graphs born from address sequences, not synthetic edge sets
-    g = build_access_graph(addrs)
+    g = AccessGraph(addrs)
     assert (greedy_dense_partition(g, k, ell) is None) == (
         brute_force_dense_partition(g, k, ell) is None
     )
@@ -113,7 +113,7 @@ def test_density_monotone_in_threshold(seed, k):
 )
 @settings(max_examples=150, deadline=None)
 def test_greedy_witness_matches_definition(addrs, k, ell):
-    got = greedy_dense_partition(build_access_graph(addrs), k, ell)
+    got = greedy_dense_partition(AccessGraph(addrs), k, ell)
     want = reference_greedy_witness(addrs, k, ell)
     assert (None if got is None else got.boundaries) == want
 
@@ -129,28 +129,28 @@ def test_greedy_witness_matches_definition(addrs, k, ell):
 @example(period=[1, 2, 3, 4], reps=30, k=16, ell=4)
 @settings(max_examples=200, deadline=None)
 def test_greedy_reads_a_repeating_trace_like_its_tile(period, reps, k, ell):
-    tiled = build_access_graph(np.tile(np.array(period, dtype=np.int64), reps))
-    lazy = build_access_graph(AccessSequence.repeating(period, reps))
+    tiled = AccessGraph(np.tile(np.array(period, dtype=np.int64), reps))
+    lazy = AccessGraph(AccessSequence.repeating(period, reps))
     assert greedy_dense_partition(lazy, k, ell) == greedy_dense_partition(tiled, k, ell)
 
 
 def test_greedy_builds_only_the_windows_it_reads(monkeypatch):
     period = np.repeat(np.arange(1, 65), 2)
-    want = greedy_dense_partition(build_access_graph(np.tile(period, 64)), 4, 8)
+    want = greedy_dense_partition(AccessGraph(np.tile(period, 64)), 4, 8)
     assert want is not None and want.boundaries[-2] < 8 * len(period)  # a prefix of 64 periods
 
     def unbuilt(seq):
         raise AssertionError("the greedy built the whole address array")
 
     monkeypatch.setattr(AccessSequence, "addrs", property(unbuilt))
-    assert greedy_dense_partition(build_access_graph(AccessSequence.repeating(period, 64)), 4, 8) == want
+    assert greedy_dense_partition(AccessGraph(AccessSequence.repeating(period, 64)), 4, 8) == want
 
 
 def _witness_digest(engine: str, n: int, k_max: int) -> tuple[list[int], str]:
     cfg = OramConfig(m=4, M=n, w=32)
     y, _ = gen_write_read_blocks(n, 4, cfg.w, random.Random(n))
     _, srv = run_sequence(engine, cfg, y, seed=n + 1, record_meta=False)
-    cert = certify(build_access_graph(adversary_view(srv)), Fraction(n, 5), k_max)
+    cert = certify(AccessGraph(adversary_view(srv)), Fraction(n, 5), k_max)
     items = sorted((k, p.boundaries) for k, p in cert.witnessed.items())
     return [k for k, _ in items], hashlib.blake2b(repr(items).encode(), digest_size=16).hexdigest()
 
@@ -181,7 +181,7 @@ class TestCertificates:
         cfg = OramConfig(m=1, M=64, w=32)
         y, _ = gen_write_read_blocks(n, 4, cfg.w, random.Random(12))
         _, srv = run_sequence("linear-scan", cfg, y, seed=0, record_meta=False)
-        g = build_access_graph(adversary_view(srv))
+        g = AccessGraph(adversary_view(srv))
         return g, certify(g, ell, k_max)
 
     def test_full_scan_certifies_at_least_k1(self):
@@ -275,7 +275,7 @@ class TestCertificates:
         cfg = OramConfig(m=2, M=n, w=32)
         y, _ = gen_write_read_blocks(n, 2, cfg.w, random.Random(seed))
         _, srv = run_sequence(engine, cfg, y, seed=seed, record_meta=False)
-        g = build_access_graph(adversary_view(srv))
+        g = AccessGraph(adversary_view(srv))
         cert = certify(g, ell, 64)
         exhibited = set()
         for partition in cert.witnessed.values():

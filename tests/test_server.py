@@ -8,6 +8,8 @@ from oramlab import (
     READ,
     WRITE,
     AccessSequence,
+    InputOp,
+    InputSequence,
     ModelViolationError,
     OramConfig,
     ServerState,
@@ -240,6 +242,31 @@ def test_repeating_scan_log_is_its_tile():
     assert servers[1].probe_count == len(tile) + 1
     assert adversary_view(servers[1]).addrs.tolist() == tile.tolist() + [3]
     assert servers[1].addr_column().tolist() == tile.tolist() + [3]
+
+
+def test_repeating_scan_views_compare_unbuilt(monkeypatch):
+    cfg = OramConfig(m=1, M=6, w=8)
+    y, y_other = gen_alternating_sequence(6), InputSequence((InputOp(WRITE, 3, 7), InputOp(READ, 5, 0)) * 3)
+    views = [adversary_view(run_sequence("linear-scan", cfg, seq, seed=seed, record_meta=False)[1])
+             for seq, seed in ((y, 0), (y_other, 9), (gen_alternating_sequence(4), 0))]
+    monkeypatch.setattr(AccessSequence, "addrs", property(lambda seq: pytest.fail("a repeating view was built")))
+    assert views[0] == views[1]  # one period over the same N, whatever the input and seed
+    assert views[0] != views[2]  # a shorter run
+
+
+@given(
+    period=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    data=st.data(),
+    reps=st.integers(0, 4),
+    other_reps=st.integers(0, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_repeating_sequences_compare_as_their_tiles(period, data, reps, other_reps):
+    other = data.draw(st.lists(st.integers(1, 3), min_size=len(period), max_size=len(period)))
+    a, b = AccessSequence.repeating(period, reps), AccessSequence.repeating(other, other_reps)
+    tiles = np.tile(period, reps), np.tile(other, other_reps)
+    assert (a == b) == a.cheap_eq(b) == (len(tiles[0]) == len(tiles[1]) and (tiles[0] == tiles[1]).all())
+    assert a._addrs is None and b._addrs is None
 
 
 _META_COLUMNS = ("kind_column", "data_column", "op_column", "read_src_column")
