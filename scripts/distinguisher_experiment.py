@@ -20,13 +20,13 @@ from oramlab import (
     ENGINE_NAMES,
     OramConfig,
     adversary_view,
+    derive_seed,
     estimate_advantage,
     gen_alternating_sequence,
     gen_write_read_blocks,
     run_sequence,
     statistical_distance_empirical,
 )
-from oramlab._util import derive_seed
 
 
 def main() -> int:

@@ -51,10 +51,8 @@ from .partition import (
     CertificateError,
     Partition,
     PartitionCertificate,
-    brute_force_dense_partition,
     certify,
     edge_lower_bound_from_certificate,
-    expected_edge_lower_bound,
     greedy_dense_partition,
     is_dense,
 )

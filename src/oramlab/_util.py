@@ -63,15 +63,3 @@ def powers_of_4_up_to(limit: int) -> list[int]:
         k *= 4
     return out
 
-
-def floor_log4(t: int) -> int:
-    if t < 1:
-        raise ValueError("floor_log4 needs t >= 1")
-    return (t.bit_length() - 1) // 2
-
-
-def ceil_log4(s: int) -> int:
-    if s < 1:
-        raise ValueError("ceil_log4 needs s >= 1")
-    e = floor_log4(s)
-    return e if 4**e == s else e + 1

@@ -99,7 +99,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--ell", type=_at_least(0, as_fraction), default=None,
                    help="density family threshold (rational >= 0, e.g. 64/5)")
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=_at_least(1, int), default=None)
     p.add_argument("--json", dest="json_out", default=None, help="report path ('-' for stdout)")
     p.add_argument("--csv", dest="csv_out", default=None, help="per-k verdict CSV path")
 
@@ -107,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
     p.add_argument("--y", required=True, help="first workload spec")
     p.add_argument("--yprime", required=True, help="second workload spec (block-shaped)")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_at_least(1, int), required=True)
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=_at_least(1, int), default=1, help="worker processes, at least 1")
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_at_least(1, int), required=True)
     p.add_argument("--family", choices=("blocks", "alt"), default="blocks")
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=None)
@@ -138,7 +138,7 @@ def build_parser() -> _Parser:
     p.add_argument("--workload", required=True)
     _add_config_flags(p)
     p.add_argument("--ell", type=_at_least(0, as_fraction), default=None)
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=_at_least(1, int), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", dest="json_out", default=None)
 

@@ -116,10 +116,6 @@ class InputSequence:
             np.array([op.data for op in ops], dtype=np.int64),
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.ops)
-
     def __len__(self) -> int:
         return len(self.ops)
 

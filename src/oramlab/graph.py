@@ -8,7 +8,7 @@ trace always has at least as many probes as its graph has edges.
 
 Construction is lazy: the graph wraps an ``AccessSequence`` and builds
 ``pred`` on first use (one stable sort); prefix-only analyses read
-``trace.window``s, which on a repeating trace never build the whole array (``A`` does).
+``trace.window``s, which on a repeating trace never build the whole array (``pred`` does).
 ``consecutive_pairs`` is the only place edges are derived from addresses.
 """
 
@@ -45,16 +45,11 @@ class AccessGraph:
         self._edge_v = None
 
     @property
-    def A(self) -> np.ndarray:
-        """The whole address array (built on first use for a repeating trace)."""
-        return self.trace.addrs
-
-    @property
     def pred(self) -> np.ndarray:
-        """pred[v] = previous timestamp of A[v], or -1 if v is its first occurrence."""
+        """pred[v] = previous timestamp of trace.addrs[v], or -1 if v is its first occurrence."""
         if self._pred is None:
             pred = np.full(self.N, -1, dtype=np.int64)
-            u, v = consecutive_pairs(self.A)
+            u, v = consecutive_pairs(self.trace.addrs)
             pred[v] = u
             self._pred = pred
         return self._pred

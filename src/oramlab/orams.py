@@ -29,7 +29,7 @@ security definitions fail to rule out.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from ._util import ModelViolationError
 from .core import READ, WRITE, InputSequence, OramConfig
 from .server import FINAL_OP, ServerState
 
-ENGINE_NAMES = ("passthrough", "linear-scan", "tree", "dummy-encoder", "dummy-leaker")
 # the most probes one batch holds: a batch's columns and the server's work on
 # them are materialised at once, so this bounds an engine run's extra memory
 BATCH_PROBES = 1 << 14
@@ -58,9 +57,11 @@ class Engine:
 
     name: str = "abstract"
 
-    def __init__(self, config: OramConfig, rng: random.Random):
+    def __init__(self, config: OramConfig, rng: random.Random, n: int = 0):
+        """n is the workload's length; only an engine that must know it up front reads it."""
         self.config = config
         self.rng = rng
+        self.n = n
 
     def advance(self, server: ServerState, y: InputSequence, start: int, stop: int) -> list[int]:
         """Ops start..stop-1 of y in order; returns the answers of their reads."""
@@ -143,8 +144,8 @@ class LinearScan(Engine):
 
     name = "linear-scan"
 
-    def __init__(self, config, rng):
-        super().__init__(config, rng)
+    def __init__(self, config, rng, n=0):
+        super().__init__(config, rng, n)
         self._addrs = np.repeat(np.arange(1, config.M + 1, dtype=np.int64), 2)
         self._kinds = np.tile(np.array([0, 1], dtype=np.int64), config.M)
 
@@ -198,8 +199,8 @@ class TreeOram(Engine):
     Z = 4
     STASH_LIMIT = 64
 
-    def __init__(self, config, rng):
-        super().__init__(config, rng)
+    def __init__(self, config, rng, n=0):
+        super().__init__(config, rng, n)
         self.depth = (config.M - 1).bit_length()
         self.leaves = 1 << self.depth
         n_slots = (2 * self.leaves - 1) * self.Z
@@ -320,8 +321,8 @@ class DummyLengthEncoder(Engine):
 
     name = "dummy-encoder"
 
-    def __init__(self, config, rng, forced_comparand: Iterable[tuple[str, int, int]] | None = None):
-        super().__init__(config, rng)
+    def __init__(self, config, rng, n=0, forced_comparand: Iterable[tuple[str, int, int]] | None = None):
+        super().__init__(config, rng, n)
         self._cmp = 0  # -1: random sequence already smaller, +1: larger, 0: tied so far
         self._owed = 0  # comparands skipped since the comparison was decided
         self._forced: Iterator[tuple[str, int, int]] | None = (
@@ -378,10 +379,9 @@ class DummyLengthLeaker(Engine):
     name = "dummy-leaker"
 
     def __init__(self, config, rng, n: int, forced_draw: tuple[int, int] | None = None):
-        super().__init__(config, rng)
+        super().__init__(config, rng, n)
         if n < 1:
             raise ModelViolationError("dummy-leaker needs the workload length n >= 1 up front")
-        self.n = n
         if forced_draw is not None:
             self.i, self.r = forced_draw
             if not (1 <= self.i <= n and 1 <= self.r <= config.M):
@@ -407,31 +407,15 @@ class DummyLengthLeaker(Engine):
         self.rng.setstate(state["rng"])
 
 
-_FACTORIES: dict[str, Callable] = {
-    "passthrough": lambda config, rng, **kw: Passthrough(config, rng),
-    "linear-scan": lambda config, rng, **kw: LinearScan(config, rng),
-    "tree": lambda config, rng, **kw: TreeOram(config, rng),
-    "dummy-encoder": lambda config, rng, forced=None, **kw: DummyLengthEncoder(
-        config, rng, forced_comparand=forced
-    ),
-    "dummy-leaker": lambda config, rng, n=None, forced=None, **kw: DummyLengthLeaker(
-        config, rng, n=n, forced_draw=forced
-    ),
-}
+_ENGINES = {cls.name: cls for cls in (Passthrough, LinearScan, TreeOram, DummyLengthEncoder, DummyLengthLeaker)}
+ENGINE_NAMES = tuple(_ENGINES)
 
 
-def make_engine(
-    kind: str,
-    config: OramConfig,
-    seed: int,
-    n: int | None = None,
-    forced=None,
-) -> Engine:
-    if kind not in _FACTORIES:
+def make_engine(kind: str, config: OramConfig, seed: int, n: int = 0) -> Engine:
+    """A fresh engine of the named kind, its RNG seeded with seed, for a workload of n ops."""
+    if kind not in _ENGINES:
         raise ValueError(f"unknown engine {kind!r}; expected one of {', '.join(ENGINE_NAMES)}")
-    if kind == "dummy-leaker" and n is None:
-        raise ModelViolationError("dummy-leaker needs n in advance")
-    return _FACTORIES[kind](config, random.Random(seed), n=n, forced=forced)
+    return _ENGINES[kind](config, random.Random(seed), n)
 
 
 def run_sequence(
@@ -440,7 +424,6 @@ def run_sequence(
     y: InputSequence,
     seed: int,
     record_meta: bool = True,
-    forced=None,
 ) -> tuple[list[int], ServerState]:
     """Fresh engine + fresh server, the whole of y run in order (``Engine.run``).
 
@@ -449,7 +432,7 @@ def run_sequence(
     """
     config.bind_workload_length(len(y))
     config.check_ops(y)
-    engine = make_engine(kind, config, seed, n=len(y) or None, forced=forced)
+    engine = make_engine(kind, config, seed, n=len(y))
     server = ServerState(config, record_meta=record_meta)
     answers = engine.run(server, y)
     return answers, server

@@ -2,21 +2,18 @@
 
 A k-partition of an ordered graph on {0..N-1} is a monotone boundary sequence
 0 = b_0 <= m_0 <= b_1 <= m_1 <= ... <= b_k = N; it is ell-dense when every
-part [b_i, b_{i+1}) has a cut m_i crossed by at least ell edges.  Two deciders
-live here:
-
-* ``greedy_dense_partition`` closes parts left to right at the earliest index
-  where some cut reaches the threshold.  Feasibility of a part is monotone in
-  its right boundary (widening a window only adds edges), so the earliest
-  close is never a mistake and the greedy is complete as well as sound.
-  Monotonicity also means the earliest close can be searched for: window
-  lengths gallop upward from 2*ceil(ell) (a cut crossed by t edges needs 2t
-  vertices) until one is feasible, then bisection finds the smallest.  Each
-  probe derives the window's edges with one stable sort and reads every cut's
-  crossing count off a prefix sum, so only the windows examined are touched.
-* ``brute_force_dense_partition`` searches all monotone boundary sequences.
-  Exponential, capped at N <= 18, and kept free of any greedy logic so the
-  two can audit each other.
+part [b_i, b_{i+1}) has a cut m_i crossed by at least ell edges.  One decider
+lives here, ``greedy_dense_partition``: it closes parts left to right at the
+earliest index where some cut reaches the threshold.  Feasibility of a part
+is monotone in its right boundary (widening a window only adds edges), so the
+earliest close is never a mistake and the greedy is complete as well as
+sound.  Monotonicity also means the earliest close can be searched for:
+window lengths gallop upward from 2*ceil(ell) (a cut crossed by t edges needs
+2t vertices) until one is feasible, then bisection finds the smallest.  Each
+probe derives the window's edges with one stable sort and reads every cut's
+crossing count off a prefix sum, so only the windows examined are touched.
+The test suite audits it against an exhaustive oracle that shares none of
+its logic.
 
 Density thresholds are exact rationals throughout; counts are integers, so
 ``count >= ell`` is evaluated as ``count >= ceil(ell)``.
@@ -29,10 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_fraction, ceil_log4, floor_log4, frac_ceil, is_power_of_4, powers_of_4_up_to
+from ._util import as_fraction, frac_ceil, is_power_of_4, powers_of_4_up_to
 from .graph import AccessGraph, consecutive_pairs
-
-BRUTE_FORCE_CAP = 18
 
 
 class CertificateError(ValueError):
@@ -71,10 +66,6 @@ def is_dense(graph: AccessGraph, partition: Partition, ell) -> bool:
     if partition.end != graph.N:
         return False
     return all(len(graph.crossing_edges(b, m, e)) >= ell for b, m, e in partition.parts())
-
-
-def _trivial_partition(k: int, n: int) -> Partition:
-    return Partition((0,) * (2 * k) + (n,))
 
 
 def _first_heavy_cut(u: np.ndarray, v: np.ndarray, length: int, threshold: int) -> int | None:
@@ -128,7 +119,7 @@ def greedy_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
     ell = as_fraction(ell)
     n = graph.N
     if ell <= 0:
-        return _trivial_partition(k, n)
+        return Partition((0,) * (2 * k) + (n,))
     threshold = frac_ceil(ell)
 
     boundaries = [0]
@@ -141,48 +132,6 @@ def greedy_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
         b = close[1]
     boundaries[-1] = n  # widening the last part only adds edges
     return Partition(tuple(boundaries))
-
-
-def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
-    """Exhaustive oracle over all monotone boundary sequences (N <= 18).
-
-    Independent of the greedy: it enumerates (m, e) choices per part directly
-    over the edge list, memoizing only part starts already proven dead.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if graph.N > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute force capped at N <= {BRUTE_FORCE_CAP}, got N={graph.N}")
-    ell = as_fraction(ell)
-    n = graph.N
-    if ell <= 0:
-        return _trivial_partition(k, n)
-    edges = graph.edges
-
-    def cross(b: int, m: int, e: int) -> int:
-        return sum(1 for u, v in edges if b <= u < m <= v < e)
-
-    dead: list[set[int]] = [set() for _ in range(k + 1)]
-
-    def search(b: int, parts_left: int) -> list[int] | None:
-        if parts_left == 0:
-            return [] if b == n else None
-        if b in dead[parts_left]:
-            return None
-        for e in range(b, n + 1):
-            for m in range(b, e + 1):
-                if cross(b, m, e) >= ell:
-                    rest = search(e, parts_left - 1)
-                    if rest is not None:
-                        return [m, e] + rest
-                    break  # larger m in the same window cannot rescue this e
-        dead[parts_left].add(b)
-        return None
-
-    found = search(0, k)
-    if found is None:
-        return None
-    return Partition((0, *found))
 
 
 @dataclass
@@ -267,22 +216,4 @@ def edge_lower_bound_from_certificate(cert: PartitionCertificate) -> int:
     """
     cert.verify()
     return certified_bound(cert.base_ell, len(cert.witnessed))
-
-
-def expected_edge_lower_bound(ell, s: int, t: int, p) -> Fraction:
-    """Expected-edge bound (p*ell/2) * (floor(log4 t) - ceil(log4 s)), at least 0.
-
-    s..t is the range of part counts known to admit an (ell/k)-dense
-    k-partition with probability at least p; the log4 difference counts the
-    powers of four inside the range.
-    """
-    if not 1 <= s <= t:
-        raise ValueError(f"need 1 <= s <= t, got s={s}, t={t}")
-    p = as_fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("p must be a probability")
-    ell = as_fraction(ell)
-    span = floor_log4(t) - ceil_log4(s)
-    bound = p * ell / 2 * span
-    return bound if bound > 0 else Fraction(0)
 

@@ -236,32 +236,24 @@ class ServerState:
         self._grow(top)
         vals = np.frombuffer(self._val, dtype=np.int64)
         writers = np.frombuffer(self._writer, dtype=np.int64)
-        if not np.count_nonzero(addrs[1:] <= addrs[:-1]):
-            # no address repeats, so no probe sees another's write
-            logged = np.where(is_write, data, vals[addrs])
-            src = writers[addrs]
-            final = addrs[is_write]
-            final_op = op[is_write] if per_probe else op
-            vals[final] = written
-        else:
-            # sort stably by address (each address keeps batch order) and give
-            # each probe the latest write at or before it in its group, else the store
-            order = np.argsort(addrs, kind="stable")
-            a = addrs[order]
-            pos = np.arange(n)
-            first = np.concatenate(([True], a[1:] != a[:-1]))
-            group = np.maximum.accumulate(np.where(first, pos, 0))
-            last_write = np.maximum.accumulate(np.where(is_write[order], pos, -1))
-            hit = last_write >= group
-            got = np.where(hit, data[order][last_write], vals[a])
-            hit_op = op[order][last_write] if per_probe else op
-            logged, src = np.empty((2, n), dtype=np.int64)
-            logged[order] = got
-            src[order] = np.where(hit, hit_op, writers[a])
-            last = hit & np.append(first[1:], True)
-            final = a[last]
-            final_op = hit_op[last] if per_probe else op
-            vals[final] = got[last]
+        # sort stably by address (each address keeps batch order) and give
+        # each probe the latest write at or before it in its group, else the store
+        order = np.argsort(addrs, kind="stable")
+        a = addrs[order]
+        pos = np.arange(n)
+        first = np.concatenate(([True], a[1:] != a[:-1]))
+        group = np.maximum.accumulate(np.where(first, pos, 0))
+        last_write = np.maximum.accumulate(np.where(is_write[order], pos, -1))
+        hit = last_write >= group
+        got = np.where(hit, data[order][last_write], vals[a])
+        hit_op = op[order][last_write] if per_probe else op
+        logged, src = np.empty((2, n), dtype=np.int64)
+        logged[order] = got
+        src[order] = np.where(hit, hit_op, writers[a])
+        last = hit & np.append(first[1:], True)
+        final = a[last]
+        final_op = hit_op[last] if per_probe else op
+        vals[final] = got[last]
         writers[final] = final_op
         src[is_write] = NO_WRITER
         del vals, writers  # release the buffers so the store can grow again

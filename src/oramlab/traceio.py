@@ -5,11 +5,11 @@ order, then one decimal server address per line.  With boundary annotations
 enabled, a ``#op <index>`` comment precedes each input op's probes (index -2
 marks wrap-up probes after the last op); analyses must ignore those lines.
 The format is documented in docs/formats.md and round-trips byte-exactly.
-Reading rejects unknown engines and addresses outside [1, 2^w], the range
-the server enforces on every probe.  Both directions work in bulk: the
-reader loops in Python over the header and the ``#op`` lines only and
-parses every address in one numpy call, and the writer formats them all in
-one numpy pass.
+Reading rejects unknown engines, n < 0, m < 1, w < 1 and addresses outside
+[1, 2^w], the range the server enforces on every probe.  Both directions
+work in bulk: the reader loops in Python over the header and the ``#op``
+lines only and parses every address in one numpy call, and the writer
+formats them all in one numpy pass.
 """
 
 from __future__ import annotations
@@ -137,7 +137,9 @@ def read_trace(path) -> TraceFile:
         raise ValueError(f"header says N={header['N']} but body has {len(body)} addresses")
     if header["engine"] not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {header['engine']!r} in trace header")
-    w = int(header["w"])
+    n, m, w = int(header["n"]), int(header["m"]), int(header["w"])
+    if n < 0 or m < 1 or w < 1:
+        raise ValueError(f"trace header has n={n}, m={m}, w={w}; need n >= 0, m >= 1 and w >= 1")
     out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
     try:
         ops = np.array([line[4:] for line in marks], dtype=np.int64)
@@ -153,8 +155,8 @@ def read_trace(path) -> TraceFile:
     return TraceFile(
         engine=header["engine"],
         workload=header["workload"],
-        n=int(header["n"]),
-        m=int(header["m"]),
+        n=n,
+        m=m,
         M=int(header["M"]),
         w=w,
         seed=int(header["seed"]),

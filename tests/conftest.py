@@ -1,7 +1,8 @@
 """Shared helpers for the suite: graph invariant checks, random graphs and
-line-by-line oracles for the vectorized code paths (the server's probe, one
-at a time, the scan and tree engines' honest per-op probe loops, and the
-estimators' trial-by-trial loops among them)."""
+line-by-line oracles for the vectorized code paths (the exhaustive
+dense-partition decider, the server's probe, one at a time, the scan and tree
+engines' honest per-op probe loops, and the estimators' trial-by-trial loops
+among them)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from oramlab import (
     WRITE,
     AccessGraph,
     ModelViolationError,
+    Partition,
+    ServerState,
     StashOverflowError,
     TraceFile,
     adversary_view,
@@ -25,6 +28,7 @@ from oramlab import (
     greedy_dense_partition,
     run_sequence,
 )
+from oramlab._util import as_fraction
 from oramlab.orams import ENGINE_NAMES
 from oramlab.server import NO_WRITER
 from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
@@ -45,7 +49,7 @@ def assert_graph_invariants(graph: AccessGraph) -> None:
         assert (u < v).all()
     assert np.bincount(u, minlength=graph.N).max(initial=0) <= 1, "a vertex has outdegree > 1"
     assert np.bincount(v, minlength=graph.N).max(initial=0) <= 1, "a vertex has indegree > 1"
-    distinct = len(np.unique(graph.A)) if graph.N else 0
+    distinct = len(np.unique(graph.trace.addrs)) if graph.N else 0
     assert graph.edge_count == graph.N - distinct
 
 
@@ -140,6 +144,82 @@ def reference_greedy_witness(addrs, k: int, threshold: int) -> tuple[int, ...] |
         b = close[1]
     boundaries[-1] = n
     return tuple(boundaries)
+
+
+BRUTE_FORCE_CAP = 18
+
+
+def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
+    """Exhaustive oracle over all monotone boundary sequences (N <= 18).
+
+    Independent of the greedy: it enumerates (m, e) choices per part directly
+    over the edge list, memoizing only part starts already proven dead.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if graph.N > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at N <= {BRUTE_FORCE_CAP}, got N={graph.N}")
+    ell = as_fraction(ell)
+    n = graph.N
+    if ell <= 0:
+        return Partition((0,) * (2 * k) + (n,))
+    edges = graph.edges
+
+    def cross(b: int, m: int, e: int) -> int:
+        return sum(1 for u, v in edges if b <= u < m <= v < e)
+
+    dead: list[set[int]] = [set() for _ in range(k + 1)]
+
+    def search(b: int, parts_left: int) -> list[int] | None:
+        if parts_left == 0:
+            return [] if b == n else None
+        if b in dead[parts_left]:
+            return None
+        for e in range(b, n + 1):
+            for m in range(b, e + 1):
+                if cross(b, m, e) >= ell:
+                    rest = search(e, parts_left - 1)
+                    if rest is not None:
+                        return [m, e] + rest
+                    break  # larger m in the same window cannot rescue this e
+        dead[parts_left].add(b)
+        return None
+
+    found = search(0, k)
+    if found is None:
+        return None
+    return Partition((0, *found))
+
+
+def floor_log4(t: int) -> int:
+    if t < 1:
+        raise ValueError("floor_log4 needs t >= 1")
+    return (t.bit_length() - 1) // 2
+
+
+def ceil_log4(s: int) -> int:
+    if s < 1:
+        raise ValueError("ceil_log4 needs s >= 1")
+    e = floor_log4(s)
+    return e if 4**e == s else e + 1
+
+
+def expected_edge_lower_bound(ell, s: int, t: int, p) -> Fraction:
+    """Expected-edge bound (p*ell/2) * (floor(log4 t) - ceil(log4 s)), at least 0.
+
+    s..t is the range of part counts known to admit an (ell/k)-dense
+    k-partition with probability at least p; the log4 difference counts the
+    powers of four inside the range.
+    """
+    if not 1 <= s <= t:
+        raise ValueError(f"need 1 <= s <= t, got s={s}, t={t}")
+    p = as_fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("p must be a probability")
+    ell = as_fraction(ell)
+    span = floor_log4(t) - ceil_log4(s)
+    bound = p * ell / 2 * span
+    return bound if bound > 0 else Fraction(0)
 
 
 class ReferenceServer:
@@ -265,6 +345,18 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
     return answers
 
 
+def run_forced(engine, config, y) -> tuple[list[int], ServerState]:
+    """``run_sequence`` for an engine built by the caller (say, with a forced draw).
+
+    Makes the same checks of y against config, then runs all of y on a fresh
+    server logging metadata; returns the answers and the server.
+    """
+    config.bind_workload_length(len(y))
+    config.check_ops(y)
+    server = ServerState(config)
+    return engine.run(server, y), server
+
+
 def honest_advantage(engine: str, config, y, y_prime, trials: int, seed: int) -> tuple[float, float]:
     """The advantage estimate's two guess-1 frequencies, trial by trial, straight off ``distinguish``.
 
@@ -305,7 +397,8 @@ def reference_read_trace(path) -> TraceFile:
     Each line is stripped and blank ones skipped; ``#op <int64>`` lines set
     the op of the addresses after them (-1 before the first), other ``#``
     lines are header keys and may not follow an address, and every other
-    line is a base-10 address.
+    line is a base-10 address.  The header's n, m and w must be at least 0,
+    1 and 1.
     """
     keys: list[str] = []
     header: dict[str, str] = {}
@@ -340,7 +433,9 @@ def reference_read_trace(path) -> TraceFile:
         raise ValueError(f"header says N={header['N']} but body has {len(addrs)} addresses")
     if header["engine"] not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {header['engine']!r} in trace header")
-    w = int(header["w"])
+    n, m, w = int(header["n"]), int(header["m"]), int(header["w"])
+    if n < 0 or m < 1 or w < 1:
+        raise ValueError(f"trace header has n={n}, m={m}, w={w}; need n >= 0, m >= 1 and w >= 1")
     out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
     try:
         addr_array = np.asarray(addrs, dtype=np.int64)
@@ -351,8 +446,8 @@ def reference_read_trace(path) -> TraceFile:
     return TraceFile(
         engine=header["engine"],
         workload=header["workload"],
-        n=int(header["n"]),
-        m=int(header["m"]),
+        n=n,
+        m=m,
         M=int(header["M"]),
         w=w,
         seed=int(header["seed"]),

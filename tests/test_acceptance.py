@@ -20,7 +20,6 @@ from oramlab import (
     alice_encode,
     block_data,
     bob_decode,
-    brute_force_dense_partition,
     dense_partition_frequency,
     estimate_advantage,
     gen_alternating_sequence,
@@ -30,10 +29,17 @@ from oramlab import (
     statistical_distance_empirical,
     statistical_distance_exact,
 )
-from oramlab.orams import op_order_key
+from oramlab.orams import DummyLengthEncoder, DummyLengthLeaker, op_order_key
 from oramlab.traceio import TraceFile, analyze_trace
 
-from conftest import ALL_ENGINES, assert_graph_invariants, graph_from_edges, random_degree_bounded_graph
+from conftest import (
+    ALL_ENGINES,
+    assert_graph_invariants,
+    brute_force_dense_partition,
+    graph_from_edges,
+    random_degree_bounded_graph,
+    run_forced,
+)
 
 
 def _passed(name: str) -> None:
@@ -127,7 +133,7 @@ def test_03_leaker_length_distribution_is_exact():
         lengths = Counter()
         for i in range(1, n + 1):
             for r in range(1, M + 1):
-                _, srv = run_sequence("dummy-leaker", cfg, y, seed=0, forced=(i, r))
+                _, srv = run_forced(DummyLengthLeaker(cfg, random.Random(0), len(y), forced_draw=(i, r)), cfg, y)
                 lengths[srv.probe_count] += 1
         total = n * M
         for i in range(1, n + 1):
@@ -160,7 +166,7 @@ def test_04_encoder_length_law():
         rank = sum(1 for r in space if op_order_key(*r) < op_order_key(*y_op))
         extras = 0
         for r in space:
-            _, srv = run_sequence("dummy-encoder", tiny, y, seed=0, forced=[r])
+            _, srv = run_forced(DummyLengthEncoder(tiny, random.Random(0), forced_comparand=[r]), tiny, y)
             assert srv.probe_count in (2, 3)
             extras += srv.probe_count == 3
         assert Fraction(extras, len(space)) == Fraction(rank, 8)

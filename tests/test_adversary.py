@@ -269,6 +269,8 @@ class TestEmpiricalDistance:
             self._traces([[1], [1], [2], [2]]), self._traces([[1], [2], [2], [2]])
         )
         assert d.distance == Fraction(1, 4)
+        d = statistical_distance_empirical(self._traces([[1], [2]]), self._traces([[1], [1], [2]]))
+        assert (d.distance, d.n_x, d.n_y, d.support) == (Fraction(1, 6), 2, 3, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,12 @@ def test_trace_dummy_encoder_length(tmp_path):
     assert int(header["N"]) in (8, 9)
 
 
+def test_trace_leaker_refuses_an_empty_workload(tmp_path, capsys):
+    assert run_cli("trace", "--engine", "dummy-leaker", "--workload", "alt:n=0",
+                   "--seed", "7", "--out", str(tmp_path / "t.trace")) == EXIT_MODEL
+    assert "needs the workload length n >= 1" in capsys.readouterr().err
+
+
 def test_trace_leaker_takes_n_from_the_workload(tmp_path):
     out = tmp_path / "t.trace"
     assert run_cli("trace", "--engine", "dummy-leaker", "--workload", "alt:n=4",
@@ -205,6 +211,12 @@ def test_unparsable_ell_is_a_usage_error(tmp_path, capsys, ell):
           "--jobs", "0"), "--jobs"),
         (("distinguish", "--engine", "passthrough", "--y", "alt:n=8", "--yprime", "blocks:n=8,k=1",
           "--trials", "2", "--seed", "1", "--jobs", "-1"), "--jobs"),
+        (("analyze", "--trace", "t.trace", "--k-max", "0"), "--k-max"),
+        (("report", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--k-max=-4"), "--k-max"),
+        (("frequency", "--engine", "passthrough", "--n", "8", "--k", "1", "--trials", "0", "--seed", "1"),
+         "--trials"),
+        (("distinguish", "--engine", "passthrough", "--y", "alt:n=8", "--yprime", "blocks:n=8,k=1",
+          "--trials=-3", "--seed", "1"), "--trials"),
     ],
 )
 def test_out_of_range_ell_and_jobs_are_usage_errors(monkeypatch, capsys, argv, flag):

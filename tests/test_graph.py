@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oramlab import AccessGraph
+from oramlab import AccessGraph, AccessSequence
 
 from conftest import (
     assert_graph_invariants,
@@ -108,7 +108,7 @@ class _StubGraph:
     """Edges handed to the invariant checker as given, with no access graph behind them."""
 
     def __init__(self, n, edges):
-        self.N, self.A = n, np.arange(n)
+        self.N, self.trace = n, AccessSequence(np.arange(n))
         self._u, self._v = (np.array(side, dtype=np.int64) for side in zip(*edges))
         self.edge_count = len(edges)
 
@@ -134,7 +134,7 @@ def test_graph_from_edges_realizes_exactly():
     rng = random.Random(99)
     for _ in range(200):
         g = random_degree_bounded_graph(rng, max_n=9)
-        rebuilt = AccessGraph(g.A)
+        rebuilt = AccessGraph(g.trace.addrs)
         assert sorted(rebuilt.edges) == sorted(g.edges)
         assert_graph_invariants(g)
 

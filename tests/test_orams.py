@@ -25,10 +25,10 @@ from oramlab import (
     run_sequence,
 )
 from oramlab import orams
-from oramlab.orams import StashOverflowError, TreeOram, op_order_key
+from oramlab.orams import DummyLengthEncoder, DummyLengthLeaker, StashOverflowError, TreeOram, op_order_key
 from oramlab.server import FINAL_OP
 
-from conftest import ALL_ENGINES, ReferenceServer, honest_scan_advance, honest_tree_advance
+from conftest import ALL_ENGINES, ReferenceServer, honest_scan_advance, honest_tree_advance, run_forced
 
 CFG = OramConfig(m=1, M=24, w=12)
 
@@ -52,6 +52,16 @@ def array_oracle(y: InputSequence) -> list[int]:
         else:
             answers.append(mem.get(op.addr, 0))
     return answers
+
+
+def test_engine_names_keep_the_cli_order():
+    assert orams.ENGINE_NAMES == ALL_ENGINES
+
+
+def test_unknown_engine_error_names_every_engine():
+    with pytest.raises(ValueError, match="unknown engine 'ring'") as info:
+        make_engine("ring", CFG, 0)
+    assert all(name in str(info.value) for name in ALL_ENGINES)
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES)
@@ -220,15 +230,17 @@ class TestDummyEncoder:
         # forced comparand equal to the input: a tie never adds the extra probe
         y = random_sequence(random.Random(6), 4, CFG.M, CFG.w)
         forced = [(o.kind, o.addr, o.data) for o in y]
-        _, srv = run_sequence("dummy-encoder", CFG, y, seed=0, forced=forced)
+        _, srv = run_forced(DummyLengthEncoder(CFG, random.Random(0), forced_comparand=forced), CFG, y)
         assert srv.probe_count == 2 * len(y)
 
     def test_forced_smaller_and_larger(self):
         y = InputSequence((InputOp(READ, 2, 0), InputOp(READ, 2, 0)))
         cfg = OramConfig(m=1, M=4, w=4)
-        _, srv = run_sequence("dummy-encoder", cfg, y, seed=0, forced=[(WRITE, 1, 0), (READ, 4, 0)])
+        smaller = DummyLengthEncoder(cfg, random.Random(0), forced_comparand=[(WRITE, 1, 0), (READ, 4, 0)])
+        _, srv = run_forced(smaller, cfg, y)
         assert srv.probe_count == 2 * 2 + 1  # writes sort below reads
-        _, srv = run_sequence("dummy-encoder", cfg, y, seed=0, forced=[(READ, 3, 0), (WRITE, 1, 0)])
+        larger = DummyLengthEncoder(cfg, random.Random(0), forced_comparand=[(READ, 3, 0), (WRITE, 1, 0)])
+        _, srv = run_forced(larger, cfg, y)
         assert srv.probe_count == 2 * 2
 
     @pytest.mark.parametrize("seed", range(4))
@@ -268,7 +280,7 @@ class TestDummyEncoder:
         )
         extras = 0
         for r in itertools.product(space, repeat=2):
-            _, srv = run_sequence("dummy-encoder", cfg, y, seed=0, forced=list(r))
+            _, srv = run_forced(DummyLengthEncoder(cfg, random.Random(0), forced_comparand=list(r)), cfg, y)
             assert srv.probe_count in (4, 5)
             extras += srv.probe_count == 5
         assert extras == rank
@@ -281,7 +293,7 @@ class TestDummyLeaker:
         n = len(y)
         for i in (1, 3, n):
             for r in (1, cfg.M):
-                _, srv = run_sequence("dummy-leaker", cfg, y, seed=0, forced=(i, r))
+                _, srv = run_forced(DummyLengthLeaker(cfg, random.Random(0), n, forced_draw=(i, r)), cfg, y)
                 extra = 2 if r <= y[i - 1].addr else 1
                 assert srv.probe_count == n + 2 * (i - 1) + extra
 

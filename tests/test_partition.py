@@ -14,17 +14,22 @@ from oramlab import (
     OramConfig,
     Partition,
     adversary_view,
-    brute_force_dense_partition,
     certify,
     edge_lower_bound_from_certificate,
-    expected_edge_lower_bound,
     gen_write_read_blocks,
     greedy_dense_partition,
     is_dense,
     run_sequence,
 )
 
-from conftest import ALL_ENGINES, graph_from_edges, random_degree_bounded_graph, reference_greedy_witness
+from conftest import (
+    ALL_ENGINES,
+    brute_force_dense_partition,
+    expected_edge_lower_bound,
+    graph_from_edges,
+    random_degree_bounded_graph,
+    reference_greedy_witness,
+)
 
 PATH4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
 CROSSED4 = graph_from_edges(4, [(0, 2), (1, 3)])

@@ -318,8 +318,13 @@ class TestAnalyze:
         lambda text: text.replace("\n1\n", "\n0\n", 1),
         lambda text: text.replace("\n1\n", f"\n{2**16 + 1}\n", 1),
         lambda text: text.replace("\n1\n", f"\n{2**70}\n", 1),
+        lambda text: text.replace("#n=10\n", "#n=-5\n"),
+        lambda text: text.replace("#m=1\n", "#m=0\n"),
+        lambda text: text.replace("#m=1\n", "#m=-31\n"),
+        lambda text: text[: text.index("#N=")].replace("#w=16\n", "#w=0\n") + "#N=0\n",  # no address to refuse
     ],
-    ids=["unknown-engine", "negative", "zero", "above-2^w", "beyond-int64"],
+    ids=["unknown-engine", "negative", "zero", "above-2^w", "beyond-int64", "n-negative", "m-zero", "m-negative",
+         "w-zero"],
 )
 def test_read_trace_rejects_invalid_content(tmp_path, edit):
     tf = _trace_file()  # w=16
