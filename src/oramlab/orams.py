@@ -29,7 +29,6 @@ security definitions fail to rule out.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -321,17 +320,12 @@ class DummyLengthEncoder(Engine):
 
     name = "dummy-encoder"
 
-    def __init__(self, config, rng, n=0, forced_comparand: Iterable[tuple[str, int, int]] | None = None):
+    def __init__(self, config, rng, n=0):
         super().__init__(config, rng, n)
         self._cmp = 0  # -1: random sequence already smaller, +1: larger, 0: tied so far
         self._owed = 0  # comparands skipped since the comparison was decided
-        self._forced: Iterator[tuple[str, int, int]] | None = (
-            iter(forced_comparand) if forced_comparand is not None else None
-        )
 
     def _draw_op(self) -> tuple[str, int, int]:
-        if self._forced is not None:
-            return next(self._forced)
         kind = WRITE if self.rng.getrandbits(1) == 0 else READ
         addr = self.rng.randrange(self.config.M) + 1
         data = self.rng.getrandbits(self.config.w)
@@ -378,17 +372,12 @@ class DummyLengthLeaker(Engine):
 
     name = "dummy-leaker"
 
-    def __init__(self, config, rng, n: int, forced_draw: tuple[int, int] | None = None):
+    def __init__(self, config, rng, n: int):
         super().__init__(config, rng, n)
         if n < 1:
             raise ModelViolationError("dummy-leaker needs the workload length n >= 1 up front")
-        if forced_draw is not None:
-            self.i, self.r = forced_draw
-            if not (1 <= self.i <= n and 1 <= self.r <= config.M):
-                raise ValueError(f"forced draw {forced_draw} outside [1,{n}] x [1,{config.M}]")
-        else:
-            self.i = rng.randrange(n) + 1
-            self.r = rng.randrange(config.M) + 1
+        self.i = rng.randrange(n) + 1
+        self.r = rng.randrange(config.M) + 1
 
     def advance(self, server, y, start, stop):
         if stop > self.n:

@@ -237,8 +237,9 @@ class ServerState:
         vals = np.frombuffer(self._val, dtype=np.int64)
         writers = np.frombuffer(self._writer, dtype=np.int64)
         # sort stably by address (each address keeps batch order) and give
-        # each probe the latest write at or before it in its group, else the store
-        order = np.argsort(addrs, kind="stable")
+        # each probe the latest write at or before it in its group, else the store;
+        # a stable order is unique, and numpy radix-sorts 16-bit keys
+        order = np.argsort(addrs.astype(np.uint16) if top < 1 << 16 else addrs, kind="stable")
         a = addrs[order]
         pos = np.arange(n)
         first = np.concatenate(([True], a[1:] != a[:-1]))

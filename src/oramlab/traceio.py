@@ -5,11 +5,13 @@ order, then one decimal server address per line.  With boundary annotations
 enabled, a ``#op <index>`` comment precedes each input op's probes (index -2
 marks wrap-up probes after the last op); analyses must ignore those lines.
 The format is documented in docs/formats.md and round-trips byte-exactly.
-Reading rejects unknown engines, n < 0, m < 1, w < 1 and addresses outside
-[1, 2^w], the range the server enforces on every probe.  Both directions
-work in bulk: the reader loops in Python over the header and the ``#op``
-lines only and parses every address in one numpy call, and the writer
-formats them all in one numpy pass.
+Reading rejects unknown engines, n < 0, m < 1, w < 1, M outside [1, 2^w]
+and addresses outside [1, 2^w], the range the server enforces on every
+probe.  Both directions work in bulk.  The reader parses the file's bytes:
+every body line of 1 to 18 digits is parsed in one numpy pass, and only the
+header and every other line (``#op`` marks, and padded, signed or
+underscored addresses) are stripped and read one at a time, through
+``int()``.  The writer formats every address in one numpy pass.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
@@ -72,19 +73,20 @@ def run_trace(
 def _decimal_lines(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     """Non-negative ints as newline-ended decimal lines, and each line's end offset.
 
-    Digits come from repeated divmod into an (N, W+1) byte matrix whose last
+    Digits come from repeated division by 10 into an (N, W+1) byte matrix whose last
     column is the newline; each row's leading zeros are masked off.
     """
     values = np.asarray(values, dtype=np.int64)
     width = len(str(int(values.max()))) if len(values) else 1
     digits = np.full((len(values), width + 1), ord("\n"), dtype=np.uint8)
-    rest = values
+    rest = values.astype(np.uint32) if width <= 9 else values  # narrower words divide faster
     for col in range(width - 1, -1, -1):
-        rest, digit = np.divmod(rest, 10)
-        digits[:, col] = digit + ord("0")
+        quot = rest // 10  # numpy divides by a constant without a division instruction; divmod does not
+        digits[:, col] = rest - 10 * quot + ord("0")
+        rest = quot
     lengths = np.searchsorted(10 ** np.arange(1, width), values, side="right") + 2
-    keep = np.arange(width + 1) >= width + 1 - lengths[:, None]
-    return digits[keep].tobytes(), np.cumsum(lengths)
+    keep = np.arange(width + 1) >= width + 1 - np.arange(width + 2)[:, None]  # row l keeps the last l bytes
+    return digits[np.take(keep, lengths, axis=0)].tobytes(), np.cumsum(lengths)
 
 
 def write_trace(tf: TraceFile, path) -> None:
@@ -103,52 +105,109 @@ def write_trace(tf: TraceFile, path) -> None:
         fh.write(header.encode("ascii") + body)
 
 
+def _body_lines(raw: bytes, begin: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """Split raw[begin:] into lines and parse the digit-only ones in bulk.
+
+    Returns each line's value (0 where not parsed), each line's width, and
+    (line index, stripped text) for every line that is not 1-18 digits.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8, offset=begin)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    ends = newlines if raw.endswith(b"\n") or not len(buf) else np.append(newlines, len(buf))
+    starts = np.empty_like(ends)
+    starts[:1], starts[1:] = 0, ends[:-1] + 1
+    widths = ends - starts
+    slow = widths > 18  # 18 digits always fit in int64
+    not_digit = buf - ord("0") >= 10
+    if np.count_nonzero(not_digit) > len(newlines):  # some line holds a byte other than a digit
+        slow[np.searchsorted(ends, np.flatnonzero(not_digit & (buf != ord("\n"))))] = True
+    values = np.zeros(len(ends), dtype=np.int64)
+    fast_widths = np.where(slow, 0, widths)
+    for width in (np.flatnonzero(np.bincount(fast_widths)[1:]) + 1).tolist():
+        rows = fast_widths == width
+        pos = starts[rows]
+        acc = buf[pos].astype(np.int64)
+        for _ in range(width - 1):
+            pos += 1
+            acc *= 10
+            acc += buf[pos]
+        values[rows] = acc - ord("0") * (10**width - 1) // 9  # each digit byte carried ord("0") along
+    at = np.flatnonzero(slow)
+    others = [
+        (i, raw[begin + b : begin + e].decode("ascii").strip())
+        for i, b, e in zip(at.tolist(), starts[at].tolist(), ends[at].tolist())
+    ]
+    return values, widths, others
+
+
 def read_trace(path) -> TraceFile:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = list(filter(None, map(str.strip, text.split("\n"))))
-    h = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii():
+        raise ValueError("trace file holds a byte outside ASCII")
+    if b"\r" in raw:  # universal newlines
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     keys: list[str] = []
     header: dict[str, str] = {}
     marks: list[str] = []
-    for line in lines[:h]:
+    begin = 0  # the first address line, or the end of the file
+    while begin < len(raw):
+        end = raw.find(b"\n", begin)
+        end = len(raw) if end < 0 else end
+        line = raw[begin:end].decode("ascii").strip()
+        if line and not line.startswith("#"):
+            break
         if line.startswith("#op "):
             marks.append(line)
-        else:
+        elif line:
             key, _, val = line[1:].partition("=")
             keys.append(key)
             header[key] = val
+        begin = end + 1
+    values, widths, others = _body_lines(raw, min(begin, len(raw)))
     starts = [0] * len(marks)  # addresses before each #op line
-    body = lines[h:]
-    if text.count("#") > h:  # only then does the body hold a '#'
-        is_mark = np.array(body, dtype="U1") == "#"
-        at = np.flatnonzero(is_mark)
-        marks += [body[i] for i in at.tolist()]
-        starts += (at - np.arange(len(at))).tolist()
-        body = list(compress(body, (~is_mark).tolist()))
+    is_addr = widths > 0
+    texts: list[str] = []  # the address lines not parsed in bulk, in order
+    text_at: list[int] = []
+    mark_at: list[int] = []
+    for i, line in others:
+        if not line or line.startswith("#"):
+            is_addr[i] = False
+            if line:
+                marks.append(line)
+                mark_at.append(i)
+        else:
+            texts.append(line)
+            text_at.append(i)
+    if mark_at:
+        starts += np.cumsum(is_addr)[mark_at].tolist()
         stray = next((line for line in marks if not line.startswith("#op ")), None)
         if stray:
             raise ValueError(f"trace header line {stray!r} after the first address")
+    n_addrs = int(np.count_nonzero(is_addr))
     if keys != list(_HEADER_KEYS):
         raise ValueError(f"trace header keys {keys} are not exactly {list(_HEADER_KEYS)} in that order")
     if header["format"] != TRACE_FORMAT:
         raise ValueError(f"unsupported trace format {header['format']!r}")
-    if int(header["N"]) != len(body):
-        raise ValueError(f"header says N={header['N']} but body has {len(body)} addresses")
+    if int(header["N"]) != n_addrs:
+        raise ValueError(f"header says N={header['N']} but body has {n_addrs} addresses")
     if header["engine"] not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {header['engine']!r} in trace header")
-    n, m, w = int(header["n"]), int(header["m"]), int(header["w"])
+    n, m, M, w = (int(header[key]) for key in ("n", "m", "M", "w"))
     if n < 0 or m < 1 or w < 1:
         raise ValueError(f"trace header has n={n}, m={m}, w={w}; need n >= 0, m >= 1 and w >= 1")
+    if not (M >= 1 and (M - 1).bit_length() <= w):  # 1 <= M <= 2^w, with no 2^w built for a huge w
+        raise ValueError(f"trace header has M={M}; need 1 <= M <= 2^{w}")
     out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
     try:
         ops = np.array([line[4:] for line in marks], dtype=np.int64)
     except OverflowError:
         raise ValueError("trace has an #op index outside int64") from None
     try:
-        addr_array = np.array(body, dtype=np.int64)
+        values[text_at] = np.array(texts, dtype=np.int64)
     except OverflowError:
         raise out_of_range from None
+    addr_array = values if n_addrs == len(values) else values[is_addr]
     # int64 addresses never exceed 2^63, so a wider w needs no upper check
     if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << min(w, 63):
         raise out_of_range
@@ -157,11 +216,11 @@ def read_trace(path) -> TraceFile:
         workload=header["workload"],
         n=n,
         m=m,
-        M=int(header["M"]),
+        M=M,
         w=w,
         seed=int(header["seed"]),
         addrs=addr_array,
-        op_index=np.repeat(np.append(-1, ops), np.diff([0, *starts, len(body)])) if marks else None,
+        op_index=np.repeat(np.append(-1, ops), np.diff([0, *starts, n_addrs])) if marks else None,
     )
 
 

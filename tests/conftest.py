@@ -29,7 +29,7 @@ from oramlab import (
     run_sequence,
 )
 from oramlab._util import as_fraction
-from oramlab.orams import ENGINE_NAMES
+from oramlab.orams import ENGINE_NAMES, DummyLengthEncoder, DummyLengthLeaker
 from oramlab.server import NO_WRITER
 from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
 
@@ -345,6 +345,25 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
     return answers
 
 
+class ForcedEncoder(DummyLengthEncoder):
+    """The length encoder with its comparands given, in order, instead of drawn."""
+
+    def __init__(self, config, comparands):
+        super().__init__(config, random.Random(0))
+        self._comparands = iter(comparands)
+
+    def _draw_op(self):
+        return next(self._comparands)
+
+
+class ForcedLeaker(DummyLengthLeaker):
+    """The length leaker for n ops with its draw (i, r) given instead of drawn."""
+
+    def __init__(self, config, n: int, i: int, r: int):
+        super().__init__(config, random.Random(0), n)
+        self.i, self.r = i, r
+
+
 def run_forced(engine, config, y) -> tuple[list[int], ServerState]:
     """``run_sequence`` for an engine built by the caller (say, with a forced draw).
 
@@ -398,7 +417,7 @@ def reference_read_trace(path) -> TraceFile:
     the op of the addresses after them (-1 before the first), other ``#``
     lines are header keys and may not follow an address, and every other
     line is a base-10 address.  The header's n, m and w must be at least 0,
-    1 and 1.
+    1 and 1, and M must lie in [1, 2^w].
     """
     keys: list[str] = []
     header: dict[str, str] = {}
@@ -436,6 +455,9 @@ def reference_read_trace(path) -> TraceFile:
     n, m, w = int(header["n"]), int(header["m"]), int(header["w"])
     if n < 0 or m < 1 or w < 1:
         raise ValueError(f"trace header has n={n}, m={m}, w={w}; need n >= 0, m >= 1 and w >= 1")
+    M = int(header["M"])
+    if not 1 <= M <= 1 << w:
+        raise ValueError(f"trace header has M={M}; need 1 <= M <= 2^{w}")
     out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
     try:
         addr_array = np.asarray(addrs, dtype=np.int64)
@@ -448,7 +470,7 @@ def reference_read_trace(path) -> TraceFile:
         workload=header["workload"],
         n=n,
         m=m,
-        M=int(header["M"]),
+        M=M,
         w=w,
         seed=int(header["seed"]),
         addrs=addr_array,

@@ -247,3 +247,27 @@ def test_op_index_beyond_int64_is_a_usage_error(tmp_path, capsys, where):
     trace.write_text(trace.read_text().replace(anchor, anchor + mark, 1))
     assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
     assert "#op index outside int64" in capsys.readouterr().err
+
+
+def test_non_ascii_trace_byte_is_a_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--out", str(trace))
+    trace.write_bytes(trace.read_bytes().replace(b"#N=4\n1\n", b"#N=4\n1\xe9\n", 1))
+    assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("oramlab: usage error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("M, code", [(-7, EXIT_USAGE), (0, EXIT_USAGE), (2**32 + 1, EXIT_USAGE), (2**32, EXIT_OK)])
+def test_header_M_must_lie_in_the_address_range(tmp_path, capsys, M, code):
+    trace = tmp_path / "t.trace"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--out", str(trace))
+    text = trace.read_text()
+    trace.write_text(text.replace("#M=4\n", f"#M={M}\n", 1))
+    assert trace.read_text() != text
+    assert run_cli("analyze", "--trace", str(trace)) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert json.loads(out)["M"] == M
+    else:
+        assert err.startswith("oramlab: usage error") and f"M={M}" in err

@@ -25,10 +25,18 @@ from oramlab import (
     run_sequence,
 )
 from oramlab import orams
-from oramlab.orams import DummyLengthEncoder, DummyLengthLeaker, StashOverflowError, TreeOram, op_order_key
+from oramlab.orams import StashOverflowError, TreeOram, op_order_key
 from oramlab.server import FINAL_OP
 
-from conftest import ALL_ENGINES, ReferenceServer, honest_scan_advance, honest_tree_advance, run_forced
+from conftest import (
+    ALL_ENGINES,
+    ForcedEncoder,
+    ForcedLeaker,
+    ReferenceServer,
+    honest_scan_advance,
+    honest_tree_advance,
+    run_forced,
+)
 
 CFG = OramConfig(m=1, M=24, w=12)
 
@@ -230,16 +238,16 @@ class TestDummyEncoder:
         # forced comparand equal to the input: a tie never adds the extra probe
         y = random_sequence(random.Random(6), 4, CFG.M, CFG.w)
         forced = [(o.kind, o.addr, o.data) for o in y]
-        _, srv = run_forced(DummyLengthEncoder(CFG, random.Random(0), forced_comparand=forced), CFG, y)
+        _, srv = run_forced(ForcedEncoder(CFG, forced), CFG, y)
         assert srv.probe_count == 2 * len(y)
 
     def test_forced_smaller_and_larger(self):
         y = InputSequence((InputOp(READ, 2, 0), InputOp(READ, 2, 0)))
         cfg = OramConfig(m=1, M=4, w=4)
-        smaller = DummyLengthEncoder(cfg, random.Random(0), forced_comparand=[(WRITE, 1, 0), (READ, 4, 0)])
+        smaller = ForcedEncoder(cfg, [(WRITE, 1, 0), (READ, 4, 0)])
         _, srv = run_forced(smaller, cfg, y)
         assert srv.probe_count == 2 * 2 + 1  # writes sort below reads
-        larger = DummyLengthEncoder(cfg, random.Random(0), forced_comparand=[(READ, 3, 0), (WRITE, 1, 0)])
+        larger = ForcedEncoder(cfg, [(READ, 3, 0), (WRITE, 1, 0)])
         _, srv = run_forced(larger, cfg, y)
         assert srv.probe_count == 2 * 2
 
@@ -280,7 +288,7 @@ class TestDummyEncoder:
         )
         extras = 0
         for r in itertools.product(space, repeat=2):
-            _, srv = run_forced(DummyLengthEncoder(cfg, random.Random(0), forced_comparand=list(r)), cfg, y)
+            _, srv = run_forced(ForcedEncoder(cfg, list(r)), cfg, y)
             assert srv.probe_count in (4, 5)
             extras += srv.probe_count == 5
         assert extras == rank
@@ -293,7 +301,7 @@ class TestDummyLeaker:
         n = len(y)
         for i in (1, 3, n):
             for r in (1, cfg.M):
-                _, srv = run_forced(DummyLengthLeaker(cfg, random.Random(0), n, forced_draw=(i, r)), cfg, y)
+                _, srv = run_forced(ForcedLeaker(cfg, n, i, r), cfg, y)
                 extra = 2 if r <= y[i - 1].addr else 1
                 assert srv.probe_count == n + 2 * (i - 1) + extra
 

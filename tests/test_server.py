@@ -179,6 +179,23 @@ def test_probe_batch_matches_probe_loop(before, batch, bad, ops, record_meta):
     assert _server_state(srv, record_meta) == (_server_state(ref, record_meta) if bad is None else unchanged)
 
 
+@pytest.mark.parametrize("top", [2**16 - 1, 2**16, 2**16 + 1])
+def test_probe_batch_matches_probe_loop_around_16_bit_addresses(top):
+    """Batches whose top address sits just below, at and just above 2^16, where
+    the sort by address changes key width, match the reference server probe for
+    probe; 1 and 2^16 + 1 share their low 16 bits."""
+    cfg = OramConfig(m=1, M=16, w=17)
+    rng = np.random.default_rng(top)
+    pool = np.array([1, 2, 3, top - 2, top - 1, top])
+    ref, srv = ReferenceServer(cfg), ServerState(cfg)
+    for op in range(3):
+        batch = [(int(k), int(a), int(d)) for k, a, d in zip(
+            rng.integers(0, 2, 300), np.append(rng.choice(pool, 299), top), rng.integers(0, 2**17, 300))]
+        want = [ref.probe(k, a, d, op) for k, a, d in batch]
+        assert srv.probe_batch(*_batch(batch), op).tolist() == want
+    assert _server_state(srv, meta=True) == _server_state(ref, meta=True)
+
+
 @pytest.mark.parametrize("bad", _BAD_PROBES)
 def test_refused_batch_changes_nothing(bad):
     srv = ServerState(CFG)

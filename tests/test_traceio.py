@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
@@ -128,6 +128,10 @@ _EDITS = st.one_of(
     ),
     st.tuples(st.just("insert"), st.sampled_from(["#op +3", "#op 1_0", "#op  4 ", "#op 0x1"])),
     st.tuples(st.just("replace"), st.sampled_from(["0", "-3", "0x10", "5.0", "1__0", "8", str(2**63), str(_HUGE)])),
+    # the edges of the bulk parser: 18 digits and more, and int() reading past leading zeros
+    st.tuples(st.just("replace"), st.sampled_from(
+        ["9" * 18, "1" * 19, "9" * 19, "1" * 20, str(2**63 - 1), "0" * 20 + "7", "0" * 18]
+    )),
     st.tuples(st.just("pad"), st.sampled_from([" ", "\t", "\x1c", "\x1f"])),
     st.tuples(st.just("plus"), st.none()),
     st.tuples(st.just("underscore"), st.none()),
@@ -169,7 +173,13 @@ def _mutated_trace_text(draw):
     return sep.join(lines) + draw(st.sampled_from(["", sep, sep + sep]))
 
 
+_HEADER_W64 = "#format=oramlab-trace/1\n#engine=tree\n#workload=alt:n=2\n#n=2\n#m=1\n#M=4\n#w=64\n#seed=0\n"
+
+
 @given(text=_mutated_trace_text())
+@example(text=_HEADER_W64 + "#N=2\n5\n7")  # a last line with no newline after it
+@example(text=_HEADER_W64 + "#N=2\n#op 0\n" + "0" * 20 + "7\n" + "1" * 19)
+@example(text=_HEADER_W64 + f"#N=3\n{'9' * 18}\n{2**63 - 1}\n{'0' * 18}\n")
 @settings(max_examples=400, deadline=None)
 def test_read_trace_matches_line_oracle(tmp_path_factory, text):
     """On mutated trace texts the reader and the line-by-line oracle return the
@@ -322,9 +332,12 @@ class TestAnalyze:
         lambda text: text.replace("#m=1\n", "#m=0\n"),
         lambda text: text.replace("#m=1\n", "#m=-31\n"),
         lambda text: text[: text.index("#N=")].replace("#w=16\n", "#w=0\n") + "#N=0\n",  # no address to refuse
+        lambda text: text.replace("#M=10\n", "#M=-7\n"),
+        lambda text: text.replace("#M=10\n", "#M=0\n"),
+        lambda text: text.replace("#M=10\n", f"#M={2**16 + 1}\n"),
     ],
     ids=["unknown-engine", "negative", "zero", "above-2^w", "beyond-int64", "n-negative", "m-zero", "m-negative",
-         "w-zero"],
+         "w-zero", "M-negative", "M-zero", "M-above-2^w"],
 )
 def test_read_trace_rejects_invalid_content(tmp_path, edit):
     tf = _trace_file()  # w=16
@@ -342,6 +355,14 @@ def test_read_trace_accepts_the_top_address(tmp_path):
     write_trace(tf, p)
     p.write_text(p.read_text().replace("\n1\n", f"\n{2**16}\n", 1))
     assert read_trace(p).addrs.max() == 2**16
+
+
+def test_read_trace_accepts_M_up_to_2_to_the_w(tmp_path):
+    tf = _trace_file()  # w=16, M=10
+    p = tmp_path / "t.trace"
+    write_trace(tf, p)
+    p.write_text(p.read_text().replace("#M=10\n", f"#M={2**16}\n"))
+    assert read_trace(p).M == reference_read_trace(p).M == 2**16
 
 
 def test_report_refuses_a_bound_above_the_probe_count():
