@@ -9,10 +9,10 @@ the bare address list, which is all an adversary ever sees in this model.
 There is one probe path, ``probe_batch``: every engine sends its probes in
 batches, each probe tagged with the input op it serves.  The log is
 columnar, so a batch lands in each column's numpy buffer as one array.  Cell
-contents and last writers live in a dense store, two ``array('q')`` indexed
-by address and doubled as needed to cover the highest address probed (so
-addresses should stay of the order of the workload, not of 2^w); a batch
-views them through ``np.frombuffer``; ``load`` and ``contents`` set and read
+contents and last writers live in a dense store, two int64 arrays indexed
+by address, which a probe past the highest address covered reallocates at
+least twice as large, copying the old cells in (so addresses should stay
+of the workload's order, not of 2^w); ``load`` and ``contents`` set and read
 cells without a probe.  The linear scan logs its passes with no probe either,
 through the one run logger ``_log_run``: with metadata off, a run is its
 period of addresses and a repeat count; with metadata on, it logs every
@@ -36,7 +36,6 @@ read block, the only probes she reads them for.
 from __future__ import annotations
 
 import mmap
-from array import array
 
 import numpy as np
 
@@ -171,9 +170,8 @@ class ServerState:
     def __init__(self, config: OramConfig, record_meta: bool = True):
         self.config = config
         self.record_meta = False
-        # index 0 is never probed; it keeps np.frombuffer off empty buffers
-        self._val = array("q", [0])
-        self._writer = array("q", [NO_WRITER])
+        self._val = np.zeros(0, dtype=np.int64)  # indexed by address; cell 0 is never probed
+        self._writer = np.zeros(0, dtype=np.int64)
         self._addr = _Column()
         if record_meta:
             self.begin_meta()
@@ -200,18 +198,19 @@ class ServerState:
         """Execute probes i = 0, 1, ... (kinds[i]: 0 read, 1 write) in order: the server's one probe.
 
         op is the input-op index of the probes, one int for the whole batch or
-        one per probe; the log keeps it, and the cells a write stores data in
-        keep it as their last writer.  Writes return 0; reads return the last
-        value written at the address (0 if the cell was never written), seeing
-        earlier writes of the batch; data is ignored for reads.  A batch with
-        an address outside [1, 2^w], a write payload outside w bits or a kind
-        other than 0 and 1 raises ModelViolationError, naming its first bad
-        probe, before any work.
+        one per probe, and is made one int64 per probe on entry; the log keeps
+        it, and the cells a write stores data in keep it as their last writer.
+        Writes return 0; reads return the last value written at the address (0
+        if the cell was never written), seeing earlier writes of the batch;
+        data is ignored for reads.  A batch with an address outside [1, 2^w],
+        a write payload outside w bits or a kind other than 0 and 1 raises
+        ModelViolationError, naming its first bad probe, before any work.
         """
         kinds, addrs, data = (np.array(x, dtype=np.int64) for x in (kinds, addrs, data))
         n = len(addrs)
         if not n:
             return addrs
+        op = np.full(n, op, dtype=np.int64) if isinstance(op, (int, np.integer)) else np.array(op, dtype=np.int64)
         is_write = kinds == 1
         written = data[is_write]
         limit = self._addr_limit
@@ -230,12 +229,7 @@ class ServerState:
             if bad_data[i]:
                 raise ModelViolationError(f"probe payload {data[i]} does not fit in {self.config.w} bits")
             raise ModelViolationError(f"unknown probe kind {int(kinds[i])!r}")
-        per_probe = not isinstance(op, (int, np.integer))
-        if per_probe:
-            op = np.array(op, dtype=np.int64)
         self._grow(top)
-        vals = np.frombuffer(self._val, dtype=np.int64)
-        writers = np.frombuffer(self._writer, dtype=np.int64)
         # sort stably by address (each address keeps batch order) and give
         # each probe the latest write at or before it in its group, else the store;
         # a stable order is unique, and numpy radix-sorts 16-bit keys
@@ -246,23 +240,21 @@ class ServerState:
         group = np.maximum.accumulate(np.where(first, pos, 0))
         last_write = np.maximum.accumulate(np.where(is_write[order], pos, -1))
         hit = last_write >= group
-        got = np.where(hit, data[order][last_write], vals[a])
-        hit_op = op[order][last_write] if per_probe else op
+        got = np.where(hit, data[order][last_write], self._val[a])
+        hit_op = op[order][last_write]
         logged, src = np.empty((2, n), dtype=np.int64)
         logged[order] = got
-        src[order] = np.where(hit, hit_op, writers[a])
+        src[order] = np.where(hit, hit_op, self._writer[a])
         last = hit & np.append(first[1:], True)
         final = a[last]
-        final_op = hit_op[last] if per_probe else op
-        vals[final] = got[last]
-        writers[final] = final_op
+        self._val[final] = got[last]
+        self._writer[final] = hit_op[last]
         src[is_write] = NO_WRITER
-        del vals, writers  # release the buffers so the store can grow again
         self._addr.extend(addrs)
         if self.record_meta:
             self._kind.extend(kinds)
             self._data.extend(logged)
-            self._op.extend(op if per_probe else np.full(n, op, dtype=np.int64))
+            self._op.extend(op)
             self._read_src.extend(src)
         return np.where(is_write, 0, logged)
 
@@ -284,15 +276,16 @@ class ServerState:
     def contents(self, m: int) -> np.ndarray:
         """Contents of cells 1..m as a fresh array (0 for a cell never written), with no probe."""
         self._grow(m)
-        return np.frombuffer(self._val, dtype=np.int64)[1 : m + 1].copy()
+        return self._val[1 : m + 1].copy()
 
     def _grow(self, top: int) -> None:
         """Extend the store to cover addresses up to top, at least doubling it."""
         size = len(self._val)
         if top >= size:
-            extra = max(top + 1, 2 * size) - size
-            self._val.frombytes(bytes(8 * extra))
-            self._writer.extend(array("q", [NO_WRITER]) * extra)
+            new = max(top + 1, 2 * size)
+            val, writer = np.zeros(new, dtype=np.int64), np.full(new, NO_WRITER, dtype=np.int64)
+            val[:size], writer[:size] = self._val, self._writer
+            self._val, self._writer = val, writer
 
     @property
     def cells(self) -> dict[int, int]:
@@ -304,9 +297,9 @@ class ServerState:
         """Op index of the last write to every written cell, as a fresh dict."""
         return self._per_written_cell(self._writer)
 
-    def _per_written_cell(self, store: array) -> dict[int, int]:
-        written = np.flatnonzero(np.frombuffer(self._writer, dtype=np.int64) != NO_WRITER)
-        return dict(zip(written.tolist(), np.frombuffer(store, dtype=np.int64)[written].tolist()))
+    def _per_written_cell(self, store: np.ndarray) -> dict[int, int]:
+        written = np.flatnonzero(self._writer != NO_WRITER)
+        return dict(zip(written.tolist(), store[written].tolist()))
 
     def _log_run(self, period: np.ndarray, kinds: np.ndarray, ops: range, cells) -> None:
         """Log the linear scan's passes for ops, one per op, with no probe.
@@ -325,15 +318,15 @@ class ServerState:
             before = np.concatenate((self.contents(m)[None], cells[:-1]))
             is_write = kinds == 1
             src = np.empty((reps, len(period)), dtype=np.int64)
-            src[0] = np.frombuffer(self._writer, dtype=np.int64)[period]
+            src[0] = self._writer[period]
             src[1:] = np.arange(ops.start, ops.stop - 1)[:, None]  # each cell's writer is the op before
             src[:, is_write] = NO_WRITER
             self._kind.extend(np.tile(kinds, reps))
             self._data.extend(np.where(is_write, cells[:, period - 1], before[:, period - 1]).ravel())
             self._op.extend(np.repeat(np.arange(ops.start, ops.stop), len(period)))
             self._read_src.extend(src.ravel())
-        np.frombuffer(self._val, dtype=np.int64)[1 : m + 1] = cells[-1]
-        np.frombuffer(self._writer, dtype=np.int64)[1 : m + 1] = ops.stop - 1
+        self._val[1 : m + 1] = cells[-1]
+        self._writer[1 : m + 1] = ops.stop - 1
         self._addr.extend(np.tile(period, reps) if self.record_meta else AccessSequence.repeating(period, reps))
 
     # -- columnar access -------------------------------------------------

@@ -7,11 +7,12 @@ marks wrap-up probes after the last op); analyses must ignore those lines.
 The format is documented in docs/formats.md and round-trips byte-exactly.
 Reading rejects unknown engines, n < 0, m < 1, w < 1, M outside [1, 2^w]
 and addresses outside [1, 2^w], the range the server enforces on every
-probe.  Both directions work in bulk.  The reader parses the file's bytes:
-every body line of 1 to 18 digits is parsed in one numpy pass, and only the
-header and every other line (``#op`` marks, and padded, signed or
-underscored addresses) are stripped and read one at a time, through
-``int()``.  The writer formats every address in one numpy pass.
+probe.  Both directions work in bulk.  The reader splits the file's bytes
+into lines once, header included: every line of 1 to 18 digits is parsed in
+one numpy pass, and one loop strips and classifies every other line once,
+as a blank, an ``#op`` mark, a header key or an address read through
+``int()`` (a padded, signed or underscored one).  The writer formats every
+address in one numpy pass.
 """
 
 from __future__ import annotations
@@ -105,13 +106,13 @@ def write_trace(tf: TraceFile, path) -> None:
         fh.write(header.encode("ascii") + body)
 
 
-def _body_lines(raw: bytes, begin: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
-    """Split raw[begin:] into lines and parse the digit-only ones in bulk.
+def _body_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """Split raw into lines and parse the digit-only ones in bulk.
 
     Returns each line's value (0 where not parsed), each line's width, and
     (line index, stripped text) for every line that is not 1-18 digits.
     """
-    buf = np.frombuffer(raw, dtype=np.uint8, offset=begin)
+    buf = np.frombuffer(raw, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     ends = newlines if raw.endswith(b"\n") or not len(buf) else np.append(newlines, len(buf))
     starts = np.empty_like(ends)
@@ -119,8 +120,8 @@ def _body_lines(raw: bytes, begin: int) -> tuple[np.ndarray, np.ndarray, list[tu
     widths = ends - starts
     slow = widths > 18  # 18 digits always fit in int64
     not_digit = buf - ord("0") >= 10
-    if np.count_nonzero(not_digit) > len(newlines):  # some line holds a byte other than a digit
-        slow[np.searchsorted(ends, np.flatnonzero(not_digit & (buf != ord("\n"))))] = True
+    not_digit[newlines] = False  # a byte other than a digit or a newline sends its line to the slow path
+    slow[np.searchsorted(ends, np.flatnonzero(not_digit))] = True
     values = np.zeros(len(ends), dtype=np.int64)
     fast_widths = np.where(slow, 0, widths)
     for width in (np.flatnonzero(np.bincount(fast_widths)[1:]) + 1).tolist():
@@ -134,8 +135,7 @@ def _body_lines(raw: bytes, begin: int) -> tuple[np.ndarray, np.ndarray, list[tu
         values[rows] = acc - ord("0") * (10**width - 1) // 9  # each digit byte carried ord("0") along
     at = np.flatnonzero(slow)
     others = [
-        (i, raw[begin + b : begin + e].decode("ascii").strip())
-        for i, b, e in zip(at.tolist(), starts[at].tolist(), ends[at].tolist())
+        (i, raw[b:e].decode("ascii").strip()) for i, b, e in zip(at.tolist(), starts[at].tolist(), ends[at].tolist())
     ]
     return values, widths, others
 
@@ -147,43 +147,31 @@ def read_trace(path) -> TraceFile:
         raise ValueError("trace file holds a byte outside ASCII")
     if b"\r" in raw:  # universal newlines
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    values, widths, others = _body_lines(raw)
+    is_addr = widths > 0
     keys: list[str] = []
     header: dict[str, str] = {}
-    marks: list[str] = []
-    begin = 0  # the first address line, or the end of the file
-    while begin < len(raw):
-        end = raw.find(b"\n", begin)
-        end = len(raw) if end < 0 else end
-        line = raw[begin:end].decode("ascii").strip()
+    key_at = 0  # the last header line; no address comes before it
+    marks: list[str] = []  # each #op line's index
+    mark_at: list[int] = []
+    texts: list[str] = []  # the address lines not parsed in bulk, in order
+    text_at: list[int] = []
+    for i, line in others:
         if line and not line.startswith("#"):
-            break
+            texts.append(line)
+            text_at.append(i)
+            continue
+        is_addr[i] = False
         if line.startswith("#op "):
-            marks.append(line)
+            marks.append(line[4:])
+            mark_at.append(i)
         elif line:
+            if is_addr[key_at:i].any():
+                raise ValueError(f"trace header line {line!r} after the first address")
+            key_at = i
             key, _, val = line[1:].partition("=")
             keys.append(key)
             header[key] = val
-        begin = end + 1
-    values, widths, others = _body_lines(raw, min(begin, len(raw)))
-    starts = [0] * len(marks)  # addresses before each #op line
-    is_addr = widths > 0
-    texts: list[str] = []  # the address lines not parsed in bulk, in order
-    text_at: list[int] = []
-    mark_at: list[int] = []
-    for i, line in others:
-        if not line or line.startswith("#"):
-            is_addr[i] = False
-            if line:
-                marks.append(line)
-                mark_at.append(i)
-        else:
-            texts.append(line)
-            text_at.append(i)
-    if mark_at:
-        starts += np.cumsum(is_addr)[mark_at].tolist()
-        stray = next((line for line in marks if not line.startswith("#op ")), None)
-        if stray:
-            raise ValueError(f"trace header line {stray!r} after the first address")
     n_addrs = int(np.count_nonzero(is_addr))
     if keys != list(_HEADER_KEYS):
         raise ValueError(f"trace header keys {keys} are not exactly {list(_HEADER_KEYS)} in that order")
@@ -199,15 +187,20 @@ def read_trace(path) -> TraceFile:
     if not (M >= 1 and (M - 1).bit_length() <= w):  # 1 <= M <= 2^w, with no 2^w built for a huge w
         raise ValueError(f"trace header has M={M}; need 1 <= M <= 2^{w}")
     out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
-    try:
-        ops = np.array([line[4:] for line in marks], dtype=np.int64)
-    except OverflowError:
-        raise ValueError("trace has an #op index outside int64") from None
+    op_index = None
+    if marks:  # an address takes the index of the last #op line before it, else -1
+        try:
+            ops = np.array(marks, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("trace has an #op index outside int64") from None
+        starts = np.cumsum(is_addr)[mark_at]  # addresses before each #op line
+        op_index = np.repeat(np.append(-1, ops), np.diff(starts, prepend=0, append=n_addrs))
     try:
         values[text_at] = np.array(texts, dtype=np.int64)
     except OverflowError:
         raise out_of_range from None
-    addr_array = values if n_addrs == len(values) else values[is_addr]
+    # when every line after the header is an address, as write_trace writes them, keep them a view
+    addr_array = values[key_at + 1 :] if n_addrs == len(values) - key_at - 1 else values[is_addr]
     # int64 addresses never exceed 2^63, so a wider w needs no upper check
     if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << min(w, 63):
         raise out_of_range
@@ -220,7 +213,7 @@ def read_trace(path) -> TraceFile:
         w=w,
         seed=int(header["seed"]),
         addrs=addr_array,
-        op_index=np.repeat(np.append(-1, ops), np.diff([0, *starts, n_addrs])) if marks else None,
+        op_index=op_index,
     )
 
 

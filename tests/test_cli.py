@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from oramlab import TreeOram, cli
+from oramlab import TreeOram, cli, read_trace
 from oramlab.cli import EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -247,6 +247,19 @@ def test_op_index_beyond_int64_is_a_usage_error(tmp_path, capsys, where):
     trace.write_text(trace.read_text().replace(anchor, anchor + mark, 1))
     assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
     assert "#op index outside int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first", ["1", " +1"])  # the first address parsed in bulk, or through int()
+def test_header_line_after_the_first_address_is_a_usage_error(tmp_path, capsys, first):
+    trace = tmp_path / "t.trace"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--out", str(trace))
+    trace.write_text(trace.read_text().replace("#N=4\n1\n", f"#N=4\n{first}\n\t#engine=tree \n", 1))
+    message = "trace header line '#engine=tree' after the first address"
+    with pytest.raises(ValueError) as exc:
+        read_trace(trace)
+    assert str(exc.value) == message
+    assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"oramlab: usage error: {message}\n"
 
 
 def test_non_ascii_trace_byte_is_a_usage_error(tmp_path, capsys):
