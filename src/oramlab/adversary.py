@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import sqrt
@@ -268,6 +267,8 @@ def _map_chunks(worker, args: tuple, trials: int, jobs: int) -> list:
     argses = [(*args, range(trials * j // parts, trials * (j + 1) // parts)) for j in range(parts)]
     if parts == 1:
         return [worker(argses[0])]
+    from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for the import
+
     with ProcessPoolExecutor(max_workers=parts) as pool:
         return list(pool.map(worker, argses))
 

@@ -49,6 +49,8 @@ class OramConfig:
         rather than in the constructor.  n = 0 is allowed as a degenerate
         empty run.
         """
+        if n < 0:
+            raise ModelViolationError(f"workload length n={n} is negative")
         if n == 0:
             return
         if self.m * self.m > n:

@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .server import AccessSequence
+from .server import AccessSequence, stable_order
 
 
-def consecutive_pairs(addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (u, v) of the access graph of addrs, as parallel index arrays.
+def consecutive_pairs(addrs: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (u, v) of the access graph of addrs, all in [lo, hi], as parallel index arrays.
 
     A stable sort lists each address's timestamps in increasing order, so
     adjacent equal keys are exactly the consecutive occurrences.  The pairs
     come out grouped by address, not ordered by v.
     """
-    order = np.argsort(addrs, kind="stable")
+    order = stable_order(addrs, lo, hi)
     sorted_a = addrs[order]
     same = sorted_a[1:] == sorted_a[:-1]
     return order[:-1][same], order[1:][same]
@@ -49,7 +49,7 @@ class AccessGraph:
         """pred[v] = previous timestamp of trace.addrs[v], or -1 if v is its first occurrence."""
         if self._pred is None:
             pred = np.full(self.N, -1, dtype=np.int64)
-            u, v = consecutive_pairs(self.trace.addrs)
+            u, v = consecutive_pairs(self.trace.addrs, *self.trace.bounds)
             pred[v] = u
             self._pred = pred
         return self._pred

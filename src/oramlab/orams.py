@@ -224,42 +224,60 @@ class TreeOram(Engine):
     def _advance_batch(self, server, ops, first_op):
         """Plan ops first_op, first_op+1, ... op by op, then send their probes as one batch.
 
-        On a stash overflow, sends the probes through the failing op and raises.
+        A path read empties every slot on the path and eviction fills each
+        bucket from slot 0, so a bucket's blocks fill a prefix of its slots
+        and the read walk stops at its first empty slot.  On a stash overflow,
+        sends the probes through the failing op and raises.
         """
-        z, depth, owners, stash = self.Z, self.depth, self.slot_owner, self.stash
+        z, depth, owners, stash, pos = self.Z, self.depth, self.slot_owner, self.stash, self.pos
+        n_leaves, randrange = self.leaves, self.rng.randrange
         width = z * (depth + 1)  # slots on a path
-        store = server.contents(len(owners))  # slot s is server cell s + 1
+        shifts = range(depth, -1, -1)
+        stored = server.contents(len(owners)).item  # slot s is server cell s + 1
         written: dict[int, int] = {}  # slots written earlier in the batch
+        overlay = written.get
         leaves, write_at, write_val, answers = [], [], [], []
         overflow = None
         for i, op in enumerate(ops):
-            leaf = self.pos[op.addr - 1]
-            path = [((self.leaves + leaf) >> (depth - level)) - 1 for level in range(depth + 1)]  # root first
+            addr = op.addr
+            leaf = pos[addr - 1]
+            path = [((n_leaves + leaf) >> shift) - 1 for shift in shifts]  # root first
             for bucket in path:
-                for slot, owner in enumerate(owners[bucket * z : bucket * z + z], bucket * z):
-                    if owner is not None:
-                        owners[slot] = None
-                        stash[owner] = written[slot] if slot in written else int(store[slot])
+                for slot in range(bucket * z, bucket * z + z):
+                    owner = owners[slot]
+                    if owner is None:
+                        break
+                    owners[slot] = None
+                    val = overlay(slot)
+                    stash[owner] = stored(slot) if val is None else val
             if op.kind == WRITE:
-                stash[op.addr] = op.data
+                stash[addr] = op.data
             else:
-                answers.append(stash.setdefault(op.addr, 0))
-            self.pos[op.addr - 1] = self.rng.randrange(self.leaves)
+                answers.append(stash.setdefault(addr, 0))
+            pos[addr - 1] = randrange(n_leaves)
+            # Path ORAM eviction: in stash order, each block goes to the deepest
+            # non-full bucket at or above the level where its leaf's path leaves this one
             base = (2 * i + 1) * width  # this op's first write probe
-            for level, blocks in enumerate(self._plan_eviction(leaf)):
-                for s, (addr, val) in enumerate(blocks):
+            fill = [0] * (depth + 1)  # blocks placed so far at each level of the path
+            for block, val in list(stash.items()):
+                level = depth - (leaf ^ pos[block - 1]).bit_length()
+                while level >= 0 and fill[level] == z:
+                    level -= 1
+                if level >= 0:
+                    s = fill[level]
+                    fill[level] = s + 1
                     slot = path[level] * z + s
-                    owners[slot], written[slot] = addr, val
+                    owners[slot], written[slot] = block, val
                     write_at.append(base + level * z + s)
                     write_val.append(val)
+                    del stash[block]
             leaves.append(leaf)
             if len(stash) > self.STASH_LIMIT:
                 overflow = StashOverflowError(
                     f"stash holds {len(stash)} blocks (> {self.STASH_LIMIT}) after op {first_op + i}"
                 )
                 break
-        shifts = np.arange(depth, -1, -1)
-        buckets = ((self.leaves + np.array(leaves, dtype=np.int64)[:, None]) >> shifts) - 1
+        buckets = ((n_leaves + np.array(leaves, dtype=np.int64)[:, None]) >> np.arange(depth, -1, -1)) - 1
         path_addrs = (buckets[:, :, None] * z + np.arange(1, z + 1)).reshape(len(leaves), width)
         addrs = np.concatenate((path_addrs, path_addrs), axis=1).ravel()  # each op's reads, then its writes
         kinds = np.tile(np.repeat([0, 1], width), len(leaves))
@@ -269,18 +287,6 @@ class TreeOram(Engine):
         if overflow is not None:
             raise overflow
         return answers
-
-    def _plan_eviction(self, leaf: int) -> list[list[tuple[int, int]]]:
-        """Per level of leaf's path, the (addr, value) blocks that leave the stash for it."""
-        placement: list[list[tuple[int, int]]] = [[] for _ in range(self.depth + 1)]
-        for addr, val in list(self.stash.items()):
-            level = self.depth - (leaf ^ self.pos[addr - 1]).bit_length()
-            while level >= 0 and len(placement[level]) == self.Z:
-                level -= 1
-            if level >= 0:
-                placement[level].append((addr, val))
-                del self.stash[addr]
-        return placement
 
     def export_state(self):
         return {

@@ -86,7 +86,7 @@ def _close_part(graph: AccessGraph, b: int, threshold: int) -> tuple[int, int] |
     if b + hi > n:
         return None
     while True:
-        u, v = consecutive_pairs(graph.trace.window(b, b + hi))
+        u, v = consecutive_pairs(graph.trace.window(b, b + hi), *graph.trace.bounds)
         cut = _first_heavy_cut(u, v, hi, threshold)
         if cut is not None:
             break

@@ -48,6 +48,11 @@ FINAL_OP = -2
 NO_WRITER = -1
 
 
+def stable_order(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The stable argsort of int64 keys in [lo, hi]: it is unique, so keys in [0, 2^16) sort as uint16 (radix)."""
+    return np.argsort(keys.astype(np.uint16) if 0 <= lo and hi < 1 << 16 else keys, kind="stable")
+
+
 class _Column:
     """Append-only int64 column.
 
@@ -104,17 +109,17 @@ class _Column:
 class AccessSequence:
     """The adversary's view: the ordered list of probed server addresses."""
 
-    __slots__ = ("_addrs", "_period", "N")
+    __slots__ = ("_addrs", "_period", "N", "_bounds")
 
     def __init__(self, addrs):
-        self._addrs, self._period = np.asarray(addrs, dtype=np.int64), None
+        self._addrs, self._period, self._bounds = np.asarray(addrs, dtype=np.int64), None, None
         self.N = len(self._addrs)
 
     @classmethod
     def repeating(cls, period, reps: int) -> AccessSequence:
         """A non-empty period repeated reps times; ``addrs`` builds and caches the array on first use."""
         seq = cls.__new__(cls)
-        seq._addrs, seq._period = None, np.asarray(period, dtype=np.int64)
+        seq._addrs, seq._period, seq._bounds = None, np.asarray(period, dtype=np.int64), None
         seq.N = len(seq._period) * reps
         return seq
 
@@ -123,6 +128,14 @@ class AccessSequence:
         if self._addrs is None:
             self._addrs = self.window(0, self.N)
         return self._addrs
+
+    @property
+    def bounds(self) -> tuple[int, int]:
+        """(lo, hi) with every address in [lo, hi], (0, 0) for none; a repeating trace's from its period."""
+        if self._bounds is None:
+            keys = self._addrs if self._period is None else self._period
+            self._bounds = (int(keys.min()), int(keys.max())) if len(keys) else (0, 0)
+        return self._bounds
 
     def window(self, b: int, e: int) -> np.ndarray:
         """addrs[b:e]; of a repeating trace, e - b new addresses (plus at most a period's slack)."""
@@ -231,9 +244,8 @@ class ServerState:
             raise ModelViolationError(f"unknown probe kind {int(kinds[i])!r}")
         self._grow(top)
         # sort stably by address (each address keeps batch order) and give
-        # each probe the latest write at or before it in its group, else the store;
-        # a stable order is unique, and numpy radix-sorts 16-bit keys
-        order = np.argsort(addrs.astype(np.uint16) if top < 1 << 16 else addrs, kind="stable")
+        # each probe the latest write at or before it in its group, else the store
+        order = stable_order(addrs, 1, top)
         a = addrs[order]
         pos = np.arange(n)
         first = np.concatenate(([True], a[1:] != a[:-1]))
@@ -286,20 +298,6 @@ class ServerState:
             val, writer = np.zeros(new, dtype=np.int64), np.full(new, NO_WRITER, dtype=np.int64)
             val[:size], writer[:size] = self._val, self._writer
             self._val, self._writer = val, writer
-
-    @property
-    def cells(self) -> dict[int, int]:
-        """Contents of every written cell, as a fresh dict."""
-        return self._per_written_cell(self._val)
-
-    @property
-    def last_write_op(self) -> dict[int, int]:
-        """Op index of the last write to every written cell, as a fresh dict."""
-        return self._per_written_cell(self._writer)
-
-    def _per_written_cell(self, store: np.ndarray) -> dict[int, int]:
-        written = np.flatnonzero(self._writer != NO_WRITER)
-        return dict(zip(written.tolist(), store[written].tolist()))
 
     def _log_run(self, period: np.ndarray, kinds: np.ndarray, ops: range, cells) -> None:
         """Log the linear scan's passes for ops, one per op, with no probe.

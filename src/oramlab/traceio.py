@@ -5,11 +5,12 @@ order, then one decimal server address per line.  With boundary annotations
 enabled, a ``#op <index>`` comment precedes each input op's probes (index -2
 marks wrap-up probes after the last op); analyses must ignore those lines.
 The format is documented in docs/formats.md and round-trips byte-exactly.
-Reading rejects unknown engines, n < 0, m < 1, w < 1, M outside [1, 2^w]
-and addresses outside [1, 2^w], the range the server enforces on every
-probe.  Both directions work in bulk.  The reader splits the file's bytes
-into lines once, header included: every line of 1 to 18 digits is parsed in
-one numpy pass, and one loop strips and classifies every other line once,
+Reading rejects unknown engines, a header no run can have (one that
+``OramConfig`` or ``bind_workload_length`` refuses) and addresses outside
+[1, 2^w], the range the server enforces on every probe.  Both directions
+work in bulk.  The reader splits the file's bytes into lines once, header
+included: every line of 1 to 18 digits is parsed in one numpy pass, and
+one loop strips and classifies every other line once,
 as a blank, an ``#op`` mark, a header key or an address read through
 ``int()`` (a padded, signed or underscored one).  The writer formats every
 address in one numpy pass.
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_fraction, powers_of_4_up_to
+from ._util import ModelViolationError, as_fraction, powers_of_4_up_to
 from .core import InputSequence, OramConfig
 from .graph import AccessGraph
 from .orams import ENGINE_NAMES, run_sequence
@@ -182,10 +183,10 @@ def read_trace(path) -> TraceFile:
     if header["engine"] not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {header['engine']!r} in trace header")
     n, m, M, w = (int(header[key]) for key in ("n", "m", "M", "w"))
-    if n < 0 or m < 1 or w < 1:
-        raise ValueError(f"trace header has n={n}, m={m}, w={w}; need n >= 0, m >= 1 and w >= 1")
-    if not (M >= 1 and (M - 1).bit_length() <= w):  # 1 <= M <= 2^w, with no 2^w built for a huge w
-        raise ValueError(f"trace header has M={M}; need 1 <= M <= 2^{w}")
+    try:  # the header must be one a run can have; a malformed file stays a usage error
+        OramConfig(m, M, w).bind_workload_length(n)
+    except ModelViolationError as exc:
+        raise ValueError(f"trace header fits no run: {exc}") from None
     out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
     op_index = None
     if marks:  # an address takes the index of the last #op line before it, else -1
@@ -201,8 +202,7 @@ def read_trace(path) -> TraceFile:
         raise out_of_range from None
     # when every line after the header is an address, as write_trace writes them, keep them a view
     addr_array = values[key_at + 1 :] if n_addrs == len(values) - key_at - 1 else values[is_addr]
-    # int64 addresses never exceed 2^63, so a wider w needs no upper check
-    if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << min(w, 63):
+    if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << w:
         raise out_of_range
     return TraceFile(
         engine=header["engine"],

@@ -6,6 +6,7 @@ among them)."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -49,7 +50,7 @@ def assert_graph_invariants(graph: AccessGraph) -> None:
         assert (u < v).all()
     assert np.bincount(u, minlength=graph.N).max(initial=0) <= 1, "a vertex has outdegree > 1"
     assert np.bincount(v, minlength=graph.N).max(initial=0) <= 1, "a vertex has indegree > 1"
-    distinct = len(np.unique(graph.trace.addrs)) if graph.N else 0
+    distinct = np.count_nonzero(np.bincount(graph.trace.addrs))  # linear in N and the top address; no sort
     assert graph.edge_count == graph.N - distinct
 
 
@@ -163,6 +164,7 @@ def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | 
     n = graph.N
     if ell <= 0:
         return Partition((0,) * (2 * k) + (n,))
+    need = math.ceil(ell)  # an integer count reaches ell exactly when it reaches ceil(ell)
     edges = graph.edges
 
     def cross(b: int, m: int, e: int) -> int:
@@ -177,7 +179,7 @@ def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | 
             return None
         for e in range(b, n + 1):
             for m in range(b, e + 1):
-                if cross(b, m, e) >= ell:
+                if cross(b, m, e) >= need:
                     rest = search(e, parts_left - 1)
                     if rest is not None:
                         return [m, e] + rest
@@ -227,8 +229,8 @@ class ReferenceServer:
 
     A dict maps each cell set so far to its content and the op of its last
     write; every probe appends to one list per log column, metadata included.
-    The column, ``cells``, ``last_write_op`` and ``contents`` readers answer
-    as the server's do.
+    The column and ``contents`` readers answer as the server's do, and
+    ``written_cells`` and ``last_write_ops`` read either server.
     """
 
     def __init__(self, config):
@@ -263,14 +265,6 @@ class ReferenceServer:
     def contents(self, m: int) -> np.ndarray:
         return np.array([self.store.get(a, (0,))[0] for a in range(1, m + 1)], dtype=np.int64)
 
-    @property
-    def cells(self) -> dict[int, int]:
-        return {a: c for a, (c, op) in self.store.items() if op != NO_WRITER}
-
-    @property
-    def last_write_op(self) -> dict[int, int]:
-        return {a: op for a, (c, op) in self.store.items() if op != NO_WRITER}
-
     def addr_column(self) -> np.ndarray:
         return np.array(self.log["addr"], dtype=np.int64)
 
@@ -285,6 +279,25 @@ class ReferenceServer:
 
     def read_src_column(self) -> np.ndarray:
         return np.array(self.log["read_src"], dtype=np.int64)
+
+
+def written_cells(server) -> dict[int, int]:
+    """Contents of every cell a probe wrote, of a ServerState or a ReferenceServer, as a fresh dict."""
+    return _per_written_cell(server, 0)
+
+
+def last_write_ops(server) -> dict[int, int]:
+    """Op index of the last write to every written cell, of either server, as a fresh dict."""
+    return _per_written_cell(server, 1)
+
+
+def _per_written_cell(server, field: int) -> dict[int, int]:
+    if isinstance(server, ReferenceServer):
+        store = server.store
+    else:
+        written = np.flatnonzero(server._writer != NO_WRITER)
+        store = dict(zip(written.tolist(), zip(server._val[written].tolist(), server._writer[written].tolist())))
+    return {addr: entry[field] for addr, entry in store.items() if entry[1] != NO_WRITER}
 
 
 def honest_scan_advance(server: ReferenceServer, M: int, y, start: int, stop: int) -> list[int]:
@@ -305,6 +318,24 @@ def honest_scan_advance(server: ReferenceServer, M: int, y, start: int, stop: in
                     answers.append(v)
             server.probe(1, j, v, i)
     return answers
+
+
+def plan_eviction(engine, leaf: int) -> list[list[tuple[int, int]]]:
+    """Per level of leaf's path, the (addr, value) blocks that leave the tree engine's stash for it.
+
+    Path ORAM's eviction as a plan: each stash block, in stash order, goes to
+    the deepest non-full bucket at or above the level where its leaf's path
+    leaves this one.
+    """
+    placement: list[list[tuple[int, int]]] = [[] for _ in range(engine.depth + 1)]
+    for addr, val in list(engine.stash.items()):
+        level = engine.depth - (leaf ^ engine.pos[addr - 1]).bit_length()
+        while level >= 0 and len(placement[level]) == engine.Z:
+            level -= 1
+        if level >= 0:
+            placement[level].append((addr, val))
+            del engine.stash[addr]
+    return placement
 
 
 def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: int) -> list[int]:
@@ -332,7 +363,7 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
             answers.append(engine.stash.setdefault(op.addr, 0))
         engine.pos[op.addr - 1] = engine.rng.randrange(engine.leaves)
         data = [0] * len(slots)
-        for level, blocks in enumerate(engine._plan_eviction(leaf)):
+        for level, blocks in enumerate(plan_eviction(engine, leaf)):
             for s, (addr, val) in enumerate(blocks):
                 engine.slot_owner[slots[level * z + s]] = addr
                 data[level * z + s] = val
@@ -416,8 +447,8 @@ def reference_read_trace(path) -> TraceFile:
     Each line is stripped and blank ones skipped; ``#op <int64>`` lines set
     the op of the addresses after them (-1 before the first), other ``#``
     lines are header keys and may not follow an address, and every other
-    line is a base-10 address.  The header's n, m and w must be at least 0,
-    1 and 1, and M must lie in [1, 2^w].
+    line is a base-10 address.  The header's n and m must be at least 0 and
+    1, w must lie in [1, 63] and M in [1, 2^w], and unless n is 0, m^2 <= n <= M.
     """
     keys: list[str] = []
     header: dict[str, str] = {}
@@ -452,18 +483,17 @@ def reference_read_trace(path) -> TraceFile:
         raise ValueError(f"header says N={header['N']} but body has {len(addrs)} addresses")
     if header["engine"] not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {header['engine']!r} in trace header")
-    n, m, w = int(header["n"]), int(header["m"]), int(header["w"])
-    if n < 0 or m < 1 or w < 1:
-        raise ValueError(f"trace header has n={n}, m={m}, w={w}; need n >= 0, m >= 1 and w >= 1")
-    M = int(header["M"])
-    if not 1 <= M <= 1 << w:
-        raise ValueError(f"trace header has M={M}; need 1 <= M <= 2^{w}")
+    n, m, M, w = (int(header[key]) for key in ("n", "m", "M", "w"))
+    if n < 0 or m < 1 or not 1 <= w <= 63 or not 1 <= M <= 1 << w:
+        raise ValueError(f"trace header has n={n}, m={m}, M={M}, w={w}: no run has it")
+    if n and (m * m > n or n > M):
+        raise ValueError(f"trace header has n={n}, m={m}, M={M}: no run has m^2 <= n <= M")
     out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
     try:
         addr_array = np.asarray(addrs, dtype=np.int64)
     except OverflowError:
         raise out_of_range from None
-    if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << min(w, 63):
+    if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << w:
         raise out_of_range
     return TraceFile(
         engine=header["engine"],

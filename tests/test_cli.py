@@ -284,3 +284,22 @@ def test_header_M_must_lie_in_the_address_range(tmp_path, capsys, M, code):
         assert json.loads(out)["M"] == M
     else:
         assert err.startswith("oramlab: usage error") and f"M={M}" in err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("#w=32\n", "#w=64\n", "cell width w must be in [1, 63] bits"),
+        ("#m=1\n", "#m=3\n", "m=3 exceeds sqrt(n) for n=4"),
+        ("#n=4\n", "#n=8\n", "workload length n=8 exceeds address range M=4"),
+    ],
+    ids=["w-64", "m-squared-above-n", "n-above-M"],
+)
+def test_header_no_run_can_have_is_a_usage_error(tmp_path, capsys, old, new, message):
+    trace = tmp_path / "t.trace"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--out", str(trace))
+    text = trace.read_text()
+    trace.write_text(text.replace(old, new, 1))
+    assert trace.read_text() != text
+    assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"oramlab: usage error: trace header fits no run: {message}\n"

@@ -38,6 +38,8 @@ class TestConfig:
         with pytest.raises(ModelViolationError):
             OramConfig(m=1, M=4, w=8).bind_workload_length(5)  # n > M
         cfg.bind_workload_length(0)  # empty runs are fine
+        with pytest.raises(ModelViolationError, match="n=-1 is negative"):
+            cfg.bind_workload_length(-1)
 
     def test_op_check(self):
         cfg = OramConfig(m=1, M=4, w=4)

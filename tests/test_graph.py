@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oramlab import AccessGraph, AccessSequence
+from oramlab.graph import consecutive_pairs
 
 from conftest import (
     assert_graph_invariants,
@@ -146,3 +147,35 @@ def test_graph_from_edges_rejects_degree_violations():
         graph_from_edges(3, [(0, 2), (1, 2)])
     with pytest.raises(ValueError):
         graph_from_edges(3, [(2, 1)])
+
+
+@pytest.mark.parametrize("top", [2**16 - 1, 2**16, 2**16 + 1, 2**40])
+@pytest.mark.parametrize("lo", [0, 1, -3])
+def test_consecutive_pairs_match_the_int64_sort(lo, top):
+    """Keys sorted as uint16 below 2^16 and as int64 from 2^16 on give the
+    edges, in the same order, that a stable sort of the int64 keys gives."""
+    rng = np.random.default_rng(top + lo)
+    pool = np.array([lo, lo + 1, 2**16 - 2, 2**16 - 1, top - 1, top], dtype=np.int64)
+    addrs = pool[rng.integers(0, len(pool), 4000)]
+    addrs[[0, -1]] = lo, top
+    order = np.argsort(addrs, kind="stable")
+    same = addrs[order][1:] == addrs[order][:-1]
+    u, v = consecutive_pairs(addrs, *AccessSequence(addrs).bounds)
+    assert np.array_equal(u, order[:-1][same]) and np.array_equal(v, order[1:][same])
+    assert len(u) == len(addrs) - len(np.unique(addrs))
+
+
+def test_consecutive_pairs_of_no_address():
+    seq = AccessSequence(np.empty(0, dtype=np.int64))
+    assert seq.bounds == (0, 0)
+    u, v = consecutive_pairs(seq.addrs, *seq.bounds)
+    assert len(u) == len(v) == 0
+    assert AccessGraph(seq).edge_count == 0
+
+
+def test_bounds_of_a_repeating_trace_come_from_its_period():
+    seq = AccessSequence.repeating([5, 2**16 + 4, 3], 4)
+    assert seq.bounds == (3, 2**16 + 4)
+    assert seq._addrs is None  # the trace was not built
+    want = AccessGraph(np.tile([5, 2**16 + 4, 3], 4))
+    assert np.array_equal(AccessGraph(seq).pred, want.pred)

@@ -35,7 +35,9 @@ from conftest import (
     ReferenceServer,
     honest_scan_advance,
     honest_tree_advance,
+    last_write_ops,
     run_forced,
+    written_cells,
 )
 
 CFG = OramConfig(m=1, M=24, w=12)
@@ -120,8 +122,8 @@ class TestLinearScan:
     def _assert_same_log(fast, slow, record_meta):
         """fast logged exactly what slow did (slow logs metadata from probe 0)."""
         assert np.array_equal(fast.addr_column(), slow.addr_column())
-        assert fast.cells == slow.cells
-        assert fast.last_write_op == slow.last_write_op
+        assert written_cells(fast) == written_cells(slow)
+        assert last_write_ops(fast) == last_write_ops(slow)
         if record_meta:
             assert np.array_equal(fast.kind_column(), slow.kind_column())
             assert np.array_equal(fast.data_column(), slow.data_column())
@@ -164,7 +166,7 @@ class TestLinearScan:
         a2, s2 = run_sequence("linear-scan", cfg, y, seed=0, record_meta=True)
         assert a1 == a2
         assert np.array_equal(s1.addr_column(), s2.addr_column())
-        assert s1.cells == s2.cells
+        assert written_cells(s1) == written_cells(s2)
 
     def test_ranges_of_a_run_log_one_repeating_run(self):
         cfg = OramConfig(m=1, M=4, w=8)
@@ -204,6 +206,53 @@ class TestTreeEngine:
             engine.advance(srv, y, i, i + 1)
             peak = max(peak, len(engine.stash))
         assert peak <= TreeOram.STASH_LIMIT
+
+    @staticmethod
+    def _assert_prefix_filled(engine):
+        """Every bucket's blocks sit in a prefix of its slots, the walk's stopping rule."""
+        owners, z = engine.slot_owner, engine.Z
+        for at in range(0, len(owners), z):
+            filled = [owner is not None for owner in owners[at : at + z]]
+            assert filled == sorted(filled, reverse=True), f"bucket {at // z} holds {owners[at : at + z]}"
+
+    @pytest.mark.parametrize("z", [2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_buckets_stay_prefix_filled(self, monkeypatch, z, seed):
+        """After every op, after random advance cuts, with a bucket size of 2
+        that leaves blocks in the stash, and after an export_state/import_state
+        round trip, every bucket is filled from slot 0."""
+        monkeypatch.setattr(TreeOram, "Z", z)
+        rng = random.Random(seed)
+        cfg = OramConfig(m=1, M=64, w=12)
+        y = random_sequence(rng, 300, cfg.M, cfg.w)
+        engine, srv = make_engine("tree", cfg, seed), ServerState(cfg, record_meta=False)
+        peak = 0
+        for i in range(100):
+            engine.advance(srv, y, i, i + 1)
+            self._assert_prefix_filled(engine)
+            peak = max(peak, len(engine.stash))
+        cuts = sorted(rng.sample(range(100, 200), 6))
+        for start, stop in zip([100, *cuts], [*cuts, 200]):
+            engine.advance(srv, y, start, stop)
+            self._assert_prefix_filled(engine)
+        imported = make_engine("tree", cfg, seed + 1)
+        imported.import_state(engine.export_state())
+        self._assert_prefix_filled(imported)
+        imported.advance(srv, y, 200, len(y))
+        self._assert_prefix_filled(imported)
+        if z == 2 and seed == 1:
+            assert peak >= 5  # blocks a full path left behind
+
+    def test_buckets_stay_prefix_filled_after_a_stash_overflow(self, monkeypatch):
+        monkeypatch.setattr(TreeOram, "Z", 2)
+        monkeypatch.setattr(TreeOram, "STASH_LIMIT", 3)
+        cfg = OramConfig(m=1, M=64, w=12)
+        y = random_sequence(random.Random(1), 300, cfg.M, cfg.w)
+        engine = make_engine("tree", cfg, 1)
+        with pytest.raises(StashOverflowError):
+            engine.advance(ServerState(cfg), y, 0, len(y))
+        assert len(engine.stash) > 3
+        self._assert_prefix_filled(engine)
 
     def test_slot_space_must_fit_cell_width(self):
         with pytest.raises(ModelViolationError):
@@ -407,8 +456,8 @@ def _server_log_digest(engine: str, seed: int, n: int, k: int, record_meta: bool
         cols += [srv.kind_column(), srv.data_column(), srv.op_column(), srv.read_src_column()]
     for col in cols:
         h.update(np.ascontiguousarray(col, dtype=np.int64).tobytes())
-    h.update(repr(sorted(srv.cells.items())).encode())
-    h.update(repr(sorted(srv.last_write_op.items())).encode())
+    h.update(repr(sorted(written_cells(srv).items())).encode())
+    h.update(repr(sorted(last_write_ops(srv).items())).encode())
     h.update(_codec_bytes(engine, seed, n, k))
     return h.hexdigest()
 
@@ -425,7 +474,7 @@ def _server_state(srv, n_cells, meta_from=None):
     if meta_from is not None:
         meta = (srv.kind_column, srv.data_column, srv.op_column, srv.read_src_column)
         cols += [column()[meta_from:].tolist() for column in meta]
-    return cols, srv.cells, srv.last_write_op, srv.contents(n_cells).tolist()
+    return cols, written_cells(srv), last_write_ops(srv), srv.contents(n_cells).tolist()
 
 
 def _scan_op(is_write, addr, data, M):

@@ -20,7 +20,7 @@ from oramlab import (
 from oramlab.adversary import trace_digest
 from oramlab.server import FINAL_OP
 
-from conftest import ReferenceServer
+from conftest import ReferenceServer, last_write_ops, written_cells
 
 CFG = OramConfig(m=1, M=16, w=8)
 
@@ -88,7 +88,7 @@ def test_read_after_write_matches_dict_oracle(ops):
             oracle[addr] = data
         want.append(0 if is_write else oracle.get(addr, 0))
     assert srv.probe_batch(*_batch(ops), 0).tolist() == want
-    assert srv.cells == oracle
+    assert written_cells(srv) == oracle
     assert adversary_view(srv).N == len(ops)
 
 
@@ -98,7 +98,7 @@ def test_load_sets_cells_without_a_probe():
     srv.load([(2, 9), (5, 4), (2, 11)])
     assert srv.probe_count == 1
     assert srv.contents(6).tolist() == [0, 11, 0, 0, 4, 0]
-    assert srv.last_write_op == {2: 0}
+    assert last_write_ops(srv) == {2: 0}
     assert srv.probe_batch([0], [5], [0], 0).tolist() == [4]
     assert srv.read_src_column().tolist() == [-1, -1]
 
@@ -107,10 +107,10 @@ def test_load_sets_cells_without_a_probe():
 def test_load_refuses_what_a_write_probe_refuses_before_any_work(bad):
     srv = ServerState(CFG)
     srv.probe_batch([1], [2], [7], 0)
-    before = srv.contents(CFG.M).tolist(), srv.last_write_op, srv.probe_count
+    before = srv.contents(CFG.M).tolist(), last_write_ops(srv), srv.probe_count
     with pytest.raises(ModelViolationError, match=rf"cannot load \({bad[0]}, {bad[1]}\)"):
         srv.load([(1, 5), bad])
-    assert (srv.contents(CFG.M).tolist(), srv.last_write_op, srv.probe_count) == before
+    assert (srv.contents(CFG.M).tolist(), last_write_ops(srv), srv.probe_count) == before
     with pytest.raises(ModelViolationError):
         srv.probe_batch([1], [bad[0]], [bad[1]], 0)
 
@@ -128,7 +128,7 @@ def _server_state(srv, meta):
     cols = [srv.addr_column()]
     if meta:
         cols += [srv.kind_column(), srv.data_column(), srv.op_column(), srv.read_src_column()]
-    return [c.tolist() for c in cols], srv.cells, srv.last_write_op
+    return [c.tolist() for c in cols], written_cells(srv), last_write_ops(srv)
 
 
 def _outcome(call):
@@ -213,12 +213,12 @@ def test_probe_batch_reads_see_earlier_writes_of_the_batch():
     got = srv.probe_batch([0, 1, 0, 1, 0, 0], [3, 3, 3, 3, 3, 4], [0, 7, 0, 9, 0, 0], 1)
     assert got.tolist() == [5, 0, 7, 0, 9, 0]
     assert srv.read_src_column().tolist() == [-1, 0, -1, 1, -1, 1, -1]
-    assert srv.cells == {3: 9} and srv.last_write_op == {3: 1}
+    assert written_cells(srv) == {3: 9} and last_write_ops(srv) == {3: 1}
     # a batch spanning ops: a read names the op of the write it sees, a cell keeps its last write's op
     got = srv.probe_batch([1, 0, 1, 0, 0], [4, 4, 4, 3, 4], [6, 0, 8, 0, 0], [2, 3, 3, 4, 5])
     assert got.tolist() == [0, 6, 0, 9, 8]
     assert srv.read_src_column()[7:].tolist() == [-1, 2, -1, 1, 3]
-    assert srv.cells == {3: 9, 4: 8} and srv.last_write_op == {3: 1, 4: 3}
+    assert written_cells(srv) == {3: 9, 4: 8} and last_write_ops(srv) == {3: 1, 4: 3}
 
 
 @given(
@@ -313,7 +313,7 @@ def test_begin_meta_logs_metadata_from_the_mark(probes, mark, batched):
         assert len(got) == late.probe_count - mark
         assert got.tolist() == getattr(full, col)()[mark:].tolist()
     assert late.addr_column().tolist() == full.addr_column().tolist()
-    assert (late.cells, late.last_write_op) == (full.cells, full.last_write_op)
+    assert (written_cells(late), last_write_ops(late)) == (written_cells(full), last_write_ops(full))
     # a second switch, or one on a server logging metadata from the start, is refused and changes nothing
     for srv in (late, full):
         before = _server_state(srv, meta=True)
