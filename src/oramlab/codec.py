@@ -14,7 +14,12 @@ data, checked against the checksum before they are returned.
 Both drive the engine over op ranges with ``Engine.advance``, so an engine's
 own fast path covers the prefix before the blocks (the linear scan logs it as
 one repeating period).  Alice's simulation logs addresses only until the read
-block; there ``ServerState.begin_meta`` turns on the metadata she reads.
+block; there ``ServerState.begin_meta`` turns on the metadata she reads.  She
+runs the read block in chunks of 1, 4, 16, ... ops and stops once no cell's
+last writer is a write-block op (``ServerState.last_writers``): only read-block
+ops write after the mark, so that set only shrinks, and once it is empty no
+later read can be matched.  The linear scan empties it with its first pass;
+the other engines mostly run the whole block, in a few more ``advance`` calls.
 
 The message is accounted as m*w bits of client state plus 2*w bits per
 shipped (address, content) pair.  An engine whose true client state exceeds
@@ -35,6 +40,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import READ, BlockLayout, InputSequence, OramConfig
 from .orams import make_engine
@@ -88,7 +95,8 @@ def alice_encode(
     shared_seed: int,
 ) -> TransferMessage:
     """Simulate through write block i, snapshot client state, then collect the
-    read-block probes that read cells last written inside the write block."""
+    read-block probes that read cells last written inside the write block,
+    running the read block only until no cell is."""
     config.bind_workload_length(len(y))
     ws, we, rs, re = _block_bounds(layout, i)
     machine = make_engine(engine, config, shared_seed, n=len(y))
@@ -96,7 +104,13 @@ def alice_encode(
     machine.advance(server, y, 0, we)  # everything before the read block, write block included
     snapshot = machine.export_state()
     mark = server.begin_meta()
-    machine.advance(server, y, rs, re)
+    writers = server.last_writers()
+    held = np.flatnonzero((writers >= ws) & (writers < we))  # cells holding write-block data
+    lo, step = rs, 1
+    while lo < re and len(held):  # once none is left, no later read is matched
+        machine.advance(server, y, lo, min(lo + step, re))
+        lo, step = lo + step, 4 * step
+        held = held[server.last_writers()[held] < we]  # read-block ops write as ops >= rs = we
     srcs = server.read_src_column()
     hit = (server.kind_column() == 0) & (srcs >= ws) & (srcs < we)
     addrs = server.addr_column(mark)[hit]

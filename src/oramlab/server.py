@@ -12,9 +12,10 @@ columnar, so a batch lands in each column's numpy buffer as one array.  Cell
 contents and last writers live in a dense store, two int64 arrays indexed
 by address, which a probe past the highest address covered reallocates at
 least twice as large, copying the old cells in (so addresses should stay
-of the workload's order, not of 2^w); ``load`` and ``contents`` set and read
-cells without a probe.  The linear scan logs its passes with no probe either,
-through the one run logger ``_log_run``: with metadata off, a run is its
+of the workload's order, not of 2^w); ``load`` sets cells without a probe,
+and ``contents`` and ``last_writers`` read them as read-only views of the
+store.  The linear scan logs its passes with no probe either, through the
+one run logger ``_log_run``: with metadata off, a run is its
 period of addresses and a repeat count; with metadata on, it logs every
 column of every probe (each read logs its cell as it was before the op,
 each write as it is after, and a read's last writer is the op before, or
@@ -30,7 +31,8 @@ Metadata can start part way through a run: a server made with
 mark, the index of the next probe.  From then on the four metadata columns
 (kind, data, op, read_src) log every probe, so they line up with
 ``addr_column(mark)``; the transfer codec's sender starts them at the
-read block, the only probes she reads them for.
+read block, the only probes she reads them for, and stops the read block once
+``last_writers`` shows no cell last written in the write block.
 """
 
 from __future__ import annotations
@@ -48,9 +50,18 @@ FINAL_OP = -2
 NO_WRITER = -1
 
 
+# below this many keys numpy's int64 stable sort beats its uint16 radix sort
+RADIX_MIN_KEYS = 128
+
+
 def stable_order(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The stable argsort of int64 keys in [lo, hi]: it is unique, so keys in [0, 2^16) sort as uint16 (radix)."""
-    return np.argsort(keys.astype(np.uint16) if 0 <= lo and hi < 1 << 16 else keys, kind="stable")
+    """The stable argsort of int64 keys in [lo, hi]: it is unique, so keys in [0, 2^16) sort as uint16 (radix)
+    when there are at least ``RADIX_MIN_KEYS`` of them."""
+    radix = len(keys) >= RADIX_MIN_KEYS and 0 <= lo and hi < 1 << 16
+    return np.argsort(keys.astype(np.uint16) if radix else keys, kind="stable")
+
+
+_MIN_MAP = 1 << 16  # entries a column's map holds at least
 
 
 class _Column:
@@ -90,8 +101,9 @@ class _Column:
         else:
             if end > len(self.buf):
                 # an anonymous map's pages cost memory once written and go back to the
-                # system when freed, whatever the heap layout; 4x room keeps regrowth rare
-                grown = np.frombuffer(mmap.mmap(-1, 4 * end * 8), dtype=np.int64)
+                # system when freed, whatever the heap layout; 4x room (and at least
+                # _MIN_MAP entries, which cost nothing unwritten) keeps regrowth rare
+                grown = np.frombuffer(mmap.mmap(-1, max(4 * end, _MIN_MAP) * 8), dtype=np.int64)
                 grown[: self.size] = self.buf[: self.size]
                 self.buf = grown
             self.buf[self.size : end] = arr
@@ -286,9 +298,18 @@ class ServerState:
             self._val[addr] = content
 
     def contents(self, m: int) -> np.ndarray:
-        """Contents of cells 1..m as a fresh array (0 for a cell never written), with no probe."""
+        """Contents of cells 1..m (0 for a cell never written), with no probe.
+
+        A read-only view of the store: the next probe or ``load`` may change
+        it, so read it before either, or copy it.
+        """
         self._grow(m)
-        return self._val[1 : m + 1].copy()
+        return _read_only(self._val[1 : m + 1])
+
+    def last_writers(self) -> np.ndarray:
+        """Op index of the last write to each cell the store covers, entry a - 1 for address a
+        (``NO_WRITER`` for a cell never written), with no probe; a read-only view, as ``contents``."""
+        return _read_only(self._writer[1:])
 
     def _grow(self, top: int) -> None:
         """Extend the store to cover addresses up to top, at least doubling it."""
@@ -344,6 +365,11 @@ class ServerState:
 
     def read_src_column(self) -> np.ndarray:
         return self._read_src.to_array()
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def adversary_view(state: ServerState) -> AccessSequence:

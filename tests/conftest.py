@@ -1,8 +1,8 @@
 """Shared helpers for the suite: graph invariant checks, random graphs and
 line-by-line oracles for the vectorized code paths (the exhaustive
 dense-partition decider, the server's probe, one at a time, the scan and tree
-engines' honest per-op probe loops, and the estimators' trial-by-trial loops
-among them)."""
+engines' honest per-op probe loops, the codec sender that runs its whole read
+block, and the estimators' trial-by-trial loops among them)."""
 
 from __future__ import annotations
 
@@ -21,15 +21,19 @@ from oramlab import (
     ServerState,
     StashOverflowError,
     TraceFile,
+    TransferMessage,
     adversary_view,
+    block_data,
     derive_seed,
     distinguish,
     gen_alternating_sequence,
     gen_write_read_blocks,
     greedy_dense_partition,
+    make_engine,
     run_sequence,
 )
 from oramlab._util import as_fraction
+from oramlab.codec import _block_bounds, _data_checksum
 from oramlab.orams import ENGINE_NAMES, DummyLengthEncoder, DummyLengthLeaker
 from oramlab.server import NO_WRITER
 from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
@@ -295,8 +299,10 @@ def _per_written_cell(server, field: int) -> dict[int, int]:
     if isinstance(server, ReferenceServer):
         store = server.store
     else:
-        written = np.flatnonzero(server._writer != NO_WRITER)
-        store = dict(zip(written.tolist(), zip(server._val[written].tolist(), server._writer[written].tolist())))
+        writers = server.last_writers()  # entry a - 1 is address a, as in contents
+        written = np.flatnonzero(writers != NO_WRITER)
+        vals = server.contents(len(writers))[written]
+        store = dict(zip((written + 1).tolist(), zip(vals.tolist(), writers[written].tolist())))
     return {addr: entry[field] for addr, entry in store.items() if entry[1] != NO_WRITER}
 
 
@@ -374,6 +380,24 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
                 f"stash holds {len(engine.stash)} blocks (> {engine.STASH_LIMIT}) after op {i}"
             )
     return answers
+
+
+def reference_alice_encode(engine: str, config, y, layout, i: int, shared_seed: int) -> TransferMessage:
+    """The transfer codec's sender running the whole read block in one ``advance``: the oracle for
+    ``alice_encode``, which stops once no cell holds write-block data."""
+    config.bind_workload_length(len(y))
+    ws, we, rs, re = _block_bounds(layout, i)
+    machine = make_engine(engine, config, shared_seed, n=len(y))
+    server = ServerState(config, record_meta=False)
+    machine.advance(server, y, 0, we)
+    snapshot = machine.export_state()
+    mark = server.begin_meta()
+    machine.advance(server, y, rs, re)
+    srcs = server.read_src_column()
+    hit = (server.kind_column() == 0) & (srcs >= ws) & (srcs < we)
+    matched = tuple(zip(server.addr_column(mark)[hit].tolist(), server.data_column()[hit].tolist()))
+    checksum = _data_checksum(block_data(y, layout, i))
+    return TransferMessage(m=config.m, w=config.w, client_state=snapshot, matched=matched, checksum=checksum)
 
 
 class ForcedEncoder(DummyLengthEncoder):

@@ -13,10 +13,11 @@ from oramlab import (
     alice_encode,
     block_data,
     bob_decode,
+    codec,
     gen_write_read_blocks,
 )
 
-from conftest import ALL_ENGINES
+from conftest import ALL_ENGINES, reference_alice_encode
 
 CFG = OramConfig(m=2, M=16, w=16)
 
@@ -148,3 +149,76 @@ def test_tree_round_trip_with_padding_blocks():
     for i in (1, 4):
         msg = alice_encode("tree", cfg, y, layout, i, shared_seed=2)
         assert bob_decode(msg, "tree", cfg, y, layout, i, shared_seed=2) == block_data(y, layout, i)
+
+
+@given(
+    half_n=st.integers(min_value=1, max_value=24),
+    k=st.integers(min_value=1, max_value=6),
+    extra_cells=st.integers(min_value=0, max_value=8),
+    engine=st.sampled_from(ALL_ENGINES),
+    data_seed=st.integers(0, 2**32),
+    run_seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_sender_matches_the_whole_read_block_oracle(half_n, k, extra_cells, engine, data_seed, run_seed, data):
+    """Stopping the read block once no cell holds write-block data ships the
+    message that running all of it does, padding blocks included."""
+    n = 2 * half_n
+    k = min(k, half_n)  # 2k * floor(n / 2k) < n pads the workload
+    cfg = OramConfig(m=1, M=n + extra_cells, w=16)
+    y, layout = gen_write_read_blocks(n, k, cfg.w, random.Random(data_seed))
+    i = data.draw(st.integers(1, layout.k))
+    want = reference_alice_encode(engine, cfg, y, layout, i, run_seed)
+    assert alice_encode(engine, cfg, y, layout, i, shared_seed=run_seed) == want
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_sender_matches_the_oracle_with_padding_blocks(engine):
+    cfg = OramConfig(m=3, M=18, w=16)
+    y, layout = gen_write_read_blocks(18, 4, cfg.w, random.Random(8))
+    assert 2 * layout.k * layout.ell < len(y)
+    for i in range(1, layout.k + 1):
+        want = reference_alice_encode(engine, cfg, y, layout, i, 2)
+        assert alice_encode(engine, cfg, y, layout, i, shared_seed=2) == want
+
+
+@pytest.fixture
+def codec_servers(monkeypatch):
+    """Every ServerState the codec makes, in order."""
+    servers = []
+
+    class Captured(ServerState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            servers.append(self)
+
+    monkeypatch.setattr(codec, "ServerState", Captured)
+    return servers
+
+
+def test_scan_sender_logs_metadata_for_one_pass(codec_servers):
+    """The scan's first read-block op rewrites every cell, so the sender logs
+    metadata for that one pass (2M probes) and runs no further."""
+    y, layout = _instance(5, n=16, k=2)
+    for i in (1, 2):
+        rs, re = layout.read_ranges[i - 1]
+        assert re - rs > 1
+        msg = alice_encode("linear-scan", CFG, y, layout, i, shared_seed=0)
+        server = codec_servers[-1]
+        assert len(server.kind_column()) == len(server.addr_column(rs * 2 * CFG.M)) == 2 * CFG.M
+        assert server.probe_count == (rs + 1) * 2 * CFG.M
+        assert set(server.op_column().tolist()) == {rs}
+        assert msg == reference_alice_encode("linear-scan", CFG, y, layout, i, 0)
+    assert len(codec_servers) == 2
+
+
+def test_tree_sender_stops_once_its_paths_rewrite_the_write_block(codec_servers):
+    # at seed 0 the first read's path rewrites every slot the write block's two ops wrote last
+    cfg = OramConfig(m=1, M=4, w=16)
+    y, layout = gen_write_read_blocks(4, 1, cfg.w, random.Random(0))
+    msg = alice_encode("tree", cfg, y, layout, 1, shared_seed=0)
+    rs, re = layout.read_ranges[0]
+    assert set(codec_servers[0].op_column().tolist()) == {rs} and re - rs == 2
+    assert msg == reference_alice_encode("tree", cfg, y, layout, 1, 0)
+    assert bob_decode(msg, "tree", cfg, y, layout, 1, shared_seed=0) == block_data(y, layout, 1)

@@ -18,7 +18,7 @@ from oramlab import (
     run_sequence,
 )
 from oramlab.adversary import trace_digest
-from oramlab.server import FINAL_OP
+from oramlab.server import FINAL_OP, NO_WRITER, RADIX_MIN_KEYS, stable_order
 
 from conftest import ReferenceServer, last_write_ops, written_cells
 
@@ -101,6 +101,30 @@ def test_load_sets_cells_without_a_probe():
     assert last_write_ops(srv) == {2: 0}
     assert srv.probe_batch([0], [5], [0], 0).tolist() == [4]
     assert srv.read_src_column().tolist() == [-1, -1]
+
+
+def test_store_reads_are_read_only_views():
+    srv = ServerState(CFG)
+    srv.probe_batch([1, 1], [2, 3], [7, 8], [4, 5])
+    cells, writers = srv.contents(4), srv.last_writers()
+    assert cells.tolist() == [0, 7, 8, 0]
+    assert writers[:4].tolist() == [NO_WRITER, 4, 5, NO_WRITER]
+    for view in (cells, writers):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1
+    srv.probe_batch([1], [1], [9], 6)  # a view shows the store as it is now, not as it was
+    assert cells[0] == 9 and writers[0] == 6
+    assert srv.contents(4).tolist() == [9, 7, 8, 0]
+
+
+@pytest.mark.parametrize("n_keys", [RADIX_MIN_KEYS - 1, RADIX_MIN_KEYS, RADIX_MIN_KEYS + 1])
+@pytest.mark.parametrize("top", [2**16 - 1, 2**16])
+def test_stable_order_is_the_int64_stable_sort(n_keys, top):
+    """Either side of the uint16 sort's key count and of 2^16, the order is the stable int64 one."""
+    rng = np.random.default_rng(n_keys + top)
+    keys = rng.choice(np.array([0, 1, 2**15, top - 1, top], dtype=np.int64), n_keys)  # many ties
+    keys[[0, -1]] = 0, top
+    assert np.array_equal(stable_order(keys, 0, top), np.argsort(keys, kind="stable"))
 
 
 @pytest.mark.parametrize("bad", [(0, 1), (2**8 + 1, 1), (3, 2**8), (3, -1)])
