@@ -27,10 +27,10 @@ from fractions import Fraction
 from math import sqrt
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ._util import as_fraction, derive_seed
 from .core import (
-    READ,
-    WRITE,
     InputSequence,
     OramConfig,
     gen_alternating_sequence,
@@ -71,33 +71,30 @@ def parse_block_shape(y: InputSequence) -> tuple[int, int]:
     pair is indistinguishable from a block pair and parses as one more block;
     that degenerate shape never occurs in the analysis regime.
     """
-    ops = y.ops
-    n = len(ops)
+    n = len(y)
     if n == 0 or n % 2:
         raise WorkloadShapeError("block workloads have positive even length")
-    ell = 0
-    while ell < n and ops[ell].kind == WRITE and ops[ell].addr == ell + 1:
-        ell += 1
+    cols = (y.is_write, y.addr, y.data)
+    ell = _leading_run(y.is_write & (y.addr == np.arange(1, n + 1)))
     if ell == 0:
         raise WorkloadShapeError("sequence does not start with a write to address 1")
-    k = 0
-    pos = 0
-    while pos + 2 * ell <= n:
-        chunk = ops[pos : pos + 2 * ell]
-        if all(o.kind == WRITE and o.addr == j + 1 for j, o in enumerate(chunk[:ell])) and all(
-            o.kind == READ and o.addr == j + 1 and o.data == 0 for j, o in enumerate(chunk[ell:])
-        ):
-            k += 1
-            pos += 2 * ell
-        else:
-            break
+    # every whole chunk of 2 * ell ops, as [chunk, write half or read half, j]
+    w, a, d = (col[: n // (2 * ell) * 2 * ell].reshape(-1, 2, ell) for col in cols)
+    j = np.arange(1, ell + 1)
+    k = _leading_run((w[:, 0] & (a[:, 0] == j)).all(axis=1) & (~w[:, 1] & (a[:, 1] == j) & (d[:, 1] == 0)).all(axis=1))
     if k == 0:
         raise WorkloadShapeError("no complete write/read block pair found")
-    for j in range(pos, n, 2):
-        w, r = ops[j], ops[j + 1]
-        if not (w.kind == WRITE and w.addr == 1 and w.data == 0 and r.kind == READ and r.addr == 1):
-            raise WorkloadShapeError(f"tail op pair at index {j} is not address-1 padding")
+    pad_start = 2 * k * ell
+    w, a, d = (col[pad_start:].reshape(-1, 2) for col in cols)
+    pairs = _leading_run(w[:, 0] & ~w[:, 1] & (a == 1).all(axis=1) & (d[:, 0] == 0))
+    if pairs < len(w):
+        raise WorkloadShapeError(f"tail op pair at index {pad_start + 2 * pairs} is not address-1 padding")
     return k, ell
+
+
+def _leading_run(mask: np.ndarray) -> int:
+    """How many entries of mask are true before its first false one."""
+    return int(np.argmin(np.append(mask, False)))
 
 
 def distinguish(

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import READ, BlockLayout, InputSequence, OramConfig
+from .core import BlockLayout, InputSequence, OramConfig
 from .orams import make_engine
 from .server import ServerState
 
@@ -70,7 +70,7 @@ class TransferMessage:
 def block_data(y: InputSequence, layout: BlockLayout, i: int) -> tuple[int, ...]:
     """The hidden payload: data of the i-th write block (i is 1-based)."""
     ws, we = _block_bounds(layout, i)[:2]
-    return tuple(y[j].data for j in range(ws, we))
+    return tuple(y.data[ws:we].tolist())
 
 
 def _block_bounds(layout: BlockLayout, i: int) -> tuple[int, int, int, int]:
@@ -146,9 +146,9 @@ def bob_decode(
     server = ServerState(config, record_meta=False)
     machine.advance(server, y_template, 0, ws)
     machine.import_state(msg.client_state)
-    not_read = [idx for idx in range(rs, re) if y_template.ops[idx].kind != READ]
-    if not_read:
-        raise DecodeError(f"op {not_read[0]} in the read block is not a read")
+    not_read = np.flatnonzero(y_template.is_write[rs:re])
+    if len(not_read):
+        raise DecodeError(f"op {rs + not_read[0]} in the read block is not a read")
     cells: dict[int, int] = {}
     for addr, content in msg.matched:
         if cells.setdefault(addr, content) != content:

@@ -1,9 +1,9 @@
-"""Model parameters, input operations, and the adversarial workload generators.
+"""Model parameters, input sequences, and the adversarial workload generators.
 
-The two workload families are the alternating single-address sequence and the
-write-block/read-block sequence with fresh uniform data per write block.  Both
-are deterministic functions of their parameters (and a seed for the random
-block data), which is what makes every experiment in this package replayable.
+The two workload families, built straight into a sequence's columns, are the alternating
+single-address sequence and the write-block/read-block sequence with fresh uniform data per
+write block.  Both are deterministic functions of their parameters (and a seed for the
+random block data), which is what makes every experiment in this package replayable.
 """
 
 from __future__ import annotations
@@ -58,25 +58,22 @@ class OramConfig:
         if n > self.M:
             raise ModelViolationError(f"workload length n={n} exceeds address range M={self.M}")
 
-    def check_op(self, op: "InputOp") -> None:
-        if op.kind not in (READ, WRITE):
-            raise ModelViolationError(f"unknown op kind {op.kind!r}")
-        if not 1 <= op.addr <= self.M:
-            raise ModelViolationError(f"address {op.addr} outside [1, {self.M}]")
-        if not 0 <= op.data < (1 << self.w):
-            raise ModelViolationError(f"data {op.data} does not fit in {self.w} bits")
-
     def check_ops(self, y: "InputSequence") -> None:
-        """``check_op`` on every op of y, as one range check on y's cached ``extent``.
+        """Every op of y has an address in [1, M] and data of w bits (its kind was checked as y was built).
 
-        Only a sequence that fails it is walked op by op, so the error names its first bad op.
+        One comparison with y's cached ``bounds``; only a sequence that fails it
+        is searched, by masks, so the error names its first bad op.
         """
-        if y.extent is not None:
-            kinds, lo, hi, data_lo, data_hi = y.extent
-            if kinds <= {READ, WRITE} and 1 <= lo and hi <= self.M and 0 <= data_lo and data_hi < 1 << self.w:
-                return
-        for op in y:
-            self.check_op(op)
+        if not len(y):
+            return
+        lo, hi, data_lo, data_hi = y.bounds
+        if 1 <= lo and hi <= self.M and 0 <= data_lo and data_hi < 1 << self.w:
+            return
+        bad_addr = (y.addr < 1) | (y.addr > self.M)
+        i = int(np.argmax(bad_addr | (y.data >> self.w != 0)))  # w < 64: shifting leaves 0 iff data fits
+        if bad_addr[i]:
+            raise ModelViolationError(f"address {y.addr[i]} outside [1, {self.M}]")
+        raise ModelViolationError(f"data {y.data[i]} does not fit in {self.w} bits")
 
 
 @dataclass(frozen=True)
@@ -88,44 +85,56 @@ class InputOp:
     data: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputSequence:
-    """The ops in order; ``extent`` and ``columns`` are built on first use and kept."""
+    """The ops in order, as three read-only columns: is_write (bool), addr and data (int64).
 
-    ops: tuple[InputOp, ...]
+    Indexing gives an ``InputOp``, slicing a sequence of column views.
+    """
 
-    @cached_property
-    def extent(self) -> tuple[frozenset, int, int, int, int] | None:
-        """(the op kinds, lowest and highest address, lowest and highest data) of the ops.
+    is_write: np.ndarray
+    addr: np.ndarray
+    data: np.ndarray
 
-        None for no ops, or for fields that do not compare.
-        """
-        if not self.ops:
-            return None
-        addrs, data = [op.addr for op in self.ops], [op.data for op in self.ops]
-        try:
-            return frozenset(op.kind for op in self.ops), min(addrs), max(addrs), min(data), max(data)
-        except TypeError:
-            return None
+    def __post_init__(self):
+        for col in (self.is_write, self.addr, self.data):
+            col.flags.writeable = False
 
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every op's (is_write, addr, data), as a bool and two int64 arrays."""
-        ops = self.ops
-        return (
+    @classmethod
+    def from_ops(cls, ops) -> InputSequence:
+        """The sequence of the given ``InputOp``s; an op of unknown kind, or with an int64 overflow, is refused."""
+        ops = tuple(ops)
+        for op in ops:
+            if op.kind not in (READ, WRITE):
+                raise ModelViolationError(f"unknown op kind {op.kind!r}")
+            for field in ("addr", "data"):
+                if not -(1 << 63) <= getattr(op, field) < 1 << 63:
+                    raise ModelViolationError(f"{field} {getattr(op, field)} does not fit in int64")
+        return cls(
             np.array([op.kind == WRITE for op in ops], dtype=bool),
             np.array([op.addr for op in ops], dtype=np.int64),
             np.array([op.data for op in ops], dtype=np.int64),
         )
 
+    @cached_property
+    def bounds(self) -> tuple[int, int, int, int]:
+        """(lowest and highest address, lowest and highest data) of one op or more, built on first use and kept."""
+        return int(self.addr.min()), int(self.addr.max()), int(self.data.min()), int(self.data.max())
+
+    def rows(self, start: int, stop: int):
+        """(is_write, addr, data) of ops start..stop-1 as plain Python values, for a per-op loop."""
+        return zip(self.is_write[start:stop].tolist(), self.addr[start:stop].tolist(), self.data[start:stop].tolist())
+
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.addr)
 
     def __iter__(self):
-        return iter(self.ops)
+        return (InputOp(WRITE if w else READ, a, d) for w, a, d in self.rows(0, len(self)))
 
     def __getitem__(self, i):
-        return self.ops[i]
+        if isinstance(i, slice):
+            return InputSequence(self.is_write[i], self.addr[i], self.data[i])
+        return InputOp(WRITE if self.is_write[i] else READ, int(self.addr[i]), int(self.data[i]))
 
 
 @dataclass(frozen=True)
@@ -157,14 +166,13 @@ def gen_alternating_sequence(n: int) -> InputSequence:
     """The deterministic workload of n/2 write/read pairs at address 1."""
     if n < 0 or n % 2 != 0:
         raise ModelViolationError(f"alternating workload needs even n >= 0, got {n}")
-    pair = (InputOp(WRITE, 1, 0), InputOp(READ, 1, 0))
-    return InputSequence(pair * (n // 2))
+    return InputSequence(np.arange(n) % 2 == 0, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
 def gen_write_read_blocks(
     n: int, k: int, w: int, rng: random.Random
 ) -> tuple[InputSequence, BlockLayout]:
-    """k write blocks with fresh uniform w-bit data, each followed by a read block.
+    """k write blocks of fresh uniform w-bit data (rng.getrandbits(w) in op order), each followed by a read block.
 
     Block length ell = floor(n / 2k); writes cover addresses 1..ell in order,
     reads re-read them in the same order, and the sequence is padded to length
@@ -175,28 +183,19 @@ def gen_write_read_blocks(
     if not 1 <= k <= n // 2:
         raise ModelViolationError(f"block count k={k} outside [1, {n // 2}]")
     ell = n // (2 * k)
-    ops: list[InputOp] = []
-    write_ranges = []
-    read_ranges = []
-    for _ in range(k):
-        ws = len(ops)
-        ops.extend(InputOp(WRITE, a, rng.getrandbits(w)) for a in range(1, ell + 1))
-        rs = len(ops)
-        ops.extend(InputOp(READ, a, 0) for a in range(1, ell + 1))
-        write_ranges.append((ws, rs))
-        read_ranges.append((rs, len(ops)))
-    pad_start = len(ops)
-    while len(ops) < n:
-        ops.append(InputOp(WRITE, 1, 0))
-        ops.append(InputOp(READ, 1, 0))
-    layout = BlockLayout(
-        k=k,
-        ell=ell,
-        write_ranges=tuple(write_ranges),
-        read_ranges=tuple(read_ranges),
-        pad_start=pad_start,
-    )
-    return InputSequence(tuple(ops)), layout
+    pad_start = 2 * k * ell
+    is_write = np.arange(n) % 2 == 0  # the padding's write/read pairs; the blocks are set below
+    addr, data = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    # blocks[b, 0] is write block b + 1 and blocks[b, 1] the read block after it
+    blocks = is_write[:pad_start].reshape(k, 2, ell)
+    blocks[:, 0], blocks[:, 1] = True, False
+    addr[:pad_start].reshape(2 * k, ell)[:] = np.arange(1, ell + 1)
+    draws = data[:pad_start].reshape(k, 2, ell)
+    for b in range(k):
+        draws[b, 0] = [rng.getrandbits(w) for _ in range(ell)]
+    starts = range(0, pad_start, 2 * ell)  # each write block's first op
+    writes, reads = tuple((s, s + ell) for s in starts), tuple((s + ell, s + 2 * ell) for s in starts)
+    return InputSequence(is_write, addr, data), BlockLayout(k, ell, writes, reads, pad_start)
 
 
 @dataclass(frozen=True)
@@ -248,5 +247,4 @@ def instantiate_workload(
     seed = spec.seed if spec.seed is not None else default_seed
     if seed is None:
         raise ModelViolationError("block workload needs a seed (spec seed=<S> or an explicit --seed)")
-    y, layout = gen_write_read_blocks(spec.n, spec.k, w, random.Random(seed))
-    return y, layout
+    return gen_write_read_blocks(spec.n, spec.k, w, random.Random(seed))

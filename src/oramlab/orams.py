@@ -92,10 +92,9 @@ def _direct_probes(server: ServerState, y: InputSequence, start: int, stop: int,
     """Input ops start..stop-1 of y in bounded batches; returns the answers of their reads.
 
     Each op probes its own address, then reads address 1 extra_reads times
-    (one count for every op, or one per op).  The ops come from y's cached
-    ``columns``.
+    (one count for every op, or one per op).  The ops are slices of y's columns.
     """
-    op_writes, op_addrs, op_data = (col[start:stop] for col in y.columns)
+    op_writes, op_addrs, op_data = y.is_write[start:stop], y.addr[start:stop], y.data[start:stop]
     counts = np.full(len(op_addrs), 1, dtype=np.int64) + np.asarray(extra_reads, dtype=np.int64)
     per = _ops_per_batch(int(counts.max(initial=1)))
     answers = []
@@ -153,19 +152,19 @@ class LinearScan(Engine):
         per = _ops_per_batch(len(self._addrs)) if meta else max(stop - start, 1)
         answers = []
         for lo in range(start, stop, per):
-            ops = y.ops[lo : min(lo + per, stop)]
+            hi = min(lo + per, stop)
             cells = server.contents(self.config.M).tolist()
             rows, row = [], None  # row: cells after the last op, as an array; a read keeps it
-            for op in ops:
-                if op.kind == WRITE:
-                    cells[op.addr - 1] = op.data
+            for is_write, addr, data in y.rows(lo, hi):
+                if is_write:
+                    cells[addr - 1] = data
                     row = None
                 else:
-                    answers.append(cells[op.addr - 1])
+                    answers.append(cells[addr - 1])
                 if meta:
                     row = np.array(cells, dtype=np.int64) if row is None else row
                     rows.append(row)
-            server._log_run(self._addrs, self._kinds, range(lo, lo + len(ops)), rows or [cells])
+            server._log_run(self._addrs, self._kinds, range(lo, hi), rows or [cells])
         return answers
 
 
@@ -210,6 +209,12 @@ class TreeOram(Engine):
         self.pos = [rng.randrange(self.leaves) for _ in range(config.M)]
         self.slot_owner: list[int | None] = [None] * n_slots
         self.stash: dict[int, int] = {}
+        # the parts of a batch's probe columns that depend on the tree's shape only, for a full batch;
+        # each batch slices them (BATCH_PROBES may be lowered after this, never raised)
+        width, ops = self.Z * (self.depth + 1), _ops_per_batch(self.probes_per_op())
+        self._shifts, self._slot_cells = np.arange(self.depth, -1, -1), np.arange(1, self.Z + 1)
+        self._kinds = np.tile(np.repeat([0, 1], width), ops)  # each op's reads, then its writes
+        self._op_offsets = np.repeat(np.arange(ops), 2 * width)
 
     def probes_per_op(self) -> int:
         return 2 * self.Z * (self.depth + 1)
@@ -218,11 +223,11 @@ class TreeOram(Engine):
         per = _ops_per_batch(self.probes_per_op())
         answers = []
         for lo in range(start, stop, per):
-            answers += self._advance_batch(server, y.ops[lo : min(lo + per, stop)], lo)
+            answers += self._advance_batch(server, y.rows(lo, min(lo + per, stop)), lo)
         return answers
 
     def _advance_batch(self, server, ops, first_op):
-        """Plan ops first_op, first_op+1, ... op by op, then send their probes as one batch.
+        """Plan ops first_op, first_op+1, ... op by op from their rows, then send their probes as one batch.
 
         A path read empties every slot on the path and eviction fills each
         bucket from slot 0, so a bucket's blocks fill a prefix of its slots
@@ -238,8 +243,7 @@ class TreeOram(Engine):
         overlay = written.get
         leaves, write_at, write_val, answers = [], [], [], []
         overflow = None
-        for i, op in enumerate(ops):
-            addr = op.addr
+        for i, (is_write, addr, payload) in enumerate(ops):
             leaf = pos[addr - 1]
             path = [((n_leaves + leaf) >> shift) - 1 for shift in shifts]  # root first
             for bucket in path:
@@ -250,8 +254,8 @@ class TreeOram(Engine):
                     owners[slot] = None
                     val = overlay(slot)
                     stash[owner] = stored(slot) if val is None else val
-            if op.kind == WRITE:
-                stash[addr] = op.data
+            if is_write:
+                stash[addr] = payload
             else:
                 answers.append(stash.setdefault(addr, 0))
             pos[addr - 1] = randrange(n_leaves)
@@ -277,13 +281,12 @@ class TreeOram(Engine):
                     f"stash holds {len(stash)} blocks (> {self.STASH_LIMIT}) after op {first_op + i}"
                 )
                 break
-        buckets = ((n_leaves + np.array(leaves, dtype=np.int64)[:, None]) >> np.arange(depth, -1, -1)) - 1
-        path_addrs = (buckets[:, :, None] * z + np.arange(1, z + 1)).reshape(len(leaves), width)
+        buckets = ((n_leaves + np.array(leaves, dtype=np.int64)[:, None]) >> self._shifts) - 1
+        path_addrs = (buckets[:, :, None] * z + self._slot_cells).reshape(len(leaves), width)
         addrs = np.concatenate((path_addrs, path_addrs), axis=1).ravel()  # each op's reads, then its writes
-        kinds = np.tile(np.repeat([0, 1], width), len(leaves))
         data = np.zeros(len(addrs), dtype=np.int64)
         data[write_at] = write_val
-        server.probe_batch(kinds, addrs, data, np.repeat(np.arange(first_op, first_op + len(leaves)), 2 * width))
+        server.probe_batch(self._kinds[: len(addrs)], addrs, data, self._op_offsets[: len(addrs)] + first_op)
         if overflow is not None:
             raise overflow
         return answers
@@ -339,14 +342,15 @@ class DummyLengthEncoder(Engine):
 
     def advance(self, server, y, start, stop):
         answers = _direct_probes(server, y, start, stop, 1)
-        ops = y.ops[start:stop]
-        # one comparand per op in op order, drawn or owed, so the RNG state does not depend on the cuts
-        for drawn, op in enumerate(ops):
+        # one comparand per op in op order, drawn or owed, so the RNG state does not depend on the cuts;
+        # the comparison is mostly decided at its first op, so the ops are read one at a time
+        ops = range(len(y))[start:stop]
+        for i in ops:
             if self._cmp:
-                self._owed += len(ops) - drawn
+                self._owed += ops.stop - i
                 break
             a = op_order_key(*self._draw_op())
-            b = op_order_key(op.kind, op.addr, op.data)
+            b = op_order_key(WRITE if y.is_write[i] else READ, int(y.addr[i]), int(y.data[i]))
             self._cmp = -1 if a < b else (1 if a > b else 0)
         return answers
 
@@ -388,7 +392,7 @@ class DummyLengthLeaker(Engine):
     def advance(self, server, y, start, stop):
         if stop > self.n:
             raise ModelViolationError(f"dummy-leaker was sized for n={self.n} ops")
-        addrs = y.columns[1][start:stop]
+        addrs = y.addr[start:stop]
         j = np.arange(start + 1, start + 1 + len(addrs))  # 1-based op numbers
         extra = np.where(j < self.i, 2, np.where(j == self.i, 1 + (self.r <= addrs), 0))
         return _direct_probes(server, y, start, stop, extra)

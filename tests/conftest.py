@@ -1,6 +1,7 @@
 """Shared helpers for the suite: graph invariant checks, random graphs and
 line-by-line oracles for the vectorized code paths (the exhaustive
-dense-partition decider, the server's probe, one at a time, the scan and tree
+dense-partition decider, the block workload generator and its shape parser
+op by op, the server's probe, one at a time, the scan and tree
 engines' honest per-op probe loops, the codec sender that runs its whole read
 block, and the estimators' trial-by-trial loops among them)."""
 
@@ -14,14 +15,18 @@ import numpy as np
 import pytest
 
 from oramlab import (
+    READ,
     WRITE,
     AccessGraph,
+    BlockLayout,
+    InputOp,
     ModelViolationError,
     Partition,
     ServerState,
     StashOverflowError,
     TraceFile,
     TransferMessage,
+    WorkloadShapeError,
     adversary_view,
     block_data,
     derive_seed,
@@ -306,6 +311,64 @@ def _per_written_cell(server, field: int) -> dict[int, int]:
     return {addr: entry[field] for addr, entry in store.items() if entry[1] != NO_WRITER}
 
 
+def reference_write_read_blocks(n: int, k: int, w: int, rng: random.Random) -> tuple[tuple[InputOp, ...], BlockLayout]:
+    """The block workload op by op, as ``InputOp``s: the oracle for ``gen_write_read_blocks``.
+
+    Each write block draws rng.getrandbits(w) per op in op order, each read
+    block re-reads addresses 1..ell, and write/read pairs at address 1 pad
+    the ops to length n.
+    """
+    if n < 2 or n % 2 != 0:
+        raise ModelViolationError(f"block workload needs even n >= 2, got {n}")
+    if not 1 <= k <= n // 2:
+        raise ModelViolationError(f"block count k={k} outside [1, {n // 2}]")
+    ell = n // (2 * k)
+    ops: list[InputOp] = []
+    write_ranges, read_ranges = [], []
+    for _ in range(k):
+        ws = len(ops)
+        ops.extend(InputOp(WRITE, a, rng.getrandbits(w)) for a in range(1, ell + 1))
+        rs = len(ops)
+        ops.extend(InputOp(READ, a, 0) for a in range(1, ell + 1))
+        write_ranges.append((ws, rs))
+        read_ranges.append((rs, len(ops)))
+    pad_start = len(ops)
+    while len(ops) < n:
+        ops += [InputOp(WRITE, 1, 0), InputOp(READ, 1, 0)]
+    layout = BlockLayout(k, ell, tuple(write_ranges), tuple(read_ranges), pad_start)
+    return tuple(ops), layout
+
+
+def reference_block_shape(ops) -> tuple[int, int]:
+    """``parse_block_shape`` op by op over a sequence of ``InputOp``s, the same template matched."""
+    ops = tuple(ops)
+    n = len(ops)
+    if n == 0 or n % 2:
+        raise WorkloadShapeError("block workloads have positive even length")
+    ell = 0
+    while ell < n and ops[ell].kind == WRITE and ops[ell].addr == ell + 1:
+        ell += 1
+    if ell == 0:
+        raise WorkloadShapeError("sequence does not start with a write to address 1")
+    k = pos = 0
+    while pos + 2 * ell <= n:
+        chunk = ops[pos : pos + 2 * ell]
+        if all(o.kind == WRITE and o.addr == j + 1 for j, o in enumerate(chunk[:ell])) and all(
+            o.kind == READ and o.addr == j + 1 and o.data == 0 for j, o in enumerate(chunk[ell:])
+        ):
+            k += 1
+            pos += 2 * ell
+        else:
+            break
+    if k == 0:
+        raise WorkloadShapeError("no complete write/read block pair found")
+    for j in range(pos, n, 2):
+        w, r = ops[j], ops[j + 1]
+        if not (w.kind == WRITE and w.addr == 1 and w.data == 0 and r.kind == READ and r.addr == 1):
+            raise WorkloadShapeError(f"tail op pair at index {j} is not address-1 padding")
+    return k, ell
+
+
 def honest_scan_advance(server: ReferenceServer, M: int, y, start: int, stop: int) -> list[int]:
     """The linear scan straight off its definition over ops start..stop-1 of y.
 
@@ -314,7 +377,7 @@ def honest_scan_advance(server: ReferenceServer, M: int, y, start: int, stop: in
     answers of the reads.
     """
     answers = []
-    for i, op in enumerate(y.ops[start:stop], start):
+    for i, op in enumerate(y[start:stop], start):
         for j in range(1, M + 1):
             v = server.probe(0, j, 0, i)
             if j == op.addr:
@@ -354,7 +417,7 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
     that leaves the stash over its limit.  Returns the answers of the reads.
     """
     z, answers = engine.Z, []
-    for i, op in enumerate(y.ops[start:stop], start):
+    for i, op in enumerate(y[start:stop], start):
         leaf = engine.pos[op.addr - 1]
         buckets = [((engine.leaves + leaf) >> (engine.depth - level)) - 1 for level in range(engine.depth + 1)]
         slots = [b * z + s for b in buckets for s in range(z)]

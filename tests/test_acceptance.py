@@ -95,11 +95,9 @@ def test_02_access_graph_invariants_across_engine_traces():
     for k in (1, 2, 4):
         y, _ = gen_write_read_blocks(16, k, 16, random.Random(k))
         workloads.append((f"blocks16k{k}", y))
-    mixed = InputSequence(
-        tuple(
-            InputOp("W", a, d) if w else InputOp("R", a, 0)
-            for w, a, d in [(1, 3, 9), (0, 3, 0), (1, 1, 5), (0, 2, 0), (1, 3, 1), (0, 1, 0)]
-        )
+    mixed = InputSequence.from_ops(
+        InputOp("W", a, d) if w else InputOp("R", a, 0)
+        for w, a, d in [(1, 3, 9), (0, 3, 0), (1, 1, 5), (0, 2, 0), (1, 3, 1), (0, 1, 0)]
     )
     workloads.append(("mixed6", mixed))
     cfg = OramConfig(m=1, M=16, w=16)
@@ -131,7 +129,7 @@ def test_03_leaker_length_distribution_is_exact():
         4: [InputOp("R", 2, 0), InputOp("W", 1, 1), InputOp("R", 3, 0), InputOp("W", 4, 0)],
     }
     for n, ops in fixed.items():
-        y = InputSequence(tuple(ops))
+        y = InputSequence.from_ops(ops)
         lengths = Counter()
         for i in range(1, n + 1):
             for r in range(1, M + 1):
@@ -158,13 +156,13 @@ def test_04_encoder_length_law():
             else InputOp("R", rng.randint(1, 16), 0)
             for _ in range(n)
         )
-        _, srv = run_sequence("dummy-encoder", cfg, InputSequence(ops), seed=seed)
+        _, srv = run_sequence("dummy-encoder", cfg, InputSequence.from_ops(ops), seed=seed)
         assert srv.probe_count in (2 * n, 2 * n + 1)
 
     tiny = OramConfig(m=1, M=2, w=1)
     space = [(k, a, d) for k in ("W", "R") for a in (1, 2) for d in (0, 1)]
     for y_op in space:
-        y = InputSequence((InputOp(*y_op),))
+        y = InputSequence.from_ops((InputOp(*y_op),))
         rank = sum(1 for r in space if op_order_key(*r) < op_order_key(*y_op))
         extras = 0
         for r in space:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from oramlab import adversary
 from oramlab.adversary import COIN_FLIP, NO_PARTITION, _has_dense_partition, _LastDecision, trace_digest
 from oramlab.server import AccessSequence
 
-from conftest import honest_advantage, honest_frequency
+from conftest import honest_advantage, honest_frequency, reference_block_shape
 
 
 class TestBlockShapeParsing:
@@ -42,16 +43,52 @@ class TestBlockShapeParsing:
 
     def test_rejects_non_block_shapes(self):
         with pytest.raises(WorkloadShapeError):
-            parse_block_shape(InputSequence(()))
+            parse_block_shape(InputSequence.from_ops(()))
         with pytest.raises(WorkloadShapeError):
-            parse_block_shape(InputSequence((InputOp("R", 1, 0), InputOp("W", 1, 0))))
+            parse_block_shape(InputSequence.from_ops((InputOp("R", 1, 0), InputOp("W", 1, 0))))
         with pytest.raises(WorkloadShapeError):
-            parse_block_shape(InputSequence((InputOp("W", 2, 0), InputOp("R", 2, 0))))
+            parse_block_shape(InputSequence.from_ops((InputOp("W", 2, 0), InputOp("R", 2, 0))))
         # a broken tail after valid blocks
         y, _ = gen_write_read_blocks(10, 2, 8, random.Random(0))
-        bad = InputSequence(y.ops[:8] + (InputOp("W", 3, 0), InputOp("R", 1, 0)))
+        bad = InputSequence.from_ops((*y[:8], InputOp("W", 3, 0), InputOp("R", 1, 0)))
         with pytest.raises(WorkloadShapeError):
             parse_block_shape(bad)
+
+
+def _shape_or_error(parse, y):
+    try:
+        return parse(y)
+    except WorkloadShapeError as exc:
+        return str(exc)
+
+
+# an op index (half the time one of the last 14, where the padding is), a field and a new value
+_MUTATION = st.tuples(
+    st.integers(0, 79) | st.integers(-14, -1), st.sampled_from(["kind", "addr", "data"]), st.integers(0, 3)
+)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=8),
+    ell=st.integers(min_value=1, max_value=4),
+    pad=st.integers(min_value=0, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32),
+    keep=st.none() | st.integers(min_value=0, max_value=80),
+    mutations=st.lists(_MUTATION, max_size=3),
+)
+@settings(max_examples=200)
+def test_block_shape_matches_the_op_by_op_walk(k, ell, pad, seed, keep, mutations):
+    """Block workloads with up to k - 1 padding pairs, cut short or not and
+    with a few ops' kind, address or data changed, parse to the (k, ell) of
+    the op-by-op walk or fail with its message, naming the same tail pair."""
+    y, _ = gen_write_read_blocks(2 * (k * ell + min(pad, k - 1)), k, 8, random.Random(seed))
+    ops = list(y)[:keep]
+    for i, field, value in mutations:
+        if -len(ops) <= i < len(ops):
+            flipped = "R" if ops[i].kind == "W" else "W"
+            ops[i] = replace(ops[i], **{field: flipped if field == "kind" else value})
+    want = _shape_or_error(reference_block_shape, ops)
+    assert _shape_or_error(parse_block_shape, InputSequence.from_ops(ops)) == want
 
 
 class TestDistinguisher:
@@ -85,7 +122,7 @@ class TestDistinguisher:
             distinguish(self.y_flat, gen_alternating_sequence(38), AccessSequence([]), random.Random(0))
 
     def test_shapeless_reference_input_rejected(self):
-        backwards = InputSequence(tuple(reversed(self.y_blocks.ops)))
+        backwards = self.y_blocks[::-1]
         _, srv = run_sequence("passthrough", self.CFG, self.y_flat, seed=0)
         with pytest.raises(WorkloadShapeError):
             distinguish(self.y_flat, backwards, adversary_view(srv), random.Random(0))

@@ -117,7 +117,7 @@ def test_extra_entry_for_a_cell_never_read_still_decodes():
     y, layout = _instance(2)
     msg = alice_encode("passthrough", CFG, y, layout, 1, shared_seed=0)
     rs, re = layout.read_ranges[0]
-    unread = min(set(range(1, CFG.M + 1)) - {y.ops[j].addr for j in range(rs, re)})
+    unread = min(set(range(1, CFG.M + 1)) - {y[j].addr for j in range(rs, re)})
     padded = dataclasses.replace(msg, matched=msg.matched + ((unread, 1),))
     assert padded.bit_length == msg.bit_length + 2 * CFG.w
     assert bob_decode(padded, "passthrough", CFG, y, layout, 1, shared_seed=0) == block_data(y, layout, 1)

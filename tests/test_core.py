@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from oramlab import (
     parse_workload_spec,
     run_sequence,
 )
+
+from conftest import reference_write_read_blocks
 
 
 class TestConfig:
@@ -43,11 +46,11 @@ class TestConfig:
 
     def test_op_check(self):
         cfg = OramConfig(m=1, M=4, w=4)
-        cfg.check_op(InputOp(WRITE, 4, 15))
+        cfg.check_ops(InputSequence.from_ops([InputOp(WRITE, 4, 15)]))
         with pytest.raises(ModelViolationError):
-            cfg.check_op(InputOp(WRITE, 5, 0))
+            cfg.check_ops(InputSequence.from_ops([InputOp(WRITE, 5, 0)]))
         with pytest.raises(ModelViolationError):
-            cfg.check_op(InputOp(WRITE, 1, 16))
+            cfg.check_ops(InputSequence.from_ops([InputOp(WRITE, 1, 16)]))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -57,19 +60,26 @@ class TestConfig:
             (InputOp(WRITE, 5, 0), "address 5 outside [1, 4]"),
             (InputOp(WRITE, 1, -1), "data -1 does not fit in 4 bits"),
             (InputOp(WRITE, 1, 16), "data 16 does not fit in 4 bits"),
-            (InputOp(WRITE, 1, 1 << 80), f"data {1 << 80} does not fit in 4 bits"),  # beyond int64
+            (InputOp(WRITE, 1, 1 << 80), f"data {1 << 80} does not fit in int64"),
         ],
     )
     def test_sequence_check_names_the_first_bad_op(self, bad, message):
+        """A kind or a payload the columns cannot hold is refused as the sequence is built; every
+        other bad op fails the config's check and the run, which name the first bad op."""
         cfg = OramConfig(m=1, M=4, w=4)
         good = InputOp(WRITE, 4, 15)
-        for y in (InputSequence((good, bad)), InputSequence((good, bad, InputOp(WRITE, 9, 99)))):
+        for ops in ((good, bad), (good, bad, InputOp(WRITE, 9, 99))):
+            if bad.kind not in (READ, WRITE) or bad.data >= 1 << 63:
+                with pytest.raises(ModelViolationError) as got:
+                    InputSequence.from_ops(ops)
+                assert str(got.value) == message
+                continue
             for check in (cfg.check_ops, lambda seq: run_sequence("passthrough", cfg, seq, seed=0)):
                 with pytest.raises(ModelViolationError) as got:
-                    check(y)
+                    check(InputSequence.from_ops(ops))
                 assert str(got.value) == message
-        cfg.check_ops(InputSequence((InputOp(WRITE, 4, 15), InputOp(READ, 1, 0))))
-        cfg.check_ops(InputSequence(()))
+        cfg.check_ops(InputSequence.from_ops((InputOp(WRITE, 4, 15), InputOp(READ, 1, 0))))
+        cfg.check_ops(InputSequence.from_ops(()))
 
 
 class TestAlternating:
@@ -137,8 +147,38 @@ class TestBlocks:
         a, _ = gen_write_read_blocks(24, 3, 16, random.Random(7))
         b, _ = gen_write_read_blocks(24, 3, 16, random.Random(7))
         c, _ = gen_write_read_blocks(24, 3, 16, random.Random(8))
-        assert a == b
-        assert a != c
+        assert list(a) == list(b)
+        assert list(a) != list(c)
+
+
+def _sequence_or_error(gen, *args):
+    try:
+        return gen(*args)
+    except ModelViolationError as exc:
+        return str(exc)
+
+
+@given(
+    n=st.integers(min_value=-2, max_value=120),
+    k=st.integers(min_value=-1, max_value=70),
+    w=st.integers(min_value=1, max_value=63),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150)
+def test_block_columns_match_the_op_by_op_generator(n, k, w, seed):
+    """The columns hold the ops the op-by-op generator makes, with its layout
+    and its errors, and leave the rng in the state it leaves."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = _sequence_or_error(gen_write_read_blocks, n, k, w, rng)
+    want = _sequence_or_error(reference_write_read_blocks, n, k, w, ref_rng)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        (y, layout), (ops, ref_layout) = got, want
+        assert (y.is_write.dtype, y.addr.dtype, y.data.dtype) == (bool, np.int64, np.int64)
+        assert tuple(y) == ops
+        assert layout == ref_layout
+    assert rng.getstate() == ref_rng.getstate()
 
 
 class TestWorkloadSpecs:

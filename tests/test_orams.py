@@ -20,11 +20,12 @@ from oramlab import (
     adversary_view,
     alice_encode,
     bob_decode,
+    dense_partition_frequency,
     gen_write_read_blocks,
     make_engine,
     run_sequence,
 )
-from oramlab import orams
+from oramlab import core, orams
 from oramlab.orams import StashOverflowError, TreeOram, op_order_key
 from oramlab.server import FINAL_OP
 
@@ -50,7 +51,7 @@ def random_sequence(rng: random.Random, n: int, m_range: int, w: int) -> InputSe
             ops.append(InputOp(WRITE, rng.randint(1, m_range), rng.getrandbits(w)))
         else:
             ops.append(InputOp(READ, rng.randint(1, m_range), 0))
-    return InputSequence(tuple(ops))
+    return InputSequence.from_ops(ops)
 
 
 def array_oracle(y: InputSequence) -> list[int]:
@@ -93,6 +94,27 @@ def test_same_seed_same_run(engine):
     assert a1 == a2
     assert np.array_equal(s1.addr_column(), s2.addr_column())
     assert np.array_equal(s1.data_column(), s2.data_column())
+
+
+def test_trials_and_repeated_runs_do_no_per_op_work(monkeypatch):
+    """A frequency trial and repeated runs read the workload's columns: no
+    op object is built, and the model check reduces a sequence's columns
+    once, on its first run, however often it is run after that."""
+
+    def no_op_objects(*args, **kwargs):
+        raise AssertionError("an InputOp was built")
+
+    monkeypatch.setattr(core, "InputOp", no_op_objects)
+    cfg = OramConfig(m=2, M=64, w=16)
+    assert dense_partition_frequency("linear-scan", cfg, 64, 4, trials=1, seed=3) == 1
+    bounds = InputSequence.bounds
+    checked = []
+    monkeypatch.setattr(bounds, "func", lambda seq, build=bounds.func: checked.append(seq) or build(seq))
+    y, _ = gen_write_read_blocks(64, 4, cfg.w, random.Random(3))
+    for engine in ALL_ENGINES:
+        for seed in range(3):
+            run_sequence(engine, cfg, y, seed=seed, record_meta=seed == 0)
+    assert len(checked) == 1 and checked[0] is y
 
 
 class TestPassthrough:
@@ -262,7 +284,7 @@ class TestTreeEngine:
         # zero allowance: the first block parked in the stash must abort the run
         monkeypatch.setattr(TreeOram, "STASH_LIMIT", 0)
         cfg = OramConfig(m=4, M=64, w=16)
-        y = InputSequence(tuple(InputOp(WRITE, a, a) for a in range(1, 65)))
+        y = InputSequence.from_ops(InputOp(WRITE, a, a) for a in range(1, 65))
         with pytest.raises(StashOverflowError):
             run_sequence("tree", cfg, y, seed=0)
 
@@ -291,7 +313,7 @@ class TestDummyEncoder:
         assert srv.probe_count == 2 * len(y)
 
     def test_forced_smaller_and_larger(self):
-        y = InputSequence((InputOp(READ, 2, 0), InputOp(READ, 2, 0)))
+        y = InputSequence.from_ops((InputOp(READ, 2, 0), InputOp(READ, 2, 0)))
         cfg = OramConfig(m=1, M=4, w=4)
         smaller = ForcedEncoder(cfg, [(WRITE, 1, 0), (READ, 4, 0)])
         _, srv = run_forced(smaller, cfg, y)
@@ -328,7 +350,7 @@ class TestDummyEncoder:
 
         cfg = OramConfig(m=1, M=2, w=1)
         space = [(k, a, d) for k in (WRITE, READ) for a in (1, 2) for d in (0, 1)]
-        y = InputSequence((InputOp(READ, 1, 0), InputOp(WRITE, 2, 1)))
+        y = InputSequence.from_ops((InputOp(READ, 1, 0), InputOp(WRITE, 2, 1)))
         y_key = [op_order_key(o.kind, o.addr, o.data) for o in y]
         rank = sum(
             1
@@ -375,7 +397,7 @@ def test_online_prefix_property(engine):
     y = random_sequence(random.Random(31), 10, cfg.M, cfg.w)
     _, full = run_sequence(engine, cfg, y, seed=3)
     for j in (0, 4, 9):
-        prefix = InputSequence(y.ops[:j])
+        prefix = y[:j]
         _, part = run_sequence(engine, cfg, prefix, seed=3)
         keep_full = full.op_column() < j
         keep_part = part.op_column() != FINAL_OP
@@ -390,7 +412,7 @@ def test_leaker_is_not_online():
     diffs = 0
     for seed in range(8):
         _, full = run_sequence("dummy-leaker", cfg, y, seed=seed)
-        _, part = run_sequence("dummy-leaker", cfg, InputSequence(y.ops[:6]), seed=seed)
+        _, part = run_sequence("dummy-leaker", cfg, y[:6], seed=seed)
         k = part.probe_count
         diffs += not np.array_equal(full.addr_column()[:k], part.addr_column())
     assert diffs > 0
@@ -528,7 +550,7 @@ def test_advance_over_cuts_matches_honest_oracle(engine, M, ops, cuts, mark, loa
     the client state exactly as the honest per-op probe loop does, also for
     an op that follows a skipped one, as the codec's read block can."""
     cfg = OramConfig(m=1, M=M, w=8)
-    y = InputSequence(tuple(_scan_op(*t, M) for t in [*ops, extra, extra]))
+    y = InputSequence.from_ops(_scan_op(*t, M) for t in [*ops, extra, extra])
     n = len(ops)
     advanced, honest = make_engine(engine, cfg, 0), make_engine(engine, cfg, 0)
     n_cells = len(advanced.slot_owner) if engine == "tree" else M  # the server cells the engine uses
@@ -543,7 +565,7 @@ def test_advance_over_cuts_matches_honest_oracle(engine, M, ops, cuts, mark, loa
         want.extend(_honest_advance(honest, ref, y, start, stop))
 
     with mock.patch.object(orams, "BATCH_PROBES", batch):
-        answers, meta_from = _advance_in_ranges(advanced, srv, InputSequence(y.ops[:n]), cuts, mark, honest_range)
+        answers, meta_from = _advance_in_ranges(advanced, srv, y[:n], cuts, mark, honest_range)
         assert answers == want
         srv_from = None if meta_from is None else 0  # the advanced server's columns start at its mark
         assert _server_state(srv, n_cells, srv_from) == _server_state(ref, n_cells, meta_from)
@@ -560,7 +582,7 @@ def test_stash_overflow_mid_batch_matches_honest_oracle(monkeypatch, limit, ops_
     probes through it, then raises naming it, as the honest per-op loop does."""
     monkeypatch.setattr(TreeOram, "STASH_LIMIT", limit)
     cfg = OramConfig(m=4, M=64, w=16)
-    y = InputSequence(tuple(InputOp(WRITE, a, a) for a in range(1, 65)))
+    y = InputSequence.from_ops(InputOp(WRITE, a, a) for a in range(1, 65))
     engine, honest = make_engine("tree", cfg, 0), make_engine("tree", cfg, 0)
     if ops_per_batch is not None:
         monkeypatch.setattr(orams, "BATCH_PROBES", ops_per_batch * engine.probes_per_op())
@@ -593,7 +615,7 @@ def test_batched_engine_advance_over_cuts_matches_one_range(engine, ops, cuts, m
     server, the answers and the client state as one advance over all the ops
     in one batch does."""
     cfg = OramConfig(m=1, M=6, w=8)
-    y = InputSequence(tuple(_scan_op(*t, cfg.M) for t in ops))
+    y = InputSequence.from_ops(_scan_op(*t, cfg.M) for t in ops)
     cut, whole = (make_engine(engine, cfg, 5, n=len(y)) for _ in range(2))
     cut_srv, whole_srv = ServerState(cfg, record_meta=False), ServerState(cfg)
     with mock.patch.object(orams, "BATCH_PROBES", batch):

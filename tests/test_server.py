@@ -287,7 +287,7 @@ def test_repeating_scan_log_is_its_tile():
 
 def test_repeating_scan_views_compare_unbuilt(monkeypatch):
     cfg = OramConfig(m=1, M=6, w=8)
-    y, y_other = gen_alternating_sequence(6), InputSequence((InputOp(WRITE, 3, 7), InputOp(READ, 5, 0)) * 3)
+    y, y_other = gen_alternating_sequence(6), InputSequence.from_ops((InputOp(WRITE, 3, 7), InputOp(READ, 5, 0)) * 3)
     views = [adversary_view(run_sequence("linear-scan", cfg, seq, seed=seed, record_meta=False)[1])
              for seq, seed in ((y, 0), (y_other, 9), (gen_alternating_sequence(4), 0))]
     monkeypatch.setattr(AccessSequence, "addrs", property(lambda seq: pytest.fail("a repeating view was built")))
