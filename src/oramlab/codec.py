@@ -98,6 +98,7 @@ def alice_encode(
     read-block probes that read cells last written inside the write block,
     running the read block only until no cell is."""
     config.bind_workload_length(len(y))
+    config.check_ops(y)
     ws, we, rs, re = _block_bounds(layout, i)
     machine = make_engine(engine, config, shared_seed, n=len(y))
     server = ServerState(config, record_meta=False)
@@ -135,13 +136,15 @@ def bob_decode(
     matched cells and run the read block.  Returns the read answers, which
     are exactly the write block's hidden data.
 
-    Raises DecodeError for a message that gives one address two contents
-    (before loading) and for answers that fail the checksum.  Bob never
-    executes the write block's ops, so the data inside them is dead weight
-    in y_template as far as he is concerned.
+    Raises ModelViolationError, before any run, for an op he runs that
+    ``OramConfig.check_ops`` refuses (he never runs the write block's, whose
+    data is dead weight in y_template), and DecodeError for a message that
+    gives one address two contents (before loading) and for answers that fail the checksum.
     """
     config.bind_workload_length(len(y_template))
     ws, we, rs, re = _block_bounds(layout, i)
+    for ops in (y_template[:ws], y_template[rs:re]):  # the ops he runs
+        config.check_ops(ops)
     machine = make_engine(engine, config, shared_seed, n=len(y_template))
     server = ServerState(config, record_meta=False)
     machine.advance(server, y_template, 0, ws)

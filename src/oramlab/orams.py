@@ -129,12 +129,11 @@ class LinearScan(Engine):
     Only O(1) registers persist between probes.  The simulation takes one
     shortcut: the scan reads each cell just before writing it back, so it
     takes cells 1..M from the server's store (``ServerState.contents``)
-    rather than from its reads.  ``advance`` probes nothing: it replays the
-    ops on the cells and logs their passes as one run (``ServerState._log_run``).
-    A server logging addresses only keeps a run as one op's period with a
-    repeat count (see ``server.AccessSequence``), whatever its length; with
-    metadata on, a run logs every probe's columns, so it goes in batches of
-    at most ``BATCH_PROBES`` probes.
+    rather than from its reads.  With metadata on, ``advance`` sends each
+    op's pass as one ``probe_batch``; a read's answer is what the pass read at
+    its address.  With metadata off it probes nothing: it replays the ops on
+    the cells and logs their passes as one period with a repeat count
+    (``ServerState._log_passes``), whatever their number.
 
     This reproduces the honest probe loop bit for bit; the tests keep that
     loop as their oracle.
@@ -148,23 +147,23 @@ class LinearScan(Engine):
         self._kinds = np.tile(np.array([0, 1], dtype=np.int64), config.M)
 
     def advance(self, server, y, start, stop):
-        meta = server.record_meta
-        per = _ops_per_batch(len(self._addrs)) if meta else max(stop - start, 1)
         answers = []
-        for lo in range(start, stop, per):
-            hi = min(lo + per, stop)
-            cells = server.contents(self.config.M).tolist()
-            rows, row = [], None  # row: cells after the last op, as an array; a read keeps it
-            for is_write, addr, data in y.rows(lo, hi):
+        if server.record_meta:
+            for op, (is_write, addr, data) in enumerate(y.rows(start, stop), start):
+                cells = server.contents(self.config.M).copy()
                 if is_write:
                     cells[addr - 1] = data
-                    row = None
-                else:
-                    answers.append(cells[addr - 1])
-                if meta:
-                    row = np.array(cells, dtype=np.int64) if row is None else row
-                    rows.append(row)
-            server._log_run(self._addrs, self._kinds, range(lo, hi), rows or [cells])
+                got = server.probe_batch(self._kinds, self._addrs, np.repeat(cells, 2) * self._kinds, op)
+                if not is_write:
+                    answers.append(int(got[2 * addr - 2]))
+            return answers
+        cells = server.contents(self.config.M).tolist()
+        for is_write, addr, data in y.rows(start, stop):
+            if is_write:
+                cells[addr - 1] = data
+            else:
+                answers.append(cells[addr - 1])
+        server._log_passes(self._addrs, range(start, stop), cells)
         return answers
 
 

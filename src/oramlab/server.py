@@ -14,13 +14,10 @@ by address, which a probe past the highest address covered reallocates at
 least twice as large, copying the old cells in (so addresses should stay
 of the workload's order, not of 2^w); ``load`` sets cells without a probe,
 and ``contents`` and ``last_writers`` read them as read-only views of the
-store.  The linear scan logs its passes with no probe either, through the
-one run logger ``_log_run``: with metadata off, a run is its
-period of addresses and a repeat count; with metadata on, it logs every
-column of every probe (each read logs its cell as it was before the op,
-each write as it is after, and a read's last writer is the op before, or
-the store's for the run's first op).  A trace that repeats one period (the
-linear scan's, logged without metadata) is kept as ``AccessSequence.repeating``
+store.  ``probe_batch`` is the only writer of the metadata columns.  With
+metadata off, the linear scan logs a run of its passes with no probe, through
+``_log_passes``, as its period of addresses and a repeat count.  A trace
+that repeats one period is kept as ``AccessSequence.repeating``
 through ``adversary_view``: ``window`` builds only what is read, and
 ``addrs`` and ``addr_column()`` build it all, once; ``addr_column(start)``
 builds none of it when start is past it, and ``==`` builds neither of two
@@ -320,33 +317,23 @@ class ServerState:
             val[:size], writer[:size] = self._val, self._writer
             self._val, self._writer = val, writer
 
-    def _log_run(self, period: np.ndarray, kinds: np.ndarray, ops: range, cells) -> None:
-        """Log the linear scan's passes for ops, one per op, with no probe.
+    def _log_passes(self, period: np.ndarray, ops: range, cells) -> None:
+        """Log the linear scan's passes for ops, one per op, as addresses only, with no probe.
 
-        A pass probes the addresses of period, kinds[i] the kind of the i-th
-        (0 read, 1 write), and reads and writes back every cell 1..m once:
-        it reads a cell as it was before the op and writes it as it is after.
-        cells holds cells 1..m after each op, one row per op; a server logging
-        addresses only reads just the last row, so it may be the only one.
-        The cells end holding the last row, every one written by the last op.
+        A pass probes the addresses of period and writes back cells 1..m, which
+        end as cells (their contents after the last op), each last written by
+        that op.  A cell outside w bits raises ModelViolationError, as its write probe would.
         """
+        if not ops:
+            return
         cells = np.asarray(cells, dtype=np.int64)
-        m, reps = cells.shape[1], len(ops)
-        self._grow(m)
-        if self.record_meta:
-            before = np.concatenate((self.contents(m)[None], cells[:-1]))
-            is_write = kinds == 1
-            src = np.empty((reps, len(period)), dtype=np.int64)
-            src[0] = self._writer[period]
-            src[1:] = np.arange(ops.start, ops.stop - 1)[:, None]  # each cell's writer is the op before
-            src[:, is_write] = NO_WRITER
-            self._kind.extend(np.tile(kinds, reps))
-            self._data.extend(np.where(is_write, cells[:, period - 1], before[:, period - 1]).ravel())
-            self._op.extend(np.repeat(np.arange(ops.start, ops.stop), len(period)))
-            self._read_src.extend(src.ravel())
-        self._val[1 : m + 1] = cells[-1]
-        self._writer[1 : m + 1] = ops.stop - 1
-        self._addr.extend(np.tile(period, reps) if self.record_meta else AccessSequence.repeating(period, reps))
+        if not 0 <= cells.min() <= cells.max() < self._addr_limit:
+            bad = cells[np.argmax((cells < 0) | (cells >= self._addr_limit))]
+            raise ModelViolationError(f"probe payload {bad} does not fit in {self.config.w} bits")
+        self._grow(len(cells))
+        self._val[1 : len(cells) + 1] = cells
+        self._writer[1 : len(cells) + 1] = ops.stop - 1
+        self._addr.extend(AccessSequence.repeating(period, len(ops)))
 
     # -- columnar access -------------------------------------------------
 

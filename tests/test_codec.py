@@ -1,13 +1,19 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
+    READ,
+    WRITE,
     AccessSequence,
     DecodeError,
+    InputOp,
+    InputSequence,
+    ModelViolationError,
     OramConfig,
     ServerState,
     alice_encode,
@@ -74,6 +80,41 @@ def test_scan_round_trip_builds_no_repeating_head(monkeypatch):
     # each party logged its prefix as one repeating run; Bob's read block, a
     # second run of the same period, lengthened Bob's
     assert len(heads) == 4
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize(
+    "j, op, message",
+    [
+        (6, InputOp(READ, 0, 0), "address 0 outside [1, 8]"),
+        (6, InputOp(READ, 9, 0), "address 9 outside [1, 8]"),
+        (0, InputOp(WRITE, 1, 256), "data 256 does not fit in 8 bits"),
+    ],
+    ids=["address-0", "address-M+1", "payload-2^w"],
+)
+def test_both_parties_refuse_an_op_they_run(engine, j, op, message):
+    # i = 2: both parties run write block 1 (op 0) and read block 2 (op 6)
+    cfg = OramConfig(m=2, M=8, w=8)
+    y, layout = gen_write_read_blocks(8, 2, cfg.w, random.Random(0))
+    assert layout.write_ranges[0][0] == 0 and layout.read_ranges[1][0] == 6
+    msg = alice_encode(engine, cfg, y, layout, 2, shared_seed=0)
+    bad = InputSequence.from_ops(op if at == j else old for at, old in enumerate(y))
+    with pytest.raises(ModelViolationError, match=f"^{re.escape(message)}$"):
+        alice_encode(engine, cfg, bad, layout, 2, shared_seed=0)
+    with pytest.raises(ModelViolationError, match=f"^{re.escape(message)}$"):
+        bob_decode(msg, engine, cfg, bad, layout, 2, shared_seed=0)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_receiver_leaves_the_write_block_unchecked(engine):
+    cfg = OramConfig(m=2, M=8, w=8)
+    y, layout = gen_write_read_blocks(8, 2, cfg.w, random.Random(0))
+    ws, we = layout.write_ranges[1]
+    data = y.data.copy()
+    data[ws:we] = 1 << cfg.w  # Bob never runs these ops
+    msg = alice_encode(engine, cfg, y, layout, 2, shared_seed=0)
+    template = InputSequence(y.is_write, y.addr, data)
+    assert bob_decode(msg, engine, cfg, template, layout, 2, shared_seed=0) == block_data(y, layout, 2)
 
 
 def test_block_index_bounds():

@@ -205,6 +205,34 @@ class TestLinearScan:
         assert adversary_view(srv).addrs.tolist() == np.tile(engine._addrs, 6).tolist() + [1] + engine._addrs.tolist()
 
 
+    def test_metadata_passes_are_probe_batches(self, monkeypatch):
+        calls = []
+        probe_batch = ServerState.probe_batch
+
+        def counted(server, kinds, addrs, data, op):
+            calls.append((len(addrs), op))
+            return probe_batch(server, kinds, addrs, data, op)
+
+        monkeypatch.setattr(ServerState, "probe_batch", counted)
+        cfg = OramConfig(m=1, M=8, w=8)
+        y = random_sequence(random.Random(5), 7, cfg.M, cfg.w)
+        run_sequence("linear-scan", cfg, y, seed=0, record_meta=True)
+        assert calls == [(2 * cfg.M, op) for op in range(len(y))]  # one pass per op, tagged with it
+        calls.clear()
+        _, srv = run_sequence("linear-scan", cfg, y, seed=0, record_meta=False)
+        view = adversary_view(srv)
+        assert calls == [] and view is srv._addr.head and view == AccessSequence.repeating(view._period, len(y))
+
+    @pytest.mark.parametrize("record_meta", [True, False])
+    def test_pass_refuses_a_cell_outside_w_bits(self, record_meta):
+        cfg = OramConfig(m=1, M=4, w=8)
+        y = InputSequence.from_ops([InputOp(WRITE, 2, 300), InputOp(READ, 2, 0)])
+        srv = ServerState(cfg, record_meta=record_meta)
+        with pytest.raises(ModelViolationError, match="probe payload 300 does not fit in 8 bits"):
+            make_engine("linear-scan", cfg, 0).advance(srv, y, 0, 2)
+        assert srv.probe_count == 0 and srv.contents(cfg.M).tolist() == [0] * cfg.M
+
+
 class TestTreeEngine:
     def test_probe_count_formula(self):
         for M in (1, 2, 3, 8, 24):
