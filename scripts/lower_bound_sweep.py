@@ -12,10 +12,9 @@ Usage:
 """
 
 import argparse
-import random
 import sys
 
-from oramlab import OramConfig, gen_write_read_blocks
+from oramlab import OramConfig, WorkloadSpec
 from oramlab.traceio import analyze_trace, default_analysis_params, run_trace
 
 
@@ -33,8 +32,7 @@ def main() -> int:
     print(f"{'n':>8} {'N':>10} {'ell':>7} {'k_max':>6} {'witnessed':>12} {'bound':>8} {'bound/n':>8} {'N/n':>7}")
     for n in args.sizes:
         cfg = OramConfig(m=args.m, M=n, w=32)
-        y, _ = gen_write_read_blocks(n, args.k, cfg.w, random.Random(args.seed + n))
-        tf = run_trace(args.engine, cfg, y, args.seed, f"blocks:n={n},k={args.k},seed={args.seed + n}")
+        tf = run_trace(args.engine, cfg, WorkloadSpec("blocks", n, args.k, args.seed + n), args.seed)
         report = analyze_trace(tf)
         ell, k_max = default_analysis_params(n, args.m)
         witnessed = [row["k"] for row in report.per_k if row["found"]]

@@ -22,10 +22,7 @@ from .adversary import (
 )
 from .codec import DecodeError, TransferMessage, alice_encode, block_data, bob_decode
 from .core import (
-    READ,
-    WRITE,
     BlockLayout,
-    InputOp,
     InputSequence,
     OramConfig,
     WorkloadSpec,

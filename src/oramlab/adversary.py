@@ -30,12 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._util import as_fraction, derive_seed
-from .core import (
-    InputSequence,
-    OramConfig,
-    gen_alternating_sequence,
-    gen_write_read_blocks,
-)
+from .core import InputSequence, OramConfig, WorkloadSpec, instantiate_workload
 from .graph import AccessGraph
 from .orams import run_sequence
 from .partition import greedy_dense_partition
@@ -219,16 +214,12 @@ def estimate_advantage(
 
 
 def _frequency_trace(engine, config, n, k, seed, family, t) -> AccessSequence:
-    """Trial t's trace: a fresh workload sample run from a fresh engine seed."""
-    workload_seed = derive_seed(seed, t, 3)
-    engine_seed = derive_seed(seed, t, 4)
-    if family == "blocks":
-        y, _ = gen_write_read_blocks(n, k, config.w, random.Random(workload_seed))
-    elif family == "alt":  # debug family: the partition property is expected to fail
-        y = gen_alternating_sequence(n)
-    else:
-        raise ValueError(f"unknown workload family {family!r}")
-    return _trial_trace(engine, config, y, engine_seed)
+    """Trial t's trace: a fresh workload sample run from a fresh engine seed.
+
+    The "alt" family is a debug family: the partition property is expected to fail.
+    """
+    y, _ = instantiate_workload(WorkloadSpec(family, n, k, derive_seed(seed, t, 3)), config.w)
+    return _trial_trace(engine, config, y, derive_seed(seed, t, 4))
 
 
 def _frequency_chunk(args) -> int:
@@ -253,6 +244,8 @@ def dense_partition_frequency(
     trial's reuses its decision."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if family not in ("blocks", "alt"):
+        raise ValueError(f"unknown workload family {family!r}")
     found = _map_chunks(_frequency_chunk, (engine, config, n, k, seed, family), trials, jobs)
     return Fraction(sum(found), trials)
 

@@ -152,9 +152,7 @@ def build_parser() -> _Parser:
 
 def _run_workload(args, seed: int, with_boundaries: bool = False) -> TraceFile:
     spec = parse_workload_spec(args.workload)
-    config = _config_for(args, spec.n)
-    y, _ = instantiate_workload(spec, config.w, default_seed=seed)
-    return run_trace(args.engine, config, y, seed, spec.render(), with_boundaries)
+    return run_trace(args.engine, _config_for(args, spec.n), spec, seed, with_boundaries)
 
 
 def _cmd_trace(args) -> int:

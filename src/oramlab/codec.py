@@ -69,16 +69,8 @@ class TransferMessage:
 
 def block_data(y: InputSequence, layout: BlockLayout, i: int) -> tuple[int, ...]:
     """The hidden payload: data of the i-th write block (i is 1-based)."""
-    ws, we = _block_bounds(layout, i)[:2]
+    ws, we = layout.block(i)[:2]
     return tuple(y.data[ws:we].tolist())
-
-
-def _block_bounds(layout: BlockLayout, i: int) -> tuple[int, int, int, int]:
-    if not 1 <= i <= layout.k:
-        raise ValueError(f"block index {i} outside [1, {layout.k}]")
-    ws, we = layout.write_ranges[i - 1]
-    rs, re = layout.read_ranges[i - 1]
-    return ws, we, rs, re
 
 
 def _data_checksum(values: tuple[int, ...]) -> str:
@@ -99,7 +91,7 @@ def alice_encode(
     running the read block only until no cell is."""
     config.bind_workload_length(len(y))
     config.check_ops(y)
-    ws, we, rs, re = _block_bounds(layout, i)
+    ws, we, rs, re = layout.block(i)
     machine = make_engine(engine, config, shared_seed, n=len(y))
     server = ServerState(config, record_meta=False)
     machine.advance(server, y, 0, we)  # everything before the read block, write block included
@@ -142,9 +134,9 @@ def bob_decode(
     gives one address two contents (before loading) and for answers that fail the checksum.
     """
     config.bind_workload_length(len(y_template))
-    ws, we, rs, re = _block_bounds(layout, i)
-    for ops in (y_template[:ws], y_template[rs:re]):  # the ops he runs
-        config.check_ops(ops)
+    ws, we, rs, re = layout.block(i)
+    for start, stop in ((0, ws), (rs, re)):  # the ops he runs
+        config.check_ops(y_template, start, stop)
     machine = make_engine(engine, config, shared_seed, n=len(y_template))
     server = ServerState(config, record_meta=False)
     machine.advance(server, y_template, 0, ws)

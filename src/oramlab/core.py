@@ -17,9 +17,6 @@ import numpy as np
 
 from ._util import ModelViolationError
 
-READ = "R"
-WRITE = "W"
-
 
 @dataclass(frozen=True)
 class OramConfig:
@@ -58,38 +55,33 @@ class OramConfig:
         if n > self.M:
             raise ModelViolationError(f"workload length n={n} exceeds address range M={self.M}")
 
-    def check_ops(self, y: "InputSequence") -> None:
-        """Every op of y has an address in [1, M] and data of w bits (its kind was checked as y was built).
+    def check_ops(self, y: "InputSequence", start: int = 0, stop: int | None = None) -> None:
+        """Every op start..stop-1 of y (all of y by default) has an address in [1, M] and data of w bits.
 
-        One comparison with y's cached ``bounds``; only a sequence that fails it
-        is searched, by masks, so the error names its first bad op.
+        One comparison with the range's bounds (y's cached ``bounds`` for all
+        of y); only a range that fails it is searched, by masks, so the error
+        names its first bad op.
         """
-        if not len(y):
+        stop = len(y) if stop is None else stop
+        if start >= stop:
             return
-        lo, hi, data_lo, data_hi = y.bounds
-        if 1 <= lo and hi <= self.M and 0 <= data_lo and data_hi < 1 << self.w:
+        addr, data = y.addr[start:stop], y.data[start:stop]
+        whole = start == 0 and stop == len(y)
+        lo, hi, data_lo, data_hi = y.bounds if whole else (addr.min(), addr.max(), data.min(), data.max())
+        if 1 <= lo and hi <= self.M and 0 <= data_lo and data_hi >> self.w == 0:
             return
-        bad_addr = (y.addr < 1) | (y.addr > self.M)
-        i = int(np.argmax(bad_addr | (y.data >> self.w != 0)))  # w < 64: shifting leaves 0 iff data fits
+        bad_addr = (addr < 1) | (addr > self.M)
+        i = int(np.argmax(bad_addr | (data >> self.w != 0)))  # w < 64: shifting leaves 0 iff data fits
         if bad_addr[i]:
-            raise ModelViolationError(f"address {y.addr[i]} outside [1, {self.M}]")
-        raise ModelViolationError(f"data {y.data[i]} does not fit in {self.w} bits")
-
-
-@dataclass(frozen=True)
-class InputOp:
-    """One logical operation (kind, addr, data); reads carry data 0."""
-
-    kind: str
-    addr: int
-    data: int = 0
+            raise ModelViolationError(f"address {addr[i]} outside [1, {self.M}]")
+        raise ModelViolationError(f"data {data[i]} does not fit in {self.w} bits")
 
 
 @dataclass(frozen=True, eq=False)
 class InputSequence:
     """The ops in order, as three read-only columns: is_write (bool), addr and data (int64).
 
-    Indexing gives an ``InputOp``, slicing a sequence of column views.
+    Slicing gives a sequence of column views.
     """
 
     is_write: np.ndarray
@@ -99,22 +91,6 @@ class InputSequence:
     def __post_init__(self):
         for col in (self.is_write, self.addr, self.data):
             col.flags.writeable = False
-
-    @classmethod
-    def from_ops(cls, ops) -> InputSequence:
-        """The sequence of the given ``InputOp``s; an op of unknown kind, or with an int64 overflow, is refused."""
-        ops = tuple(ops)
-        for op in ops:
-            if op.kind not in (READ, WRITE):
-                raise ModelViolationError(f"unknown op kind {op.kind!r}")
-            for field in ("addr", "data"):
-                if not -(1 << 63) <= getattr(op, field) < 1 << 63:
-                    raise ModelViolationError(f"{field} {getattr(op, field)} does not fit in int64")
-        return cls(
-            np.array([op.kind == WRITE for op in ops], dtype=bool),
-            np.array([op.addr for op in ops], dtype=np.int64),
-            np.array([op.data for op in ops], dtype=np.int64),
-        )
 
     @cached_property
     def bounds(self) -> tuple[int, int, int, int]:
@@ -128,38 +104,33 @@ class InputSequence:
     def __len__(self) -> int:
         return len(self.addr)
 
-    def __iter__(self):
-        return (InputOp(WRITE if w else READ, a, d) for w, a, d in self.rows(0, len(self)))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return InputSequence(self.is_write[i], self.addr[i], self.data[i])
-        return InputOp(WRITE if self.is_write[i] else READ, int(self.addr[i]), int(self.data[i]))
+    def __getitem__(self, i: slice) -> InputSequence:
+        if not isinstance(i, slice):
+            raise TypeError(f"InputSequence indices must be slices, not {type(i).__name__}")
+        return InputSequence(self.is_write[i], self.addr[i], self.data[i])
 
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Op-index geometry of a block workload.
+    """Op-index geometry of a block workload: k write blocks of ell ops, each followed by a read block of ell ops.
 
-    write_ranges[i] and read_ranges[i] are half-open [start, end) intervals of
-    op indices for the i-th write block and the read block right after it.
-    Alternating single-address padding starts at pad_start = 2*k*ell.
+    They tile [0, 2*k*ell) as W1 R1 W2 R2 ...; alternating single-address
+    padding starts at pad_start = 2*k*ell.
     """
 
     k: int
     ell: int
-    write_ranges: tuple[tuple[int, int], ...]
-    read_ranges: tuple[tuple[int, int], ...]
-    pad_start: int
 
-    def __post_init__(self):
-        expect = 0
-        for (ws, we), (rs, re) in zip(self.write_ranges, self.read_ranges):
-            if not (ws == expect and we == ws + self.ell and rs == we and re == rs + self.ell):
-                raise ValueError("block intervals must tile [0, 2*k*ell) as W1 R1 W2 R2 ...")
-            expect = re
-        if self.pad_start != 2 * self.k * self.ell or expect != self.pad_start:
-            raise ValueError("pad_start must equal 2*k*ell")
+    @property
+    def pad_start(self) -> int:
+        return 2 * self.k * self.ell
+
+    def block(self, i: int) -> tuple[int, int, int, int]:
+        """(ws, we, rs, re): the half-open op ranges of write block i (1-based) and of the read block after it."""
+        if not 1 <= i <= self.k:
+            raise ValueError(f"block index {i} outside [1, {self.k}]")
+        ws = 2 * (i - 1) * self.ell
+        return ws, ws + self.ell, ws + self.ell, ws + 2 * self.ell
 
 
 def gen_alternating_sequence(n: int) -> InputSequence:
@@ -193,9 +164,7 @@ def gen_write_read_blocks(
     draws = data[:pad_start].reshape(k, 2, ell)
     for b in range(k):
         draws[b, 0] = [rng.getrandbits(w) for _ in range(ell)]
-    starts = range(0, pad_start, 2 * ell)  # each write block's first op
-    writes, reads = tuple((s, s + ell) for s in starts), tuple((s + ell, s + 2 * ell) for s in starts)
-    return InputSequence(is_write, addr, data), BlockLayout(k, ell, writes, reads, pad_start)
+    return InputSequence(is_write, addr, data), BlockLayout(k, ell)
 
 
 @dataclass(frozen=True)

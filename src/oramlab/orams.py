@@ -33,7 +33,7 @@ import random
 import numpy as np
 
 from ._util import ModelViolationError
-from .core import READ, WRITE, InputSequence, OramConfig
+from .core import InputSequence, OramConfig
 from .server import FINAL_OP, ServerState
 
 # the most probes one batch holds: a batch's columns and the server's work on
@@ -63,7 +63,11 @@ class Engine:
         self.n = n
 
     def advance(self, server: ServerState, y: InputSequence, start: int, stop: int) -> list[int]:
-        """Ops start..stop-1 of y in order; returns the answers of their reads."""
+        """Ops start..stop-1 of y in order; returns the answers of their reads.
+
+        The scan and the tree index their cells and paths by address, so they
+        first check the range with ``OramConfig.check_ops``.
+        """
         raise NotImplementedError
 
     def finalize(self, server: ServerState) -> None:
@@ -147,6 +151,7 @@ class LinearScan(Engine):
         self._kinds = np.tile(np.array([0, 1], dtype=np.int64), config.M)
 
     def advance(self, server, y, start, stop):
+        self.config.check_ops(y, start, stop)
         answers = []
         if server.record_meta:
             for op, (is_write, addr, data) in enumerate(y.rows(start, stop), start):
@@ -219,6 +224,7 @@ class TreeOram(Engine):
         return 2 * self.Z * (self.depth + 1)
 
     def advance(self, server, y, start, stop):
+        self.config.check_ops(y, start, stop)
         per = _ops_per_batch(self.probes_per_op())
         answers = []
         for lo in range(start, stop, per):
@@ -305,20 +311,16 @@ class TreeOram(Engine):
         self.rng.setstate(state["rng"])
 
 
-def op_order_key(kind: str, addr: int, data: int) -> tuple[int, int, int]:
-    """Total order on ops used by the length encoder: W < R, then addr, then data."""
-    return (0 if kind == WRITE else 1, addr, data)
-
-
 class DummyLengthEncoder(Engine):
     """Constant-overhead engine whose trace *length* encodes the input.
 
     Every op runs directly on the server followed by a read of address 1.  A
     uniformly random comparison sequence of the same length is drawn op by op
-    and compared online against the input under the ``op_order_key`` order;
-    if the random sequence ends up strictly smaller, one extra read of
-    address 1 is issued after the last op.  Trace length is always 2n or
-    2n + 1, and the 2n+1 probability equals rank(y) / |sample space|.
+    and compared online against the input in the lexicographic order of the
+    ops' keys, (0 for a write or 1 for a read, addr, data); if the random
+    sequence ends up strictly smaller, one extra read of address 1 is issued
+    after the last op.  Trace length is always 2n or 2n + 1, and the 2n+1
+    probability equals rank(y) / |sample space|.
 
     Once the comparison is decided, the remaining comparands change nothing
     but the RNG state: ``advance`` counts them as owed, and only
@@ -333,11 +335,9 @@ class DummyLengthEncoder(Engine):
         self._cmp = 0  # -1: random sequence already smaller, +1: larger, 0: tied so far
         self._owed = 0  # comparands skipped since the comparison was decided
 
-    def _draw_op(self) -> tuple[str, int, int]:
-        kind = WRITE if self.rng.getrandbits(1) == 0 else READ
-        addr = self.rng.randrange(self.config.M) + 1
-        data = self.rng.getrandbits(self.config.w)
-        return kind, addr, data
+    def _draw_key(self) -> tuple[int, int, int]:
+        """The next comparand's key: a uniform kind bit (0 for a write), address and w-bit data."""
+        return self.rng.getrandbits(1), self.rng.randrange(self.config.M) + 1, self.rng.getrandbits(self.config.w)
 
     def advance(self, server, y, start, stop):
         answers = _direct_probes(server, y, start, stop, 1)
@@ -348,8 +348,8 @@ class DummyLengthEncoder(Engine):
             if self._cmp:
                 self._owed += ops.stop - i
                 break
-            a = op_order_key(*self._draw_op())
-            b = op_order_key(WRITE if y.is_write[i] else READ, int(y.addr[i]), int(y.data[i]))
+            a = self._draw_key()
+            b = (0 if y.is_write[i] else 1, int(y.addr[i]), int(y.data[i]))
             self._cmp = -1 if a < b else (1 if a > b else 0)
         return answers
 
@@ -360,7 +360,7 @@ class DummyLengthEncoder(Engine):
 
     def export_state(self):
         for _ in range(self._owed):
-            self._draw_op()
+            self._draw_key()
         self._owed = 0
         return {"cmp": self._cmp, "rng": self.rng.getstate()}
 

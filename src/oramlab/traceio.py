@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import ModelViolationError, as_fraction, powers_of_4_up_to
-from .core import InputSequence, OramConfig
+from .core import OramConfig, WorkloadSpec, instantiate_workload
 from .graph import AccessGraph
 from .orams import ENGINE_NAMES, run_sequence
 from .partition import CertificateError, certified_bound, certify, edge_lower_bound_from_certificate
@@ -52,16 +52,18 @@ class TraceFile:
 
 
 def run_trace(
-    engine: str, config: OramConfig, y: InputSequence, seed: int, workload: str, with_boundaries: bool = False
+    engine: str, config: OramConfig, spec: WorkloadSpec, seed: int, with_boundaries: bool = False
 ) -> TraceFile:
-    """Run engine on y from seed and keep its address log; workload is the header's spec string.
+    """Run engine from seed on the workload spec names (a block spec without a seed takes seed)
+    and keep its address log; the header's workload is the spec's rendering.
 
     with_boundaries also keeps each probe's input-op index, for ``#op`` lines.
     """
+    y, _ = instantiate_workload(spec, config.w, default_seed=seed)
     _, server = run_sequence(engine, config, y, seed, record_meta=with_boundaries)
     return TraceFile(
         engine=engine,
-        workload=workload,
+        workload=spec.render(),
         n=len(y),
         m=config.m,
         M=config.M,

@@ -1,9 +1,11 @@
-"""Shared helpers for the suite: graph invariant checks, random graphs and
+"""Shared helpers for the suite: a row builder for input sequences (``seq``
+of ``W``/``R`` rows), graph invariant checks, random graphs and
 line-by-line oracles for the vectorized code paths (the exhaustive
 dense-partition decider, the block workload generator and its shape parser
 op by op, the server's probe, one at a time, the scan and tree
-engines' honest per-op probe loops, the codec sender that runs its whole read
-block, and the estimators' trial-by-trial loops among them)."""
+engines' honest per-op probe loops, the length encoder's op-by-op comparand
+draws, the codec sender that runs its whole read block, and the estimators'
+trial-by-trial loops among them)."""
 
 from __future__ import annotations
 
@@ -15,11 +17,8 @@ import numpy as np
 import pytest
 
 from oramlab import (
-    READ,
-    WRITE,
     AccessGraph,
-    BlockLayout,
-    InputOp,
+    InputSequence,
     ModelViolationError,
     Partition,
     ServerState,
@@ -38,12 +37,35 @@ from oramlab import (
     run_sequence,
 )
 from oramlab._util import as_fraction
-from oramlab.codec import _block_bounds, _data_checksum
+from oramlab.codec import _data_checksum
 from oramlab.orams import ENGINE_NAMES, DummyLengthEncoder, DummyLengthLeaker
 from oramlab.server import NO_WRITER
 from oramlab.traceio import _HEADER_KEYS, TRACE_FORMAT
 
 ALL_ENGINES = ("passthrough", "linear-scan", "tree", "dummy-encoder", "dummy-leaker")
+
+
+def W(addr: int, data: int) -> tuple[bool, int, int]:
+    """The row of a write of data to addr."""
+    return True, addr, data
+
+
+def R(addr: int) -> tuple[bool, int, int]:
+    """The row of a read of addr."""
+    return False, addr, 0
+
+
+def seq(*rows) -> InputSequence:
+    """The InputSequence of the given (is_write, addr, data) rows, in order."""
+    is_write, addr, data = zip(*rows) if rows else ((), (), ())
+    return InputSequence(
+        np.array(is_write, dtype=bool), np.array(addr, dtype=np.int64), np.array(data, dtype=np.int64)
+    )
+
+
+def all_rows(y: InputSequence) -> list[tuple[bool, int, int]]:
+    """Every op of y as an (is_write, addr, data) row of plain Python values."""
+    return list(y.rows(0, len(y)))
 
 
 def assert_graph_invariants(graph: AccessGraph) -> None:
@@ -311,50 +333,50 @@ def _per_written_cell(server, field: int) -> dict[int, int]:
     return {addr: entry[field] for addr, entry in store.items() if entry[1] != NO_WRITER}
 
 
-def reference_write_read_blocks(n: int, k: int, w: int, rng: random.Random) -> tuple[tuple[InputOp, ...], BlockLayout]:
-    """The block workload op by op, as ``InputOp``s: the oracle for ``gen_write_read_blocks``.
+def reference_write_read_blocks(n: int, k: int, w: int, rng: random.Random):
+    """The block workload op by op: the oracle for ``gen_write_read_blocks`` and ``BlockLayout``.
 
     Each write block draws rng.getrandbits(w) per op in op order, each read
     block re-reads addresses 1..ell, and write/read pairs at address 1 pad
-    the ops to length n.
+    the ops to length n.  Returns the (is_write, addr, data) rows, each
+    block's (ws, we, rs, re) op ranges as the walk meets them, and the index
+    where the padding starts.
     """
     if n < 2 or n % 2 != 0:
         raise ModelViolationError(f"block workload needs even n >= 2, got {n}")
     if not 1 <= k <= n // 2:
         raise ModelViolationError(f"block count k={k} outside [1, {n // 2}]")
     ell = n // (2 * k)
-    ops: list[InputOp] = []
-    write_ranges, read_ranges = [], []
+    ops: list[tuple[bool, int, int]] = []
+    blocks = []
     for _ in range(k):
         ws = len(ops)
-        ops.extend(InputOp(WRITE, a, rng.getrandbits(w)) for a in range(1, ell + 1))
+        ops.extend(W(a, rng.getrandbits(w)) for a in range(1, ell + 1))
         rs = len(ops)
-        ops.extend(InputOp(READ, a, 0) for a in range(1, ell + 1))
-        write_ranges.append((ws, rs))
-        read_ranges.append((rs, len(ops)))
+        ops.extend(R(a) for a in range(1, ell + 1))
+        blocks.append((ws, rs, rs, len(ops)))
     pad_start = len(ops)
     while len(ops) < n:
-        ops += [InputOp(WRITE, 1, 0), InputOp(READ, 1, 0)]
-    layout = BlockLayout(k, ell, tuple(write_ranges), tuple(read_ranges), pad_start)
-    return tuple(ops), layout
+        ops += [W(1, 0), R(1)]
+    return tuple(ops), tuple(blocks), pad_start
 
 
 def reference_block_shape(ops) -> tuple[int, int]:
-    """``parse_block_shape`` op by op over a sequence of ``InputOp``s, the same template matched."""
+    """``parse_block_shape`` op by op over (is_write, addr, data) rows, the same template matched."""
     ops = tuple(ops)
     n = len(ops)
     if n == 0 or n % 2:
         raise WorkloadShapeError("block workloads have positive even length")
     ell = 0
-    while ell < n and ops[ell].kind == WRITE and ops[ell].addr == ell + 1:
+    while ell < n and ops[ell][0] and ops[ell][1] == ell + 1:
         ell += 1
     if ell == 0:
         raise WorkloadShapeError("sequence does not start with a write to address 1")
     k = pos = 0
     while pos + 2 * ell <= n:
         chunk = ops[pos : pos + 2 * ell]
-        if all(o.kind == WRITE and o.addr == j + 1 for j, o in enumerate(chunk[:ell])) and all(
-            o.kind == READ and o.addr == j + 1 and o.data == 0 for j, o in enumerate(chunk[ell:])
+        if all(o[0] and o[1] == j + 1 for j, o in enumerate(chunk[:ell])) and all(
+            not o[0] and o[1] == j + 1 and o[2] == 0 for j, o in enumerate(chunk[ell:])
         ):
             k += 1
             pos += 2 * ell
@@ -363,8 +385,8 @@ def reference_block_shape(ops) -> tuple[int, int]:
     if k == 0:
         raise WorkloadShapeError("no complete write/read block pair found")
     for j in range(pos, n, 2):
-        w, r = ops[j], ops[j + 1]
-        if not (w.kind == WRITE and w.addr == 1 and w.data == 0 and r.kind == READ and r.addr == 1):
+        (w_is_write, w_addr, w_data), (r_is_write, r_addr, _) = ops[j], ops[j + 1]
+        if not (w_is_write and w_addr == 1 and w_data == 0 and not r_is_write and r_addr == 1):
             raise WorkloadShapeError(f"tail op pair at index {j} is not address-1 padding")
     return k, ell
 
@@ -377,12 +399,12 @@ def honest_scan_advance(server: ReferenceServer, M: int, y, start: int, stop: in
     answers of the reads.
     """
     answers = []
-    for i, op in enumerate(y[start:stop], start):
+    for i, (is_write, addr, data) in enumerate(y.rows(start, stop), start):
         for j in range(1, M + 1):
             v = server.probe(0, j, 0, i)
-            if j == op.addr:
-                if op.kind == WRITE:
-                    v = op.data
+            if j == addr:
+                if is_write:
+                    v = data
                 else:
                     answers.append(v)
             server.probe(1, j, v, i)
@@ -417,8 +439,8 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
     that leaves the stash over its limit.  Returns the answers of the reads.
     """
     z, answers = engine.Z, []
-    for i, op in enumerate(y[start:stop], start):
-        leaf = engine.pos[op.addr - 1]
+    for i, (is_write, addr, data) in enumerate(y.rows(start, stop), start):
+        leaf = engine.pos[addr - 1]
         buckets = [((engine.leaves + leaf) >> (engine.depth - level)) - 1 for level in range(engine.depth + 1)]
         slots = [b * z + s for b in buckets for s in range(z)]
         for slot in slots:
@@ -426,17 +448,17 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
             owner, engine.slot_owner[slot] = engine.slot_owner[slot], None
             if owner is not None:
                 engine.stash[owner] = v
-        if op.kind == WRITE:
-            engine.stash[op.addr] = op.data
+        if is_write:
+            engine.stash[addr] = data
         else:
-            answers.append(engine.stash.setdefault(op.addr, 0))
-        engine.pos[op.addr - 1] = engine.rng.randrange(engine.leaves)
-        data = [0] * len(slots)
+            answers.append(engine.stash.setdefault(addr, 0))
+        engine.pos[addr - 1] = engine.rng.randrange(engine.leaves)
+        written = [0] * len(slots)
         for level, blocks in enumerate(plan_eviction(engine, leaf)):
-            for s, (addr, val) in enumerate(blocks):
-                engine.slot_owner[slots[level * z + s]] = addr
-                data[level * z + s] = val
-        for slot, v in zip(slots, data):
+            for s, (owner, val) in enumerate(blocks):
+                engine.slot_owner[slots[level * z + s]] = owner
+                written[level * z + s] = val
+        for slot, v in zip(slots, written):
             server.probe(1, slot + 1, v, i)
         if len(engine.stash) > engine.STASH_LIMIT:
             raise StashOverflowError(
@@ -449,7 +471,7 @@ def reference_alice_encode(engine: str, config, y, layout, i: int, shared_seed: 
     """The transfer codec's sender running the whole read block in one ``advance``: the oracle for
     ``alice_encode``, which stops once no cell holds write-block data."""
     config.bind_workload_length(len(y))
-    ws, we, rs, re = _block_bounds(layout, i)
+    ws, we, rs, re = layout.block(i)
     machine = make_engine(engine, config, shared_seed, n=len(y))
     server = ServerState(config, record_meta=False)
     machine.advance(server, y, 0, we)
@@ -463,14 +485,35 @@ def reference_alice_encode(engine: str, config, y, layout, i: int, shared_seed: 
     return TransferMessage(m=config.m, w=config.w, client_state=snapshot, matched=matched, checksum=checksum)
 
 
+def op_key(is_write, addr: int, data: int) -> tuple[int, int, int]:
+    """The length encoder's key of an op: writes before reads, then addr, then data."""
+    return (0 if is_write else 1, addr, data)
+
+
+def reference_comparand_keys(rng: random.Random, M: int, w: int, count: int) -> list[tuple[int, int, int]]:
+    """The length encoder's first count comparands as drawn op by op, each mapped to its key.
+
+    A comparand is a kind ('W' when a bit is 0, else 'R'), an address in
+    [1, M] and w bits of data, drawn in that order; the order on ops puts
+    W before R, then compares addr, then data.
+    """
+    keys = []
+    for _ in range(count):
+        kind = "W" if rng.getrandbits(1) == 0 else "R"
+        addr = rng.randrange(M) + 1
+        data = rng.getrandbits(w)
+        keys.append((("W", "R").index(kind), addr, data))
+    return keys
+
+
 class ForcedEncoder(DummyLengthEncoder):
-    """The length encoder with its comparands given, in order, instead of drawn."""
+    """The length encoder with its comparands' keys given, in order, instead of drawn."""
 
     def __init__(self, config, comparands):
         super().__init__(config, random.Random(0))
         self._comparands = iter(comparands)
 
-    def _draw_op(self):
+    def _draw_key(self):
         return next(self._comparands)
 
 

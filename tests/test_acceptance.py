@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from oramlab import (
     AccessGraph,
-    InputOp,
-    InputSequence,
     OramConfig,
     adversary_view,
     alice_encode,
@@ -29,18 +27,20 @@ from oramlab import (
     statistical_distance_empirical,
     statistical_distance_exact,
 )
-from oramlab.orams import op_order_key
 from oramlab.traceio import TraceFile, analyze_trace
 
 from conftest import (
     ALL_ENGINES,
     ForcedEncoder,
     ForcedLeaker,
+    R,
+    W,
     assert_graph_invariants,
     brute_force_dense_partition,
     graph_from_edges,
     random_degree_bounded_graph,
     run_forced,
+    seq,
 )
 
 
@@ -95,10 +95,7 @@ def test_02_access_graph_invariants_across_engine_traces():
     for k in (1, 2, 4):
         y, _ = gen_write_read_blocks(16, k, 16, random.Random(k))
         workloads.append((f"blocks16k{k}", y))
-    mixed = InputSequence.from_ops(
-        InputOp("W", a, d) if w else InputOp("R", a, 0)
-        for w, a, d in [(1, 3, 9), (0, 3, 0), (1, 1, 5), (0, 2, 0), (1, 3, 1), (0, 1, 0)]
-    )
+    mixed = seq(W(3, 9), R(3), W(1, 5), R(2), W(3, 1), R(1))
     workloads.append(("mixed6", mixed))
     cfg = OramConfig(m=1, M=16, w=16)
     checked = 0
@@ -124,12 +121,12 @@ def test_03_leaker_length_distribution_is_exact():
     M = 4
     cfg = OramConfig(m=1, M=M, w=2)
     fixed = {
-        2: [InputOp("W", 2, 1), InputOp("R", 4, 0)],
-        3: [InputOp("W", 3, 2), InputOp("R", 1, 0), InputOp("W", 4, 3)],
-        4: [InputOp("R", 2, 0), InputOp("W", 1, 1), InputOp("R", 3, 0), InputOp("W", 4, 0)],
+        2: [W(2, 1), R(4)],
+        3: [W(3, 2), R(1), W(4, 3)],
+        4: [R(2), W(1, 1), R(3), W(4, 0)],
     }
     for n, ops in fixed.items():
-        y = InputSequence.from_ops(ops)
+        y = seq(*ops)
         lengths = Counter()
         for i in range(1, n + 1):
             for r in range(1, M + 1):
@@ -137,7 +134,7 @@ def test_03_leaker_length_distribution_is_exact():
                 lengths[srv.probe_count] += 1
         total = n * M
         for i in range(1, n + 1):
-            a_i = ops[i - 1].addr
+            a_i = int(y.addr[i - 1])
             assert Fraction(lengths[n + 2 * i], total) == Fraction(a_i, n * M)
             assert Fraction(lengths[n + 2 * i - 1], total) == Fraction(M - a_i, n * M)
         assert sum(lengths.values()) == total
@@ -151,19 +148,20 @@ def test_04_encoder_length_law():
         n = 1 + seed % 7
         rng = random.Random(seed)
         ops = tuple(
-            InputOp("W", rng.randint(1, 16), rng.getrandbits(8))
+            W(rng.randint(1, 16), rng.getrandbits(8))
             if rng.random() < 0.5
-            else InputOp("R", rng.randint(1, 16), 0)
+            else R(rng.randint(1, 16))
             for _ in range(n)
         )
-        _, srv = run_sequence("dummy-encoder", cfg, InputSequence.from_ops(ops), seed=seed)
+        _, srv = run_sequence("dummy-encoder", cfg, seq(*ops), seed=seed)
         assert srv.probe_count in (2 * n, 2 * n + 1)
 
     tiny = OramConfig(m=1, M=2, w=1)
-    space = [(k, a, d) for k in ("W", "R") for a in (1, 2) for d in (0, 1)]
-    for y_op in space:
-        y = InputSequence.from_ops((InputOp(*y_op),))
-        rank = sum(1 for r in space if op_order_key(*r) < op_order_key(*y_op))
+    space = [(k, a, d) for k in (0, 1) for a in (1, 2) for d in (0, 1)]  # op keys: 0 writes, 1 reads
+    for y_key in space:
+        kind, a, d = y_key
+        y = seq((kind == 0, a, d))
+        rank = sum(1 for r in space if r < y_key)
         extras = 0
         for r in space:
             _, srv = run_forced(ForcedEncoder(tiny, [r]), tiny, y)

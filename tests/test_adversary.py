@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
-    InputOp,
-    InputSequence,
     OramConfig,
     WorkloadShapeError,
     adversary_view,
@@ -27,7 +24,7 @@ from oramlab import adversary
 from oramlab.adversary import COIN_FLIP, NO_PARTITION, _has_dense_partition, _LastDecision, trace_digest
 from oramlab.server import AccessSequence
 
-from conftest import honest_advantage, honest_frequency, reference_block_shape
+from conftest import R, W, all_rows, honest_advantage, honest_frequency, reference_block_shape, seq
 
 
 class TestBlockShapeParsing:
@@ -43,14 +40,14 @@ class TestBlockShapeParsing:
 
     def test_rejects_non_block_shapes(self):
         with pytest.raises(WorkloadShapeError):
-            parse_block_shape(InputSequence.from_ops(()))
+            parse_block_shape(seq())
         with pytest.raises(WorkloadShapeError):
-            parse_block_shape(InputSequence.from_ops((InputOp("R", 1, 0), InputOp("W", 1, 0))))
+            parse_block_shape(seq(R(1), W(1, 0)))
         with pytest.raises(WorkloadShapeError):
-            parse_block_shape(InputSequence.from_ops((InputOp("W", 2, 0), InputOp("R", 2, 0))))
+            parse_block_shape(seq(W(2, 0), R(2)))
         # a broken tail after valid blocks
         y, _ = gen_write_read_blocks(10, 2, 8, random.Random(0))
-        bad = InputSequence.from_ops((*y[:8], InputOp("W", 3, 0), InputOp("R", 1, 0)))
+        bad = seq(*y.rows(0, 8), W(3, 0), R(1))
         with pytest.raises(WorkloadShapeError):
             parse_block_shape(bad)
 
@@ -82,13 +79,17 @@ def test_block_shape_matches_the_op_by_op_walk(k, ell, pad, seed, keep, mutation
     with a few ops' kind, address or data changed, parse to the (k, ell) of
     the op-by-op walk or fail with its message, naming the same tail pair."""
     y, _ = gen_write_read_blocks(2 * (k * ell + min(pad, k - 1)), k, 8, random.Random(seed))
-    ops = list(y)[:keep]
+    ops = all_rows(y)[:keep]
     for i, field, value in mutations:
         if -len(ops) <= i < len(ops):
-            flipped = "R" if ops[i].kind == "W" else "W"
-            ops[i] = replace(ops[i], **{field: flipped if field == "kind" else value})
+            row = list(ops[i])
+            if field == "kind":
+                row[0] = not row[0]
+            else:
+                row[("addr", "data").index(field) + 1] = value
+            ops[i] = tuple(row)
     want = _shape_or_error(reference_block_shape, ops)
-    assert _shape_or_error(parse_block_shape, InputSequence.from_ops(ops)) == want
+    assert _shape_or_error(parse_block_shape, seq(*ops)) == want
 
 
 class TestDistinguisher:
@@ -215,6 +216,22 @@ def test_frequency_matches_the_trial_loop_when_decisions_flip(jobs):
     got = dense_partition_frequency("dummy-leaker", ORACLE_CFG, 40, 30, 40, 11, family="alt", jobs=jobs)
     assert 0 < got < 1
     assert got == honest_frequency("dummy-leaker", ORACLE_CFG, 40, 30, 40, 11, family="alt")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_frequency_refuses_an_unknown_family_before_any_run(monkeypatch, jobs):
+    """No trial starts, in this process or in a worker."""
+
+    def fail(what):
+        def refuse(*args, **kwargs):
+            raise AssertionError(what)
+
+        return refuse
+
+    monkeypatch.setattr(adversary, "run_sequence", fail("an engine ran"))
+    monkeypatch.setattr(adversary, "_map_chunks", fail("the trials were mapped"))
+    with pytest.raises(ValueError, match="^unknown workload family 'x'$"):
+        dense_partition_frequency("passthrough", ORACLE_CFG, 40, 2, trials=4, seed=0, family="x", jobs=jobs)
 
 
 @pytest.mark.parametrize("engine, distinct", [("passthrough", 1), ("linear-scan", 1), ("tree", 12)])

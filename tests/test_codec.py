@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
-    READ,
-    WRITE,
     AccessSequence,
     DecodeError,
-    InputOp,
     InputSequence,
     ModelViolationError,
     OramConfig,
@@ -23,7 +20,7 @@ from oramlab import (
     gen_write_read_blocks,
 )
 
-from conftest import ALL_ENGINES, reference_alice_encode
+from conftest import ALL_ENGINES, R, W, all_rows, reference_alice_encode, seq
 
 CFG = OramConfig(m=2, M=16, w=16)
 
@@ -86,9 +83,9 @@ def test_scan_round_trip_builds_no_repeating_head(monkeypatch):
 @pytest.mark.parametrize(
     "j, op, message",
     [
-        (6, InputOp(READ, 0, 0), "address 0 outside [1, 8]"),
-        (6, InputOp(READ, 9, 0), "address 9 outside [1, 8]"),
-        (0, InputOp(WRITE, 1, 256), "data 256 does not fit in 8 bits"),
+        (6, R(0), "address 0 outside [1, 8]"),
+        (6, R(9), "address 9 outside [1, 8]"),
+        (0, W(1, 256), "data 256 does not fit in 8 bits"),
     ],
     ids=["address-0", "address-M+1", "payload-2^w"],
 )
@@ -96,9 +93,9 @@ def test_both_parties_refuse_an_op_they_run(engine, j, op, message):
     # i = 2: both parties run write block 1 (op 0) and read block 2 (op 6)
     cfg = OramConfig(m=2, M=8, w=8)
     y, layout = gen_write_read_blocks(8, 2, cfg.w, random.Random(0))
-    assert layout.write_ranges[0][0] == 0 and layout.read_ranges[1][0] == 6
+    assert layout.block(1)[0] == 0 and layout.block(2)[2] == 6
     msg = alice_encode(engine, cfg, y, layout, 2, shared_seed=0)
-    bad = InputSequence.from_ops(op if at == j else old for at, old in enumerate(y))
+    bad = seq(*(op if at == j else old for at, old in enumerate(all_rows(y))))
     with pytest.raises(ModelViolationError, match=f"^{re.escape(message)}$"):
         alice_encode(engine, cfg, bad, layout, 2, shared_seed=0)
     with pytest.raises(ModelViolationError, match=f"^{re.escape(message)}$"):
@@ -109,7 +106,7 @@ def test_both_parties_refuse_an_op_they_run(engine, j, op, message):
 def test_receiver_leaves_the_write_block_unchecked(engine):
     cfg = OramConfig(m=2, M=8, w=8)
     y, layout = gen_write_read_blocks(8, 2, cfg.w, random.Random(0))
-    ws, we = layout.write_ranges[1]
+    ws, we = layout.block(2)[:2]
     data = y.data.copy()
     data[ws:we] = 1 << cfg.w  # Bob never runs these ops
     msg = alice_encode(engine, cfg, y, layout, 2, shared_seed=0)
@@ -157,8 +154,8 @@ def test_two_contents_for_one_address_are_refused_before_loading(monkeypatch):
 def test_extra_entry_for_a_cell_never_read_still_decodes():
     y, layout = _instance(2)
     msg = alice_encode("passthrough", CFG, y, layout, 1, shared_seed=0)
-    rs, re = layout.read_ranges[0]
-    unread = min(set(range(1, CFG.M + 1)) - {y[j].addr for j in range(rs, re)})
+    _, _, rs, re = layout.block(1)
+    unread = min(set(range(1, CFG.M + 1)) - set(y.addr[rs:re].tolist()))
     padded = dataclasses.replace(msg, matched=msg.matched + ((unread, 1),))
     assert padded.bit_length == msg.bit_length + 2 * CFG.w
     assert bob_decode(padded, "passthrough", CFG, y, layout, 1, shared_seed=0) == block_data(y, layout, 1)
@@ -243,7 +240,7 @@ def test_scan_sender_logs_metadata_for_one_pass(codec_servers):
     metadata for that one pass (2M probes) and runs no further."""
     y, layout = _instance(5, n=16, k=2)
     for i in (1, 2):
-        rs, re = layout.read_ranges[i - 1]
+        _, _, rs, re = layout.block(i)
         assert re - rs > 1
         msg = alice_encode("linear-scan", CFG, y, layout, i, shared_seed=0)
         server = codec_servers[-1]
@@ -259,7 +256,7 @@ def test_tree_sender_stops_once_its_paths_rewrite_the_write_block(codec_servers)
     cfg = OramConfig(m=1, M=4, w=16)
     y, layout = gen_write_read_blocks(4, 1, cfg.w, random.Random(0))
     msg = alice_encode("tree", cfg, y, layout, 1, shared_seed=0)
-    rs, re = layout.read_ranges[0]
+    _, _, rs, re = layout.block(1)
     assert set(codec_servers[0].op_column().tolist()) == {rs} and re - rs == 2
     assert msg == reference_alice_encode("tree", cfg, y, layout, 1, 0)
     assert bob_decode(msg, "tree", cfg, y, layout, 1, shared_seed=0) == block_data(y, layout, 1)

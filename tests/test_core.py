@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
-    READ,
-    WRITE,
-    InputOp,
-    InputSequence,
+    BlockLayout,
     ModelViolationError,
     OramConfig,
     gen_alternating_sequence,
@@ -19,7 +16,7 @@ from oramlab import (
     run_sequence,
 )
 
-from conftest import reference_write_read_blocks
+from conftest import R, W, all_rows, reference_write_read_blocks, seq
 
 
 class TestConfig:
@@ -46,51 +43,40 @@ class TestConfig:
 
     def test_op_check(self):
         cfg = OramConfig(m=1, M=4, w=4)
-        cfg.check_ops(InputSequence.from_ops([InputOp(WRITE, 4, 15)]))
+        cfg.check_ops(seq(W(4, 15)))
         with pytest.raises(ModelViolationError):
-            cfg.check_ops(InputSequence.from_ops([InputOp(WRITE, 5, 0)]))
+            cfg.check_ops(seq(W(5, 0)))
         with pytest.raises(ModelViolationError):
-            cfg.check_ops(InputSequence.from_ops([InputOp(WRITE, 1, 16)]))
+            cfg.check_ops(seq(W(1, 16)))
 
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (InputOp("X", 1, 0), "unknown op kind 'X'"),
-            (InputOp(READ, 0, 0), "address 0 outside [1, 4]"),
-            (InputOp(WRITE, 5, 0), "address 5 outside [1, 4]"),
-            (InputOp(WRITE, 1, -1), "data -1 does not fit in 4 bits"),
-            (InputOp(WRITE, 1, 16), "data 16 does not fit in 4 bits"),
-            (InputOp(WRITE, 1, 1 << 80), f"data {1 << 80} does not fit in int64"),
+            pytest.param(R(0), "address 0 outside [1, 4]", id="bad1-address 0 outside [1, 4]"),
+            pytest.param(W(5, 0), "address 5 outside [1, 4]", id="bad2-address 5 outside [1, 4]"),
+            pytest.param(W(1, -1), "data -1 does not fit in 4 bits", id="bad3-data -1 does not fit in 4 bits"),
+            pytest.param(W(1, 16), "data 16 does not fit in 4 bits", id="bad4-data 16 does not fit in 4 bits"),
         ],
     )
     def test_sequence_check_names_the_first_bad_op(self, bad, message):
-        """A kind or a payload the columns cannot hold is refused as the sequence is built; every
-        other bad op fails the config's check and the run, which name the first bad op."""
+        """A bad op fails the config's check and the run, which name the first bad op,
+        and a range check sees only the ops in its range."""
         cfg = OramConfig(m=1, M=4, w=4)
-        good = InputOp(WRITE, 4, 15)
-        for ops in ((good, bad), (good, bad, InputOp(WRITE, 9, 99))):
-            if bad.kind not in (READ, WRITE) or bad.data >= 1 << 63:
+        good = W(4, 15)
+        for ops in ((good, bad), (good, bad, W(9, 99))):
+            for check in (cfg.check_ops, lambda y: cfg.check_ops(y, 1, len(y)),
+                          lambda y: run_sequence("passthrough", cfg, y, seed=0)):
                 with pytest.raises(ModelViolationError) as got:
-                    InputSequence.from_ops(ops)
+                    check(seq(*ops))
                 assert str(got.value) == message
-                continue
-            for check in (cfg.check_ops, lambda seq: run_sequence("passthrough", cfg, seq, seed=0)):
-                with pytest.raises(ModelViolationError) as got:
-                    check(InputSequence.from_ops(ops))
-                assert str(got.value) == message
-        cfg.check_ops(InputSequence.from_ops((InputOp(WRITE, 4, 15), InputOp(READ, 1, 0))))
-        cfg.check_ops(InputSequence.from_ops(()))
-
+            cfg.check_ops(seq(*ops), 0, 1)
+        cfg.check_ops(seq(W(4, 15), R(1)))
+        cfg.check_ops(seq())
 
 class TestAlternating:
     def test_n4(self):
         y = gen_alternating_sequence(4)
-        assert [(o.kind, o.addr, o.data) for o in y] == [
-            (WRITE, 1, 0),
-            (READ, 1, 0),
-            (WRITE, 1, 0),
-            (READ, 1, 0),
-        ]
+        assert all_rows(y) == [W(1, 0), R(1), W(1, 0), R(1)]
 
     def test_empty(self):
         assert len(gen_alternating_sequence(0)) == 0
@@ -104,17 +90,19 @@ class TestBlocks:
     def test_n8_k2_no_padding(self):
         y, layout = gen_write_read_blocks(8, 2, 8, random.Random(0))
         assert layout.ell == 2 and layout.pad_start == 8
-        kinds_addrs = [(o.kind, o.addr) for o in y]
+        kinds_addrs = [(is_write, addr) for is_write, addr, _ in all_rows(y)]
         assert kinds_addrs == [
-            (WRITE, 1), (WRITE, 2), (READ, 1), (READ, 2),
-            (WRITE, 1), (WRITE, 2), (READ, 1), (READ, 2),
+            (True, 1), (True, 2), (False, 1), (False, 2),
+            (True, 1), (True, 2), (False, 1), (False, 2),
         ]
-        assert all(y[j].data == 0 for rs, re in layout.read_ranges for j in range(rs, re))
+        for i in (1, 2):
+            _, _, rs, re = layout.block(i)
+            assert not y.data[rs:re].any()
 
     def test_n10_k2_padding_tail(self):
         y, layout = gen_write_read_blocks(10, 2, 8, random.Random(0))
         assert layout.ell == 2 and layout.pad_start == 8
-        assert [(o.kind, o.addr, o.data) for o in y[8:]] == [(WRITE, 1, 0), (READ, 1, 0)]
+        assert list(y.rows(8, 10)) == [W(1, 0), R(1)]
 
     def test_k_out_of_range(self):
         with pytest.raises(ModelViolationError):
@@ -138,17 +126,14 @@ class TestBlocks:
         ell = layout.ell
         assert ell == n // (2 * k)
         assert layout.pad_start == 2 * k * ell
-        spans = [r for pair in zip(layout.write_ranges, layout.read_ranges) for r in pair]
-        assert spans[0][0] == 0 and spans[-1][1] == layout.pad_start
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        assert all(1 <= o.addr <= max(ell, 1) for o in y)
+        assert 1 <= y.addr.min() and y.addr.max() <= max(ell, 1)
 
     def test_seed_determinism(self):
         a, _ = gen_write_read_blocks(24, 3, 16, random.Random(7))
         b, _ = gen_write_read_blocks(24, 3, 16, random.Random(7))
         c, _ = gen_write_read_blocks(24, 3, 16, random.Random(8))
-        assert list(a) == list(b)
-        assert list(a) != list(c)
+        assert all_rows(a) == all_rows(b)
+        assert all_rows(a) != all_rows(c)
 
 
 def _sequence_or_error(gen, *args):
@@ -174,11 +159,44 @@ def test_block_columns_match_the_op_by_op_generator(n, k, w, seed):
     if isinstance(want, str):
         assert got == want
     else:
-        (y, layout), (ops, ref_layout) = got, want
+        (y, layout), (ops, blocks, pad_start) = got, want
         assert (y.is_write.dtype, y.addr.dtype, y.data.dtype) == (bool, np.int64, np.int64)
-        assert tuple(y) == ops
-        assert layout == ref_layout
+        assert tuple(all_rows(y)) == ops
+        assert tuple(layout.block(i) for i in range(1, layout.k + 1)) == blocks
+        assert layout.pad_start == pad_start
     assert rng.getstate() == ref_rng.getstate()
+
+
+@given(
+    n=st.integers(min_value=1, max_value=60).map(lambda x: 2 * x),
+    k=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100)
+def test_block_layout_tiles_its_blocks(n, k, seed):
+    """block(1..k) tiles [0, 2k*ell) as W1 R1 W2 R2 ..., as the op-by-op generator walks the
+    blocks; padding starts at 2k*ell, and block(0) and block(k + 1) are refused."""
+    k = min(k, n // 2)
+    _, layout = gen_write_read_blocks(n, k, 8, random.Random(seed))
+    ell = layout.ell
+    assert layout == BlockLayout(k, ell)
+    spans = [r for i in range(1, k + 1) for r in (layout.block(i)[:2], layout.block(i)[2:])]
+    assert spans == [(j * ell, (j + 1) * ell) for j in range(2 * k)]
+    _, blocks, pad_start = reference_write_read_blocks(n, k, 8, random.Random(seed))
+    assert tuple(layout.block(i) for i in range(1, k + 1)) == blocks
+    assert layout.pad_start == pad_start == 2 * k * ell
+    for i in (0, k + 1):
+        with pytest.raises(ValueError, match=rf"^block index {i} outside \[1, {k}\]$"):
+            layout.block(i)
+
+
+def test_sequences_take_slices_only():
+    y = seq(W(1, 5), R(1), W(2, 6))
+    assert all_rows(y[1:]) == [R(1), W(2, 6)]
+    assert not y[1:].addr.flags.writeable
+    for index in (0, -1, np.int64(1)):
+        with pytest.raises(TypeError, match="slices"):
+            y[index]
 
 
 class TestWorkloadSpecs:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,10 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
-    READ,
-    WRITE,
     AccessSequence,
-    InputOp,
     InputSequence,
     ModelViolationError,
     OramConfig,
@@ -25,19 +23,25 @@ from oramlab import (
     make_engine,
     run_sequence,
 )
-from oramlab import core, orams
-from oramlab.orams import StashOverflowError, TreeOram, op_order_key
+from oramlab import orams
+from oramlab.orams import DummyLengthEncoder, StashOverflowError, TreeOram
 from oramlab.server import FINAL_OP
 
 from conftest import (
     ALL_ENGINES,
     ForcedEncoder,
     ForcedLeaker,
+    R,
     ReferenceServer,
+    W,
+    all_rows,
     honest_scan_advance,
     honest_tree_advance,
     last_write_ops,
+    op_key,
+    reference_comparand_keys,
     run_forced,
+    seq,
     written_cells,
 )
 
@@ -48,20 +52,20 @@ def random_sequence(rng: random.Random, n: int, m_range: int, w: int) -> InputSe
     ops = []
     for _ in range(n):
         if rng.random() < 0.5:
-            ops.append(InputOp(WRITE, rng.randint(1, m_range), rng.getrandbits(w)))
+            ops.append(W(rng.randint(1, m_range), rng.getrandbits(w)))
         else:
-            ops.append(InputOp(READ, rng.randint(1, m_range), 0))
-    return InputSequence.from_ops(ops)
+            ops.append(R(rng.randint(1, m_range)))
+    return seq(*ops)
 
 
 def array_oracle(y: InputSequence) -> list[int]:
     mem: dict[int, int] = {}
     answers = []
-    for op in y:
-        if op.kind == WRITE:
-            mem[op.addr] = op.data
+    for is_write, addr, data in y.rows(0, len(y)):
+        if is_write:
+            mem[addr] = data
         else:
-            answers.append(mem.get(op.addr, 0))
+            answers.append(mem.get(addr, 0))
     return answers
 
 
@@ -97,14 +101,8 @@ def test_same_seed_same_run(engine):
 
 
 def test_trials_and_repeated_runs_do_no_per_op_work(monkeypatch):
-    """A frequency trial and repeated runs read the workload's columns: no
-    op object is built, and the model check reduces a sequence's columns
-    once, on its first run, however often it is run after that."""
-
-    def no_op_objects(*args, **kwargs):
-        raise AssertionError("an InputOp was built")
-
-    monkeypatch.setattr(core, "InputOp", no_op_objects)
+    """The model check reduces a sequence's columns once, on its first run,
+    however often it is run after that."""
     cfg = OramConfig(m=2, M=64, w=16)
     assert dense_partition_frequency("linear-scan", cfg, 64, 4, trials=1, seed=3) == 1
     bounds = InputSequence.bounds
@@ -122,7 +120,7 @@ class TestPassthrough:
         y = random_sequence(random.Random(1), 10, CFG.M, CFG.w)
         _, srv = run_sequence("passthrough", CFG, y, seed=0)
         assert srv.probe_count == len(y)
-        assert list(adversary_view(srv)) == [op.addr for op in y]
+        assert list(adversary_view(srv)) == y.addr.tolist()
 
 
 class TestLinearScan:
@@ -226,11 +224,38 @@ class TestLinearScan:
     @pytest.mark.parametrize("record_meta", [True, False])
     def test_pass_refuses_a_cell_outside_w_bits(self, record_meta):
         cfg = OramConfig(m=1, M=4, w=8)
-        y = InputSequence.from_ops([InputOp(WRITE, 2, 300), InputOp(READ, 2, 0)])
+        y = seq(W(2, 300), R(2))
         srv = ServerState(cfg, record_meta=record_meta)
-        with pytest.raises(ModelViolationError, match="probe payload 300 does not fit in 8 bits"):
+        with pytest.raises(ModelViolationError, match="^data 300 does not fit in 8 bits$"):
             make_engine("linear-scan", cfg, 0).advance(srv, y, 0, 2)
         assert srv.probe_count == 0 and srv.contents(cfg.M).tolist() == [0] * cfg.M
+
+
+@pytest.mark.parametrize("engine", ["linear-scan", "tree"])
+@pytest.mark.parametrize("record_meta", [True, False])
+class TestRangeCheck:
+    """The scan and the tree refuse, on a direct ``advance``, an op that ``OramConfig.check_ops``
+    refuses, with its message and before any probe, and check only the range they run."""
+
+    CFG = OramConfig(m=1, M=4, w=8)
+
+    def _refuses(self, engine, record_meta, y, message):
+        srv = ServerState(self.CFG, record_meta=record_meta)
+        with pytest.raises(ModelViolationError, match=f"^{re.escape(message)}$"):
+            make_engine(engine, self.CFG, 0).advance(srv, y, 0, len(y))
+        assert srv.probe_count == 0 and not srv.contents(self.CFG.M).any()
+
+    def test_a_write_overwritten_in_its_range_is_still_checked(self, engine, record_meta):
+        self._refuses(engine, record_meta, seq(W(2, 300), W(2, 5)), "data 300 does not fit in 8 bits")
+
+    @pytest.mark.parametrize("addr", [0, 5, 255])
+    def test_an_address_outside_m_is_refused(self, engine, record_meta, addr):
+        self._refuses(engine, record_meta, seq(W(addr, 7), R(4)), f"address {addr} outside [1, 4]")
+
+    def test_only_the_range_is_checked(self, engine, record_meta):
+        y = seq(W(0, 7), W(3, 7), R(3), W(2, 300))
+        srv = ServerState(self.CFG, record_meta=record_meta)
+        assert make_engine(engine, self.CFG, 0).advance(srv, y, 1, 3) == [7]
 
 
 class TestTreeEngine:
@@ -312,7 +337,7 @@ class TestTreeEngine:
         # zero allowance: the first block parked in the stash must abort the run
         monkeypatch.setattr(TreeOram, "STASH_LIMIT", 0)
         cfg = OramConfig(m=4, M=64, w=16)
-        y = InputSequence.from_ops(InputOp(WRITE, a, a) for a in range(1, 65))
+        y = seq(*(W(a, a) for a in range(1, 65)))
         with pytest.raises(StashOverflowError):
             run_sequence("tree", cfg, y, seed=0)
 
@@ -328,25 +353,25 @@ class TestDummyEncoder:
         y = random_sequence(random.Random(4), 5, CFG.M, CFG.w)
         _, srv = run_sequence("dummy-encoder", CFG, y, seed=0)
         addrs = srv.addr_column().tolist()
-        kinds = [(READ, WRITE)[k] for k in srv.kind_column().tolist()]
-        for j, op in enumerate(y):
-            assert addrs[2 * j] == op.addr and kinds[2 * j] == op.kind
-            assert (kinds[2 * j + 1], addrs[2 * j + 1]) == (READ, 1)
+        kinds = srv.kind_column().tolist()
+        for j, (is_write, addr, _) in enumerate(all_rows(y)):
+            assert addrs[2 * j] == addr and kinds[2 * j] == is_write
+            assert (kinds[2 * j + 1], addrs[2 * j + 1]) == (0, 1)
 
     def test_comparison_is_strict(self):
         # forced comparand equal to the input: a tie never adds the extra probe
         y = random_sequence(random.Random(6), 4, CFG.M, CFG.w)
-        forced = [(o.kind, o.addr, o.data) for o in y]
+        forced = [op_key(*row) for row in all_rows(y)]
         _, srv = run_forced(ForcedEncoder(CFG, forced), CFG, y)
         assert srv.probe_count == 2 * len(y)
 
     def test_forced_smaller_and_larger(self):
-        y = InputSequence.from_ops((InputOp(READ, 2, 0), InputOp(READ, 2, 0)))
+        y = seq(R(2), R(2))
         cfg = OramConfig(m=1, M=4, w=4)
-        smaller = ForcedEncoder(cfg, [(WRITE, 1, 0), (READ, 4, 0)])
+        smaller = ForcedEncoder(cfg, [op_key(*W(1, 0)), op_key(*R(4))])
         _, srv = run_forced(smaller, cfg, y)
         assert srv.probe_count == 2 * 2 + 1  # writes sort below reads
-        larger = ForcedEncoder(cfg, [(READ, 3, 0), (WRITE, 1, 0)])
+        larger = ForcedEncoder(cfg, [op_key(*R(3)), op_key(*W(1, 0))])
         _, srv = run_forced(larger, cfg, y)
         assert srv.probe_count == 2 * 2
 
@@ -359,17 +384,14 @@ class TestDummyEncoder:
         engine.advance(ServerState(CFG), y, 0, 5)
         engine.advance(ServerState(CFG), y, 5, len(y))
         honest = random.Random(seed)
-        for _ in y:
+        for _ in range(len(y)):
             honest.getrandbits(1), honest.randrange(CFG.M), honest.getrandbits(CFG.w)
         assert engine.export_state()["rng"] == honest.getstate()
         assert engine.export_state()["rng"] == honest.getstate()  # owed draws are made once
 
     def test_op_order_key_total_order(self):
-        ordering = [
-            (WRITE, 1, 0), (WRITE, 1, 1), (WRITE, 2, 0), (WRITE, 2, 1),
-            (READ, 1, 0), (READ, 1, 1), (READ, 2, 0), (READ, 2, 1),
-        ]
-        keys = [op_order_key(*t) for t in ordering]
+        ordering = [W(1, 0), W(1, 1), W(2, 0), W(2, 1), (False, 1, 0), (False, 1, 1), R(2), (False, 2, 1)]
+        keys = [op_key(*row) for row in ordering]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_extra_probe_rate_is_exact_at_length_two(self):
@@ -377,20 +399,40 @@ class TestDummyEncoder:
         import itertools
 
         cfg = OramConfig(m=1, M=2, w=1)
-        space = [(k, a, d) for k in (WRITE, READ) for a in (1, 2) for d in (0, 1)]
-        y = InputSequence.from_ops((InputOp(READ, 1, 0), InputOp(WRITE, 2, 1)))
-        y_key = [op_order_key(o.kind, o.addr, o.data) for o in y]
-        rank = sum(
-            1
-            for r in itertools.product(space, repeat=2)
-            if [op_order_key(*t) for t in r] < y_key
-        )
+        space = [(k, a, d) for k in (0, 1) for a in (1, 2) for d in (0, 1)]
+        y = seq(R(1), W(2, 1))
+        y_key = [op_key(*row) for row in all_rows(y)]
+        rank = sum(1 for r in itertools.product(space, repeat=2) if list(r) < y_key)
         extras = 0
         for r in itertools.product(space, repeat=2):
             _, srv = run_forced(ForcedEncoder(cfg, list(r)), cfg, y)
             assert srv.probe_count in (4, 5)
             extras += srv.probe_count == 5
         assert extras == rank
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    M=st.integers(1, 4),
+    w=st.integers(2, 63),
+    tie=st.integers(0, 6),
+    rows=st.lists(st.tuples(st.booleans(), st.integers(1, 4), st.integers(0, 3)), max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_encoder_keys_match_the_op_by_op_draws(seed, M, w, tie, rows):
+    """The encoder's comparand keys, its decision and its snapshot are those of drawing each
+    comparand as a kind string, an address and data and ordering ops W < R, then addr, then data;
+    the input's first `tie` ops equal the comparands, so decisions fall past the first op too."""
+    cfg = OramConfig(m=1, M=M, w=w)
+    comparands = reference_comparand_keys(random.Random(seed), M, w, tie + len(rows))
+    y = seq(*[(bit == 0, a, d) for bit, a, d in comparands[:tie]], *[(iw, min(a, M), d) for iw, a, d in rows])
+    drawn = DummyLengthEncoder(cfg, random.Random(seed))
+    assert [drawn._draw_key() for _ in range(len(y))] == comparands
+    engine = DummyLengthEncoder(cfg, random.Random(seed))
+    engine.advance(ServerState(cfg), y, 0, len(y))
+    y_keys = [(("W", "R").index("W" if is_write else "R"), a, d) for is_write, a, d in all_rows(y)]
+    assert engine._cmp == (comparands > y_keys) - (comparands < y_keys)
+    assert engine.export_state() == {"cmp": engine._cmp, "rng": drawn.rng.getstate()}
 
 
 class TestDummyLeaker:
@@ -401,7 +443,7 @@ class TestDummyLeaker:
         for i in (1, 3, n):
             for r in (1, cfg.M):
                 _, srv = run_forced(ForcedLeaker(cfg, n, i, r), cfg, y)
-                extra = 2 if r <= y[i - 1].addr else 1
+                extra = 2 if r <= y.addr[i - 1] else 1
                 assert srv.probe_count == n + 2 * (i - 1) + extra
 
     def test_needs_length_up_front(self):
@@ -529,7 +571,7 @@ def _server_state(srv, n_cells, meta_from=None):
 
 def _scan_op(is_write, addr, data, M):
     addr = (addr - 1) % M + 1
-    return InputOp(WRITE, addr, data) if is_write else InputOp(READ, addr, 0)
+    return W(addr, data) if is_write else R(addr)
 
 
 _OP = st.tuples(st.booleans(), st.integers(1, 6), st.integers(0, 255))
@@ -578,7 +620,7 @@ def test_advance_over_cuts_matches_honest_oracle(engine, M, ops, cuts, mark, loa
     the client state exactly as the honest per-op probe loop does, also for
     an op that follows a skipped one, as the codec's read block can."""
     cfg = OramConfig(m=1, M=M, w=8)
-    y = InputSequence.from_ops(_scan_op(*t, M) for t in [*ops, extra, extra])
+    y = seq(*(_scan_op(*t, M) for t in [*ops, extra, extra]))
     n = len(ops)
     advanced, honest = make_engine(engine, cfg, 0), make_engine(engine, cfg, 0)
     n_cells = len(advanced.slot_owner) if engine == "tree" else M  # the server cells the engine uses
@@ -610,7 +652,7 @@ def test_stash_overflow_mid_batch_matches_honest_oracle(monkeypatch, limit, ops_
     probes through it, then raises naming it, as the honest per-op loop does."""
     monkeypatch.setattr(TreeOram, "STASH_LIMIT", limit)
     cfg = OramConfig(m=4, M=64, w=16)
-    y = InputSequence.from_ops(InputOp(WRITE, a, a) for a in range(1, 65))
+    y = seq(*(W(a, a) for a in range(1, 65)))
     engine, honest = make_engine("tree", cfg, 0), make_engine("tree", cfg, 0)
     if ops_per_batch is not None:
         monkeypatch.setattr(orams, "BATCH_PROBES", ops_per_batch * engine.probes_per_op())
@@ -643,7 +685,7 @@ def test_batched_engine_advance_over_cuts_matches_one_range(engine, ops, cuts, m
     server, the answers and the client state as one advance over all the ops
     in one batch does."""
     cfg = OramConfig(m=1, M=6, w=8)
-    y = InputSequence.from_ops(_scan_op(*t, cfg.M) for t in ops)
+    y = seq(*(_scan_op(*t, cfg.M) for t in ops))
     cut, whole = (make_engine(engine, cfg, 5, n=len(y)) for _ in range(2))
     cut_srv, whole_srv = ServerState(cfg, record_meta=False), ServerState(cfg)
     with mock.patch.object(orams, "BATCH_PROBES", batch):

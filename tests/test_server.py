@@ -5,11 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
-    READ,
-    WRITE,
     AccessSequence,
-    InputOp,
-    InputSequence,
     ModelViolationError,
     OramConfig,
     ServerState,
@@ -20,7 +16,7 @@ from oramlab import (
 from oramlab.adversary import trace_digest
 from oramlab.server import FINAL_OP, NO_WRITER, RADIX_MIN_KEYS, stable_order
 
-from conftest import ReferenceServer, last_write_ops, written_cells
+from conftest import R, ReferenceServer, W, last_write_ops, seq, written_cells
 
 CFG = OramConfig(m=1, M=16, w=8)
 
@@ -62,11 +58,10 @@ def test_adversary_view_is_address_projection():
 def test_records_and_columns_agree():
     srv = ServerState(CFG)
     srv.probe_batch([1, 0], [2, 2], [7, 0], [4, 5])
-    kinds = [(READ, WRITE)[k] for k in srv.kind_column().tolist()]
-    cols = (srv.addr_column(), srv.data_column(), srv.op_column(), srv.read_src_column())
-    assert list(zip(range(srv.probe_count), kinds, *(c.tolist() for c in cols))) == [
-        (0, WRITE, 2, 7, 4, -1),
-        (1, READ, 2, 7, 5, 4),
+    cols = (srv.kind_column(), srv.addr_column(), srv.data_column(), srv.op_column(), srv.read_src_column())
+    assert list(zip(range(srv.probe_count), *(c.tolist() for c in cols))) == [
+        (0, 1, 2, 7, 4, -1),
+        (1, 0, 2, 7, 5, 4),
     ]
     assert srv.probe_count == 2
     ops, counts = np.unique(srv.op_column(), return_counts=True)
@@ -287,10 +282,10 @@ def test_repeating_scan_log_is_its_tile():
 
 def test_repeating_scan_views_compare_unbuilt(monkeypatch):
     cfg = OramConfig(m=1, M=6, w=8)
-    y, y_other = gen_alternating_sequence(6), InputSequence.from_ops((InputOp(WRITE, 3, 7), InputOp(READ, 5, 0)) * 3)
-    views = [adversary_view(run_sequence("linear-scan", cfg, seq, seed=seed, record_meta=False)[1])
-             for seq, seed in ((y, 0), (y_other, 9), (gen_alternating_sequence(4), 0))]
-    monkeypatch.setattr(AccessSequence, "addrs", property(lambda seq: pytest.fail("a repeating view was built")))
+    y, y_other = gen_alternating_sequence(6), seq(*(W(3, 7), R(5)) * 3)
+    views = [adversary_view(run_sequence("linear-scan", cfg, ops, seed=seed, record_meta=False)[1])
+             for ops, seed in ((y, 0), (y_other, 9), (gen_alternating_sequence(4), 0))]
+    monkeypatch.setattr(AccessSequence, "addrs", property(lambda view: pytest.fail("a repeating view was built")))
     assert views[0] == views[1]  # one period over the same N, whatever the input and seed
     assert views[0] != views[2]  # a shorter run
 

@@ -13,9 +13,12 @@ from oramlab import (
     ExperimentReport,
     OramConfig,
     TraceFile,
+    WorkloadSpec,
     analyze_trace,
     default_analysis_params,
     gen_write_read_blocks,
+    instantiate_workload,
+    parse_workload_spec,
     read_trace,
     run_sequence,
     write_trace,
@@ -88,11 +91,22 @@ def test_trace_files_are_frozen(tmp_path, engine, n, k, with_boundaries):
     got = []
     for seed in range(4):
         cfg = OramConfig(m=2, M=n, w=16)
-        y, _ = gen_write_read_blocks(n, k, cfg.w, random.Random(seed))
         p = tmp_path / f"{seed}.trace"
-        write_trace(run_trace(engine, cfg, y, seed, f"blocks:n={n},k={k},seed={seed}", with_boundaries), p)
+        write_trace(run_trace(engine, cfg, WorkloadSpec("blocks", n, k, seed), seed, with_boundaries), p)
         got.append(hashlib.blake2b(p.read_bytes(), digest_size=8).hexdigest())
     assert tuple(got) == GOLDEN_TRACE_FILES[engine, n, k, with_boundaries]
+
+
+@pytest.mark.parametrize("text", ["blocks:n=16,k=2,seed=9", "blocks:n=16,k=2", "alt:n=16"])
+def test_run_trace_runs_its_spec(text):
+    """The trace is the run of the workload its spec names (a block spec without a seed takes
+    the run's), and its header's workload is the spec's rendering."""
+    cfg, spec = OramConfig(m=1, M=16, w=16), parse_workload_spec(text)
+    tf = run_trace("tree", cfg, spec, 5, with_boundaries=True)
+    y, _ = instantiate_workload(spec, cfg.w, default_seed=5)
+    _, srv = run_sequence("tree", cfg, y, seed=5)
+    assert (tf.workload, tf.n, tf.seed) == (text, 16, 5)
+    assert np.array_equal(tf.addrs, srv.addr_column()) and np.array_equal(tf.op_index, srv.op_column())
 
 
 def _same_trace(a: TraceFile, b: TraceFile) -> bool:
