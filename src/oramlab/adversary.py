@@ -20,6 +20,7 @@ number of workers.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._util import as_fraction, derive_seed
-from .core import InputSequence, OramConfig, WorkloadSpec, instantiate_workload
+from .core import WORKLOAD_FAMILIES, InputSequence, OramConfig, WorkloadSpec, instantiate_workload
 from .graph import AccessGraph
 from .orams import run_sequence
 from .partition import greedy_dense_partition
@@ -244,22 +245,22 @@ def dense_partition_frequency(
     trial's reuses its decision."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    if family not in ("blocks", "alt"):
+    if family not in WORKLOAD_FAMILIES:  # refused before any trial, as instantiate_workload refuses it
         raise ValueError(f"unknown workload family {family!r}")
     found = _map_chunks(_frequency_chunk, (engine, config, n, k, seed, family), trials, jobs)
     return Fraction(sum(found), trials)
 
 
 def _map_chunks(worker, args: tuple, trials: int, jobs: int) -> list:
-    """worker(args + (chunk,)) over trials 0..trials-1 cut into at most jobs
-    contiguous chunks: in this process for one chunk, else one worker process each."""
+    """worker(args + (chunk,)) over trials 0..trials-1 cut into at most jobs contiguous
+    chunks: in this process for one chunk, else in a pool of one process per chunk, at most one per CPU."""
     parts = max(1, min(jobs, trials))
     argses = [(*args, range(trials * j // parts, trials * (j + 1) // parts)) for j in range(parts)]
     if parts == 1:
         return [worker(argses[0])]
     from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for the import
 
-    with ProcessPoolExecutor(max_workers=parts) as pool:
+    with ProcessPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
         return list(pool.map(worker, argses))
 
 

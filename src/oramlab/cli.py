@@ -6,7 +6,7 @@ graph-export.  Every randomized command needs an explicit seed, either
 entropy anywhere, so any output can be regenerated bit for bit.
 
 Exit codes: 0 success, 1 usage error (including malformed trace files),
-2 model violation (including engine and audit failures), 3 I/O error.
+2 model violation (including engine and audit failures), 3 I/O or resource error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from ._util import ModelViolationError, as_fraction
 from .adversary import dense_partition_frequency, estimate_advantage
 from .codec import DecodeError, alice_encode, block_data, bob_decode
-from .core import OramConfig, gen_write_read_blocks, instantiate_workload, parse_workload_spec
+from .core import WORKLOAD_FAMILIES, OramConfig, gen_write_read_blocks, instantiate_workload, parse_workload_spec
 from .graph import AccessGraph
 from .orams import ENGINE_NAMES, StashOverflowError
 from .partition import CertificateError
@@ -118,7 +118,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=_at_least(1, int), required=True)
-    p.add_argument("--family", choices=("blocks", "alt"), default="blocks")
+    p.add_argument("--family", choices=WORKLOAD_FAMILIES, default="blocks")
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=_at_least(1, int), default=1, help="worker processes, at least 1")
@@ -282,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"oramlab: i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        print("oramlab: resource error: out of memory", file=sys.stderr)
         return EXIT_IO
 
 

@@ -11,15 +11,16 @@ shipped (address, content) pairs into the server's cells (``ServerState.load``:
 no probe, no log) and runs the read block.  Its read answers are the hidden
 data, checked against the checksum before they are returned.
 
-Both drive the engine over op ranges with ``Engine.advance``, so an engine's
-own fast path covers the prefix before the blocks (the linear scan logs it as
-one repeating period).  Alice's simulation logs addresses only until the read
+Both drive the engine over op ranges with ``Engine.advance``, which checks a
+range's ops before any probe of it, so a party checks only the ops it runs; an
+engine's own fast path covers the prefix before the blocks (the linear scan
+logs it as one repeating period).  Alice logs addresses only until the read
 block; there ``ServerState.begin_meta`` turns on the metadata she reads.  She
 runs the read block in chunks of 1, 4, 16, ... ops and stops once no cell's
 last writer is a write-block op (``ServerState.last_writers``): only read-block
 ops write after the mark, so that set only shrinks, and once it is empty no
-later read can be matched.  The linear scan empties it with its first pass;
-the other engines mostly run the whole block, in a few more ``advance`` calls.
+later read can be matched.  The linear scan empties it with its first pass; the
+other engines mostly run the whole block, in a few more ``advance`` calls.
 
 The message is accounted as m*w bits of client state plus 2*w bits per
 shipped (address, content) pair.  An engine whose true client state exceeds
@@ -88,9 +89,8 @@ def alice_encode(
 ) -> TransferMessage:
     """Simulate through write block i, snapshot client state, then collect the
     read-block probes that read cells last written inside the write block,
-    running the read block only until no cell is."""
+    running the read block only until no cell is; ``Engine.advance`` model-checks the ops she runs."""
     config.bind_workload_length(len(y))
-    config.check_ops(y)
     ws, we, rs, re = layout.block(i)
     machine = make_engine(engine, config, shared_seed, n=len(y))
     server = ServerState(config, record_meta=False)
@@ -128,15 +128,13 @@ def bob_decode(
     matched cells and run the read block.  Returns the read answers, which
     are exactly the write block's hidden data.
 
-    Raises ModelViolationError, before any run, for an op he runs that
+    Raises ModelViolationError, before any probe of the range, for an op he runs that
     ``OramConfig.check_ops`` refuses (he never runs the write block's, whose
     data is dead weight in y_template), and DecodeError for a message that
     gives one address two contents (before loading) and for answers that fail the checksum.
     """
     config.bind_workload_length(len(y_template))
     ws, we, rs, re = layout.block(i)
-    for start, stop in ((0, ws), (rs, re)):  # the ops he runs
-        config.check_ops(y_template, start, stop)
     machine = make_engine(engine, config, shared_seed, n=len(y_template))
     server = ServerState(config, record_meta=False)
     machine.advance(server, y_template, 0, ws)

@@ -79,10 +79,7 @@ class OramConfig:
 
 @dataclass(frozen=True, eq=False)
 class InputSequence:
-    """The ops in order, as three read-only columns: is_write (bool), addr and data (int64).
-
-    Slicing gives a sequence of column views.
-    """
+    """The ops in order, as three read-only columns: is_write (bool), addr and data (int64)."""
 
     is_write: np.ndarray
     addr: np.ndarray
@@ -103,11 +100,6 @@ class InputSequence:
 
     def __len__(self) -> int:
         return len(self.addr)
-
-    def __getitem__(self, i: slice) -> InputSequence:
-        if not isinstance(i, slice):
-            raise TypeError(f"InputSequence indices must be slices, not {type(i).__name__}")
-        return InputSequence(self.is_write[i], self.addr[i], self.data[i])
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,8 @@ class WorkloadSpec:
         return "blocks:" + ",".join(parts)
 
 
-_SPEC_RE = re.compile(r"^(alt|blocks):([a-z0-9=,]+)$")
+WORKLOAD_FAMILIES = ("alt", "blocks")
+_SPEC_RE = re.compile(rf"^({'|'.join(WORKLOAD_FAMILIES)}):([a-z0-9=,]+)$")
 
 
 def parse_workload_spec(text: str) -> WorkloadSpec:
@@ -211,6 +204,8 @@ def parse_workload_spec(text: str) -> WorkloadSpec:
 def instantiate_workload(
     spec: WorkloadSpec, w: int, default_seed: int | None = None
 ) -> tuple[InputSequence, BlockLayout | None]:
+    if spec.family not in WORKLOAD_FAMILIES:
+        raise ValueError(f"unknown workload family {spec.family!r}")
     if spec.family == "alt":
         return gen_alternating_sequence(spec.n), None
     seed = spec.seed if spec.seed is not None else default_seed

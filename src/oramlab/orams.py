@@ -5,9 +5,10 @@ probes before it sees the next op, and answers reads correctly with
 probability 1.  The adversary sees only the flat address list, with no op
 boundaries, so an engine that plans a range of ops op by op may send the
 planned probes in a few batches: the trace, and the machine, stay the same.
-``Engine.advance`` runs a range of ops that way; every batch holds at most
-``BATCH_PROBES`` probes.  The five engines span the security spectrum on
-purpose:
+``Engine.advance``, the one checked entry, refuses a range holding an op
+outside [1, M] x w bits before any probe, then runs it that way with the
+engine's own ``_advance``; every batch holds at most ``BATCH_PROBES`` probes.
+The five engines span the security spectrum on purpose:
 
 * ``passthrough``    executes ops directly; maximally leaky baseline.
 * ``linear-scan``    full read+write-back pass over all M cells per op; the
@@ -65,9 +66,13 @@ class Engine:
     def advance(self, server: ServerState, y: InputSequence, start: int, stop: int) -> list[int]:
         """Ops start..stop-1 of y in order; returns the answers of their reads.
 
-        The scan and the tree index their cells and paths by address, so they
-        first check the range with ``OramConfig.check_ops``.
+        Refuses the range with ``OramConfig.check_ops`` before any probe, then
+        runs it with ``_advance``, the range method each engine implements.
         """
+        self.config.check_ops(y, start, stop)
+        return self._advance(server, y, start, stop)
+
+    def _advance(self, server: ServerState, y: InputSequence, start: int, stop: int) -> list[int]:
         raise NotImplementedError
 
     def finalize(self, server: ServerState) -> None:
@@ -121,7 +126,7 @@ class Passthrough(Engine):
 
     name = "passthrough"
 
-    def advance(self, server, y, start, stop):
+    def _advance(self, server, y, start, stop):
         return _direct_probes(server, y, start, stop, 0)
 
 
@@ -150,8 +155,7 @@ class LinearScan(Engine):
         self._addrs = np.repeat(np.arange(1, config.M + 1, dtype=np.int64), 2)
         self._kinds = np.tile(np.array([0, 1], dtype=np.int64), config.M)
 
-    def advance(self, server, y, start, stop):
-        self.config.check_ops(y, start, stop)
+    def _advance(self, server, y, start, stop):
         answers = []
         if server.record_meta:
             for op, (is_write, addr, data) in enumerate(y.rows(start, stop), start):
@@ -223,8 +227,7 @@ class TreeOram(Engine):
     def probes_per_op(self) -> int:
         return 2 * self.Z * (self.depth + 1)
 
-    def advance(self, server, y, start, stop):
-        self.config.check_ops(y, start, stop)
+    def _advance(self, server, y, start, stop):
         per = _ops_per_batch(self.probes_per_op())
         answers = []
         for lo in range(start, stop, per):
@@ -339,7 +342,7 @@ class DummyLengthEncoder(Engine):
         """The next comparand's key: a uniform kind bit (0 for a write), address and w-bit data."""
         return self.rng.getrandbits(1), self.rng.randrange(self.config.M) + 1, self.rng.getrandbits(self.config.w)
 
-    def advance(self, server, y, start, stop):
+    def _advance(self, server, y, start, stop):
         answers = _direct_probes(server, y, start, stop, 1)
         # one comparand per op in op order, drawn or owed, so the RNG state does not depend on the cuts;
         # the comparison is mostly decided at its first op, so the ops are read one at a time
@@ -388,7 +391,7 @@ class DummyLengthLeaker(Engine):
         self.i = rng.randrange(n) + 1
         self.r = rng.randrange(config.M) + 1
 
-    def advance(self, server, y, start, stop):
+    def _advance(self, server, y, start, stop):
         if stop > self.n:
             raise ModelViolationError(f"dummy-leaker was sized for n={self.n} ops")
         addrs = y.addr[start:stop]
@@ -429,7 +432,6 @@ def run_sequence(
     probe log.  Deterministic given the seed.
     """
     config.bind_workload_length(len(y))
-    config.check_ops(y)
     engine = make_engine(kind, config, seed, n=len(y))
     server = ServerState(config, record_meta=record_meta)
     answers = engine.run(server, y)

@@ -322,7 +322,7 @@ class ServerState:
 
         A pass probes the addresses of period and writes back cells 1..m, which
         end as cells (their contents after the last op), each last written by
-        that op.  The caller checks the ops' writes, so every cell fits in w bits.
+        that op.  ``Engine.advance`` has checked the ops' writes, so every cell fits in w bits.
         """
         if not ops:
             return

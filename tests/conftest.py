@@ -68,6 +68,11 @@ def all_rows(y: InputSequence) -> list[tuple[bool, int, int]]:
     return list(y.rows(0, len(y)))
 
 
+def prefix(y: InputSequence, j: int) -> InputSequence:
+    """The sequence of y's first j ops, as views of y's columns."""
+    return InputSequence(y.is_write[:j], y.addr[:j], y.data[:j])
+
+
 def assert_graph_invariants(graph: AccessGraph) -> None:
     """Degree bounds and the edge-count identity every access graph must satisfy.
 
@@ -528,11 +533,11 @@ class ForcedLeaker(DummyLengthLeaker):
 def run_forced(engine, config, y) -> tuple[list[int], ServerState]:
     """``run_sequence`` for an engine built by the caller (say, with a forced draw).
 
-    Makes the same checks of y against config, then runs all of y on a fresh
-    server logging metadata; returns the answers and the server.
+    Makes the same length check of y against config, then runs all of y
+    (``Engine.run``, which checks its ops) on a fresh server logging metadata;
+    returns the answers and the server.
     """
     config.bind_workload_length(len(y))
-    config.check_ops(y)
     server = ServerState(config)
     return engine.run(server, y), server
 

@@ -123,7 +123,7 @@ class TestDistinguisher:
             distinguish(self.y_flat, gen_alternating_sequence(38), AccessSequence([]), random.Random(0))
 
     def test_shapeless_reference_input_rejected(self):
-        backwards = self.y_blocks[::-1]
+        backwards = seq(*all_rows(self.y_blocks)[::-1])
         _, srv = run_sequence("passthrough", self.CFG, self.y_flat, seed=0)
         with pytest.raises(WorkloadShapeError):
             distinguish(self.y_flat, backwards, adversary_view(srv), random.Random(0))

@@ -1,10 +1,25 @@
+import argparse
+import concurrent.futures
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import os
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from oramlab import TreeOram, cli, read_trace
+from oramlab import ENGINE_NAMES, TreeOram, adversary, cli, core, read_trace
 from oramlab.cli import EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
+from oramlab.core import WORKLOAD_FAMILIES
+
+FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
 
 def run_cli(*argv):
@@ -303,3 +318,183 @@ def test_header_no_run_can_have_is_a_usage_error(tmp_path, capsys, old, new, mes
     assert trace.read_text() != text
     assert run_cli("analyze", "--trace", str(trace)) == EXIT_USAGE
     assert capsys.readouterr().err == f"oramlab: usage error: trace header fits no run: {message}\n"
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_frequency_family_choices_are_the_workload_families():
+    family = next(a for a in _subparsers(cli.build_parser())["frequency"]._actions if a.dest == "family")
+    assert tuple(family.choices) == WORKLOAD_FAMILIES
+
+
+@functools.cache
+def _documented_exit_codes() -> dict[int, str]:
+    """code -> meaning (up to its first parenthesis) from the exit-code table of docs/formats.md."""
+    table = FORMATS.read_text().split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| ([^|]+?) \|$", table, re.M)
+    return {int(code): meaning.split(" (")[0] for code, meaning in rows}
+
+
+def test_exit_code_table_matches_the_cli():
+    assert _documented_exit_codes() == {
+        cli.EXIT_OK: "success",
+        cli.EXIT_USAGE: "usage error",
+        cli.EXIT_MODEL: "model violation",
+        cli.EXIT_IO: "I/O or resource error",
+    }
+    assert sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_")) == sorted(_documented_exit_codes())
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (core, "gen_alternating_sequence",
+         ("report", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1")),
+        (core, "gen_write_read_blocks",
+         ("frequency", "--engine", "passthrough", "--n", "8", "--k", "1", "--trials", "1", "--seed", "1")),
+        (cli, "analyze_trace",
+         ("report", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--ell", "0", "--k-max", "4")),
+    ],
+    ids=["report-workload", "frequency-workload", "report-partition"],
+)
+def test_out_of_memory_is_a_resource_error(monkeypatch, capsys, module, name, argv):
+    """A MemoryError is raised where the allocation would fail, so nothing is allocated for real."""
+    monkeypatch.setattr(module, name, _out_of_memory)
+    assert run_cli(*argv) == EXIT_IO
+    assert capsys.readouterr().err == "oramlab: resource error: out of memory\n"
+
+
+class _RecordingPool:
+    """A stand-in ``ProcessPoolExecutor`` that records its size and maps in this process, starting none."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, argses):
+        argses = list(argses)
+        self.sizes.append(len(argses))
+        return map(fn, argses)
+
+
+@pytest.mark.parametrize("cpus, jobs, trials, pool", [(2, 1000, 10, 2), (4, 3, 10, 3), (None, 5, 5, 1)])
+def test_jobs_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, jobs, trials, pool):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(adversary.os, "cpu_count", lambda: cpus)
+    chunks = adversary._map_chunks(lambda args: args[-1], (), trials, jobs)
+    parts = min(jobs, trials)
+    assert _RecordingPool.sizes == [pool, parts]  # the pool's size, then the chunks it was given
+    assert chunks == [range(trials * j // parts, trials * (j + 1) // parts) for j in range(parts)]
+
+
+# -- fuzz guard: argv drawn from the parser's own grammar ---------------------
+
+_N = st.sampled_from(["8", "16"])
+_NOT_POSITIVE = st.one_of(st.integers(-(2**70), 0).map(str), st.sampled_from(["x", "", "1.5", "0x10"]))
+_BAD_INT = st.one_of(_NOT_POSITIVE, st.just("9" * 30))  # odd, and past every bound, so refused before any allocation
+_GOOD_SPEC = st.one_of(
+    st.builds("alt:n={}".format, _N),
+    st.builds("blocks:n={},k={}".format, _N, st.sampled_from(["1", "2", "4"])),
+    st.builds("blocks:n={},k={},seed={}".format, _N, st.sampled_from(["1", "2", "4"]), st.integers(0, 9)),
+)
+_BAD_SPEC = st.one_of(
+    st.builds("alt:n={}".format, st.integers(-2, 64)),
+    st.builds("blocks:n={},k={}".format, st.integers(-2, 64), st.integers(-2, 64)),
+    st.sampled_from(["", "alt", "alt:n=", "x:n=4", "blocks:n=8,k=2,k=2", "alt:n=4,k=1", "blocks:k=2", "alt:n=-4"]),
+    st.text("abcklnt:=,0123456789-", max_size=16),
+)
+_TRACE_LINES = st.sampled_from([
+    "", "x", "0", "-1", "1", "3", " +1", "1 2", "9" * 20, str(2**63), "#N=3", "#N=-1", "#M=0", "#w=64", "#m=3",
+    "#n=8", "#op 3", "#op x", f"#op {10**20}", "#engine=tree", "#engine=nope", "#format=9", "#seed=x", "\xe9", "#",
+])
+
+
+def _flag_values(tmp: str) -> dict[str, tuple[st.SearchStrategy, st.SearchStrategy]]:
+    """Per flag dest, a strategy of valid values, kept small, and one of invalid values."""
+    out, bad_out = st.just(f"{tmp}/out"), st.sampled_from([f"{tmp}/missing/out", tmp])
+    return {
+        "engine": (st.sampled_from(ENGINE_NAMES), st.just("nope")),
+        "workload": (_GOOD_SPEC, _BAD_SPEC), "y": (_GOOD_SPEC, _BAD_SPEC), "yprime": (_GOOD_SPEC, _BAD_SPEC),
+        "m": (st.sampled_from(["1", "2"]), st.one_of(st.just("9"), _BAD_INT)),
+        "M": (st.sampled_from(["16", "64"]), st.one_of(st.just("4"), _BAD_INT)),
+        "w": (st.sampled_from(["8", "16", "63"]), st.one_of(st.sampled_from(["1", "3", "64"]), _BAD_INT)),
+        "seed": (st.integers(-(2**70), 2**70).map(str), st.sampled_from(["x", "", "1.5"])),
+        "n": (_N, st.one_of(st.sampled_from(["3", "64"]), _BAD_INT)),
+        "k": (st.sampled_from(["1", "2", "4"]), st.one_of(st.just("64"), _BAD_INT)),
+        "i": (st.sampled_from(["1", "2"]), st.one_of(st.just("5"), _BAD_INT)),
+        "trials": (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"])),
+        "jobs": (st.just("1"), st.sampled_from(["0", "-3", "x"])),
+        "k_max": (st.sampled_from(["1", "4", "64"]), _NOT_POSITIVE),  # a huge k_max at ell 0 allocates for real
+        "ell": (st.sampled_from(["0", "1", "8", "3/2", "64/5"]),
+                st.sampled_from(["-1", "1/0", "x", "", "nan", "1e400"])),
+        "family": (st.sampled_from(WORKLOAD_FAMILIES), st.just("x")),
+        "format": (st.sampled_from(["dot", "edges"]), st.just("x")),
+        "trace": (st.just(f"{tmp}/t.trace"), st.sampled_from([f"{tmp}/missing.trace", tmp])),
+        "out": (out, bad_out), "json_out": (st.sampled_from(["-", f"{tmp}/out"]), bad_out), "csv_out": (out, bad_out),
+        "with_boundaries": (st.none(), st.none()),
+    }
+
+
+@st.composite
+def _argv(draw, tmp: str) -> list[str]:
+    """A subcommand and its flags from the parser; each flag's value is invalid with probability `bad`."""
+    subs = _subparsers(cli.build_parser())
+    command = draw(st.sampled_from([*subs, "nope"]))
+    if command == "nope":
+        return [command]
+    values, argv = _flag_values(tmp), [command]
+    bad = draw(st.sampled_from([0.0, 0.0, 0.1, 0.5]))
+    for action in subs[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        assert action.dest in values, f"no fuzz values for {action.option_strings[0]}"
+        if draw(st.floats(0, 1)) < (0.98 if action.required else 0.9 if action.dest == "seed" else 0.4):
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(draw(values[action.dest][draw(st.floats(0, 1)) < bad]))
+    return argv
+
+
+@functools.cache
+def _good_trace() -> list[str]:
+    """The lines of a small trace file with op boundaries, the seed of every mutated one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_cli("trace", "--engine", "dummy-encoder", "--workload", "blocks:n=16,k=2,seed=1",
+                       "--seed", "1", "--out", f"{tmp}/t.trace", "--with-boundaries") == EXIT_OK
+        return Path(f"{tmp}/t.trace").read_text().splitlines()
+
+
+@given(data=st.data(), edits=st.lists(st.tuples(st.integers(0, 63), _TRACE_LINES), max_size=2),
+       cut=st.sampled_from([0, 0, 1, 5]))
+@settings(max_examples=200, deadline=None)
+def test_every_argv_exits_with_a_documented_code(data, edits, cut):
+    """Any argv, with a trace file mutated from a good one, gives a documented exit code and no traceback."""
+    lines = list(_good_trace())
+    for at, line in edits:  # replace a line, or add one past the end
+        at %= len(lines) + 1
+        lines[at : at + 1] = [line]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("ORAMLAB_SEED", None)
+        Path(f"{tmp}/t.trace").write_bytes("\n".join(lines[: len(lines) - cut]).encode("latin-1") + b"\n")
+        argv = data.draw(_argv(tmp), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in _documented_exit_codes()
+    assert "Traceback" not in err.getvalue()
+    assert (code == EXIT_OK) == (err.getvalue() == ""), err.getvalue()

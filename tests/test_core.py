@@ -9,12 +9,14 @@ from oramlab import (
     BlockLayout,
     ModelViolationError,
     OramConfig,
+    WorkloadSpec,
     gen_alternating_sequence,
     gen_write_read_blocks,
     instantiate_workload,
     parse_workload_spec,
     run_sequence,
 )
+from oramlab.core import WORKLOAD_FAMILIES
 
 from conftest import R, W, all_rows, reference_write_read_blocks, seq
 
@@ -190,15 +192,6 @@ def test_block_layout_tiles_its_blocks(n, k, seed):
             layout.block(i)
 
 
-def test_sequences_take_slices_only():
-    y = seq(W(1, 5), R(1), W(2, 6))
-    assert all_rows(y[1:]) == [R(1), W(2, 6)]
-    assert not y[1:].addr.flags.writeable
-    for index in (0, -1, np.int64(1)):
-        with pytest.raises(TypeError, match="slices"):
-            y[index]
-
-
 class TestWorkloadSpecs:
     def test_parse_round_trip(self):
         s = parse_workload_spec("alt:n=40")
@@ -221,3 +214,8 @@ class TestWorkloadSpecs:
         assert layout2 is None and len(y2) == 6
         with pytest.raises(ModelViolationError):
             instantiate_workload(parse_workload_spec("blocks:n=8,k=2"), w=8)  # no seed anywhere
+
+    def test_instantiate_refuses_an_unknown_family(self):
+        assert WORKLOAD_FAMILIES == ("alt", "blocks")
+        with pytest.raises(ValueError, match="^unknown workload family 'x'$"):
+            instantiate_workload(WorkloadSpec("x", 8, 2, 1), 8)

@@ -39,6 +39,7 @@ from conftest import (
     honest_tree_advance,
     last_write_ops,
     op_key,
+    prefix,
     reference_comparand_keys,
     run_forced,
     seq,
@@ -231,18 +232,18 @@ class TestLinearScan:
         assert srv.probe_count == 0 and srv.contents(cfg.M).tolist() == [0] * cfg.M
 
 
-@pytest.mark.parametrize("engine", ["linear-scan", "tree"])
+@pytest.mark.parametrize("engine", ALL_ENGINES)
 @pytest.mark.parametrize("record_meta", [True, False])
 class TestRangeCheck:
-    """The scan and the tree refuse, on a direct ``advance``, an op that ``OramConfig.check_ops``
-    refuses, with its message and before any probe, and check only the range they run."""
+    """Every engine refuses, on a direct ``advance``, an op that ``OramConfig.check_ops``
+    refuses, with its message and before any probe, and checks only the range it runs."""
 
     CFG = OramConfig(m=1, M=4, w=8)
 
     def _refuses(self, engine, record_meta, y, message):
         srv = ServerState(self.CFG, record_meta=record_meta)
         with pytest.raises(ModelViolationError, match=f"^{re.escape(message)}$"):
-            make_engine(engine, self.CFG, 0).advance(srv, y, 0, len(y))
+            make_engine(engine, self.CFG, 0, n=len(y)).advance(srv, y, 0, len(y))
         assert srv.probe_count == 0 and not srv.contents(self.CFG.M).any()
 
     def test_a_write_overwritten_in_its_range_is_still_checked(self, engine, record_meta):
@@ -255,7 +256,7 @@ class TestRangeCheck:
     def test_only_the_range_is_checked(self, engine, record_meta):
         y = seq(W(0, 7), W(3, 7), R(3), W(2, 300))
         srv = ServerState(self.CFG, record_meta=record_meta)
-        assert make_engine(engine, self.CFG, 0).advance(srv, y, 1, 3) == [7]
+        assert make_engine(engine, self.CFG, 0, n=len(y)).advance(srv, y, 1, 3) == [7]
 
 
 class TestTreeEngine:
@@ -467,8 +468,7 @@ def test_online_prefix_property(engine):
     y = random_sequence(random.Random(31), 10, cfg.M, cfg.w)
     _, full = run_sequence(engine, cfg, y, seed=3)
     for j in (0, 4, 9):
-        prefix = y[:j]
-        _, part = run_sequence(engine, cfg, prefix, seed=3)
+        _, part = run_sequence(engine, cfg, prefix(y, j), seed=3)
         keep_full = full.op_column() < j
         keep_part = part.op_column() != FINAL_OP
         assert np.array_equal(full.addr_column()[keep_full], part.addr_column()[keep_part])
@@ -482,7 +482,7 @@ def test_leaker_is_not_online():
     diffs = 0
     for seed in range(8):
         _, full = run_sequence("dummy-leaker", cfg, y, seed=seed)
-        _, part = run_sequence("dummy-leaker", cfg, y[:6], seed=seed)
+        _, part = run_sequence("dummy-leaker", cfg, prefix(y, 6), seed=seed)
         k = part.probe_count
         diffs += not np.array_equal(full.addr_column()[:k], part.addr_column())
     assert diffs > 0
@@ -635,7 +635,7 @@ def test_advance_over_cuts_matches_honest_oracle(engine, M, ops, cuts, mark, loa
         want.extend(_honest_advance(honest, ref, y, start, stop))
 
     with mock.patch.object(orams, "BATCH_PROBES", batch):
-        answers, meta_from = _advance_in_ranges(advanced, srv, y[:n], cuts, mark, honest_range)
+        answers, meta_from = _advance_in_ranges(advanced, srv, prefix(y, n), cuts, mark, honest_range)
         assert answers == want
         srv_from = None if meta_from is None else 0  # the advanced server's columns start at its mark
         assert _server_state(srv, n_cells, srv_from) == _server_state(ref, n_cells, meta_from)
