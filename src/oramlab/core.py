@@ -55,14 +55,13 @@ class OramConfig:
         if n > self.M:
             raise ModelViolationError(f"workload length n={n} exceeds address range M={self.M}")
 
-    def check_ops(self, y: "InputSequence", start: int = 0, stop: int | None = None) -> None:
-        """Every op start..stop-1 of y (all of y by default) has an address in [1, M] and data of w bits.
+    def check_ops(self, y: "InputSequence", start: int, stop: int) -> None:
+        """Every op start..stop-1 of y has an address in [1, M] and data of w bits.
 
         One comparison with the range's bounds (y's cached ``bounds`` for all
         of y); only a range that fails it is searched, by masks, so the error
         names its first bad op.
         """
-        stop = len(y) if stop is None else stop
         if start >= stop:
             return
         addr, data = y.addr[start:stop], y.data[start:stop]
@@ -107,15 +106,11 @@ class BlockLayout:
     """Op-index geometry of a block workload: k write blocks of ell ops, each followed by a read block of ell ops.
 
     They tile [0, 2*k*ell) as W1 R1 W2 R2 ...; alternating single-address
-    padding starts at pad_start = 2*k*ell.
+    padding starts at op 2*k*ell.
     """
 
     k: int
     ell: int
-
-    @property
-    def pad_start(self) -> int:
-        return 2 * self.k * self.ell
 
     def block(self, i: int) -> tuple[int, int, int, int]:
         """(ws, we, rs, re): the half-open op ranges of write block i (1-based) and of the read block after it."""

@@ -136,12 +136,12 @@ class LinearScan(Engine):
     The write-back touches every cell even when unchanged, so the address
     trace is a fixed function of (n, M): perfect obliviousness by construction.
     Only O(1) registers persist between probes.  The simulation takes one
-    shortcut: the scan reads each cell just before writing it back, so it
-    takes cells 1..M from the server's store (``ServerState.contents``)
-    rather than from its reads.  With metadata on, ``advance`` sends each
-    op's pass as one ``probe_batch``; a read's answer is what the pass read at
-    its address.  With metadata off it probes nothing: it replays the ops on
-    the cells and logs their passes as one period with a repeat count
+    shortcut: the scan reads each cell just before writing it back, so with
+    metadata on, ``advance`` takes cells 1..M from the server's store
+    (``ServerState.contents``) and sends each op's pass as one
+    ``probe_batch``; a read's answer is what the pass read at its address.
+    With metadata off it probes nothing: the server resolves the ops as a
+    probe batch and logs their passes as one period with a repeat count
     (``ServerState._log_passes``), whatever their number.
 
     This reproduces the honest probe loop bit for bit; the tests keep that
@@ -156,23 +156,17 @@ class LinearScan(Engine):
         self._kinds = np.tile(np.array([0, 1], dtype=np.int64), config.M)
 
     def _advance(self, server, y, start, stop):
+        if not server.record_meta:
+            cols = (y.is_write[start:stop], y.addr[start:stop], y.data[start:stop])
+            return server._log_passes(self._addrs, range(start, stop), *cols).tolist()
         answers = []
-        if server.record_meta:
-            for op, (is_write, addr, data) in enumerate(y.rows(start, stop), start):
-                cells = server.contents(self.config.M).copy()
-                if is_write:
-                    cells[addr - 1] = data
-                got = server.probe_batch(self._kinds, self._addrs, np.repeat(cells, 2) * self._kinds, op)
-                if not is_write:
-                    answers.append(int(got[2 * addr - 2]))
-            return answers
-        cells = server.contents(self.config.M).tolist()
-        for is_write, addr, data in y.rows(start, stop):
+        for op, (is_write, addr, data) in enumerate(y.rows(start, stop), start):
+            cells = server.contents(self.config.M).copy()
             if is_write:
                 cells[addr - 1] = data
-            else:
-                answers.append(cells[addr - 1])
-        server._log_passes(self._addrs, range(start, stop), cells)
+            got = server.probe_batch(self._kinds, self._addrs, np.repeat(cells, 2) * self._kinds, op)
+            if not is_write:
+                answers.append(int(got[2 * addr - 2]))
         return answers
 
 

@@ -188,16 +188,17 @@ class PartitionCertificate:
 
 
 def certify(graph: AccessGraph, ell, k_max: int) -> PartitionCertificate:
-    """Run the greedy at every power-of-4 part count up to k_max.
+    """Run the greedy at every power-of-4 part count up to k_max, and none above max(N, 1).
 
     Thresholds follow the (ell/k)-dense family; missing k just stay out of the
-    witness map, they are not errors.
+    witness map, they are not errors.  Past N no witness exists at ell > 0,
+    and one would certify no edge at ell = 0.
     """
     if k_max < 1:
         raise ValueError("need k_max >= 1")
     ell = as_fraction(ell)
     witnessed = {}
-    for k in powers_of_4_up_to(k_max):
+    for k in powers_of_4_up_to(min(k_max, max(graph.N, 1))):
         partition = greedy_dense_partition(graph, k, ell / k)
         if partition is not None:
             witnessed[k] = partition

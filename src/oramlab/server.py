@@ -15,13 +15,14 @@ least twice as large, copying the old cells in (so addresses should stay
 of the workload's order, not of 2^w); ``load`` sets cells without a probe,
 and ``contents`` and ``last_writers`` read them as read-only views of the
 store.  ``probe_batch`` is the only writer of the metadata columns.  With
-metadata off, the linear scan logs a run of its passes with no probe, through
-``_log_passes``, as its period of addresses and a repeat count.  A trace
-that repeats one period is kept as ``AccessSequence.repeating``
-through ``adversary_view``: ``window`` builds only what is read, and
-``addrs`` and ``addr_column()`` build it all, once; ``addr_column(start)``
-builds none of it when start is past it, and ``==`` builds neither of two
-traces that repeat periods of one length.
+metadata off, ``_log_passes`` resolves a run of the linear scan's passes
+with no probe, and logs it as its period of addresses and a repeat count;
+both resolve reads with ``read_after_write``, the one place a read sees the
+latest earlier write.  A trace that repeats one period is kept as
+``AccessSequence.repeating`` through ``adversary_view``: ``window`` builds
+only what is read, and ``addrs`` and ``addr_column()`` build it all, once;
+``addr_column(start)`` builds none of it when start is past it, and ``==``
+builds neither of two traces that repeat periods of one length.
 
 Metadata can start part way through a run: a server made with
 ``record_meta=False`` logs addresses only until ``begin_meta()`` returns the
@@ -56,6 +57,29 @@ def stable_order(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
     when there are at least ``RADIX_MIN_KEYS`` of them."""
     radix = len(keys) >= RADIX_MIN_KEYS and 0 <= lo and hi < 1 << 16
     return np.argsort(keys.astype(np.uint16) if radix else keys, kind="stable")
+
+
+def read_after_write(addrs, is_write, data, cells, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve probes i = 0, 1, ... (one or more) in order against cells indexed by address.
+
+    Probe i writes data[i] at addrs[i] (in [1, top]) if the bool is_write[i]
+    holds, else reads it.  Returns (got, source, final): got[i] is the latest
+    write at or before probe i to its address (a write sees itself), and
+    source[i] that write's index; with no such write, cells[addrs[i]] and -1.
+    final indexes each written address's last write, so
+    ``cells[addrs[final]] = data[final]`` leaves the cells as the probes do.
+    """
+    # sort stably by address (each address keeps probe order): the latest
+    # write at or before a probe serves it if it has the probe's address
+    order = stable_order(addrs, 1, top)
+    a = addrs[order]
+    last_write = np.maximum.accumulate(np.where(is_write[order], np.arange(len(a)), -1))
+    hit = (last_write >= 0) & (a[last_write] == a)
+    src = np.where(hit, order[last_write], -1)
+    source = np.empty_like(src)
+    source[order] = src
+    hit[:-1] &= a[1:] != a[:-1]  # now: a written address's last probe
+    return np.where(source >= 0, data[source], cells[addrs]), source, src[hit]
 
 
 _MIN_MAP = 1 << 16  # entries a column's map holds at least
@@ -156,9 +180,6 @@ class AccessSequence:
     def __len__(self) -> int:
         return self.N
 
-    def __iter__(self):
-        return iter(self.addrs.tolist())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AccessSequence):
             return NotImplemented
@@ -252,32 +273,16 @@ class ServerState:
                 raise ModelViolationError(f"probe payload {data[i]} does not fit in {self.config.w} bits")
             raise ModelViolationError(f"unknown probe kind {int(kinds[i])!r}")
         self._grow(top)
-        # sort stably by address (each address keeps batch order) and give
-        # each probe the latest write at or before it in its group, else the store
-        order = stable_order(addrs, 1, top)
-        a = addrs[order]
-        pos = np.arange(n)
-        first = np.concatenate(([True], a[1:] != a[:-1]))
-        group = np.maximum.accumulate(np.where(first, pos, 0))
-        last_write = np.maximum.accumulate(np.where(is_write[order], pos, -1))
-        hit = last_write >= group
-        got = np.where(hit, data[order][last_write], self._val[a])
-        hit_op = op[order][last_write]
-        logged, src = np.empty((2, n), dtype=np.int64)
-        logged[order] = got
-        src[order] = np.where(hit, hit_op, self._writer[a])
-        last = hit & np.append(first[1:], True)
-        final = a[last]
-        self._val[final] = got[last]
-        self._writer[final] = hit_op[last]
-        src[is_write] = NO_WRITER
+        got, source, final = read_after_write(addrs, is_write, data, self._val, top)
         self._addr.extend(addrs)
         if self.record_meta:
-            self._kind.extend(kinds)
-            self._data.extend(logged)
-            self._op.extend(op)
-            self._read_src.extend(src)
-        return np.where(is_write, 0, logged)
+            src = np.where(source >= 0, op[source], self._writer[addrs])  # the writers before this batch's
+            src[is_write] = NO_WRITER
+            for col, arr in zip((self._kind, self._data, self._op, self._read_src), (kinds, got, op, src)):
+                col.extend(arr)
+        cells = addrs[final]
+        self._val[cells], self._writer[cells] = data[final], op[final]
+        return np.where(is_write, 0, got)
 
     def load(self, pairs) -> None:
         """Set cell addr to content for each (addr, content) pair, in order, with no probe.
@@ -317,19 +322,23 @@ class ServerState:
             val[:size], writer[:size] = self._val, self._writer
             self._val, self._writer = val, writer
 
-    def _log_passes(self, period: np.ndarray, ops: range, cells) -> None:
-        """Log the linear scan's passes for ops, one per op, as addresses only, with no probe.
+    def _log_passes(self, period: np.ndarray, ops: range, is_write, addrs, data) -> np.ndarray:
+        """Log the linear scan's passes for ops (columns is_write, addrs, data) as addresses only, with no
+        probe; returns the answers of their reads.
 
-        A pass probes the addresses of period and writes back cells 1..m, which
-        end as cells (their contents after the last op), each last written by
-        that op.  ``Engine.advance`` has checked the ops' writes, so every cell fits in w bits.
+        A pass probes the addresses of period and writes back cells 1..M, so the ops resolve as a probe
+        batch does (``read_after_write``) and each cell ends last written by the last op.  ``Engine.advance``
+        has checked the ops: every address lies in [1, M] and every write fits in w bits.
         """
         if not ops:
-            return
-        self._grow(len(cells))
-        self._val[1 : len(cells) + 1] = cells
-        self._writer[1 : len(cells) + 1] = ops.stop - 1
+            return addrs
+        m = self.config.M
+        self._grow(m)
+        got, _, final = read_after_write(addrs, is_write, data, self._val, m)
+        self._val[addrs[final]] = data[final]
+        self._writer[1 : m + 1] = ops.stop - 1
         self._addr.extend(AccessSequence.repeating(period, len(ops)))
+        return got[~is_write]
 
     # -- columnar access -------------------------------------------------
 

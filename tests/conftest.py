@@ -2,7 +2,8 @@
 of ``W``/``R`` rows), graph invariant checks, random graphs and
 line-by-line oracles for the vectorized code paths (the exhaustive
 dense-partition decider, the block workload generator and its shape parser
-op by op, the server's probe, one at a time, the scan and tree
+op by op, the server's probe and its read-after-write resolver, one probe
+at a time, the scan and tree
 engines' honest per-op probe loops, the length encoder's op-by-op comparand
 draws, the codec sender that runs its whole read block, and the estimators'
 trial-by-trial loops among them)."""
@@ -315,6 +316,25 @@ class ReferenceServer:
 
     def read_src_column(self) -> np.ndarray:
         return np.array(self.log["read_src"], dtype=np.int64)
+
+
+def reference_read_after_write(addrs, is_write, data, cells) -> tuple[list[int], list[int], list[int]]:
+    """Probes one at a time, straight off the model: the oracle for ``server.read_after_write``.
+
+    A dict maps each address written so far to the index of its latest
+    write.  Returns what each probe sees (that write's data, else the cell),
+    that write's index per probe (-1 for none), and the index of each written
+    address's last write, in increasing order.
+    """
+    latest: dict[int, int] = {}
+    got, source = [], []
+    for i, (addr, write) in enumerate(zip(addrs, is_write)):
+        if write:
+            latest[addr] = i
+        j = latest.get(addr, -1)
+        source.append(j)
+        got.append(data[j] if j >= 0 else cells[addr])
+    return got, source, sorted(latest.values())
 
 
 def written_cells(server) -> dict[int, int]:

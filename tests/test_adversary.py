@@ -139,7 +139,7 @@ class TestDistinguisher:
     def test_uses_only_the_address_projection(self):
         _, srv = run_sequence("passthrough", self.CFG, self.y_blocks, seed=0)
         full_view = adversary_view(srv)
-        stripped = AccessSequence(list(full_view))  # rebuilt with no metadata at all
+        stripped = AccessSequence(full_view.addrs.tolist())  # rebuilt with no metadata at all
         v1 = distinguish(self.y_flat, self.y_blocks, full_view, random.Random(3))
         v2 = distinguish(self.y_flat, self.y_blocks, stripped, random.Random(3))
         assert v1 == v2

@@ -252,6 +252,15 @@ def test_zero_ell_is_accepted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["certified_probe_bound"] == 0
 
 
+def test_huge_k_max_at_zero_ell_tries_no_k_past_the_trace(capsys):
+    """At ell 0, certify builds no witness for k past N, so a k_max of 10^18 costs 30 rows, not GBs."""
+    assert run_cli("report", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1",
+                   "--ell", "0", "--k-max", "1000000000000000000") == EXIT_OK
+    per_k = json.loads(capsys.readouterr().out)["per_k"]
+    assert [row["k"] for row in per_k] == [4**e for e in range(30)]
+    assert [row["found"] for row in per_k] == [True, True] + [False] * 28  # N = 4
+
+
 @pytest.mark.parametrize("where", ["header", "body"])
 def test_op_index_beyond_int64_is_a_usage_error(tmp_path, capsys, where):
     trace = tmp_path / "t.trace"
@@ -438,7 +447,7 @@ def _flag_values(tmp: str) -> dict[str, tuple[st.SearchStrategy, st.SearchStrate
         "i": (st.sampled_from(["1", "2"]), st.one_of(st.just("5"), _BAD_INT)),
         "trials": (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"])),
         "jobs": (st.just("1"), st.sampled_from(["0", "-3", "x"])),
-        "k_max": (st.sampled_from(["1", "4", "64"]), _NOT_POSITIVE),  # a huge k_max at ell 0 allocates for real
+        "k_max": (st.sampled_from(["1", "4", "64", "1000000000000000000"]), _NOT_POSITIVE),
         "ell": (st.sampled_from(["0", "1", "8", "3/2", "64/5"]),
                 st.sampled_from(["-1", "1/0", "x", "", "nan", "1e400"])),
         "family": (st.sampled_from(WORKLOAD_FAMILIES), st.just("x")),

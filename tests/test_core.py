@@ -45,11 +45,11 @@ class TestConfig:
 
     def test_op_check(self):
         cfg = OramConfig(m=1, M=4, w=4)
-        cfg.check_ops(seq(W(4, 15)))
+        cfg.check_ops(seq(W(4, 15)), 0, 1)
         with pytest.raises(ModelViolationError):
-            cfg.check_ops(seq(W(5, 0)))
+            cfg.check_ops(seq(W(5, 0)), 0, 1)
         with pytest.raises(ModelViolationError):
-            cfg.check_ops(seq(W(1, 16)))
+            cfg.check_ops(seq(W(1, 16)), 0, 1)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -66,14 +66,14 @@ class TestConfig:
         cfg = OramConfig(m=1, M=4, w=4)
         good = W(4, 15)
         for ops in ((good, bad), (good, bad, W(9, 99))):
-            for check in (cfg.check_ops, lambda y: cfg.check_ops(y, 1, len(y)),
+            for check in (lambda y: cfg.check_ops(y, 0, len(y)), lambda y: cfg.check_ops(y, 1, len(y)),
                           lambda y: run_sequence("passthrough", cfg, y, seed=0)):
                 with pytest.raises(ModelViolationError) as got:
                     check(seq(*ops))
                 assert str(got.value) == message
             cfg.check_ops(seq(*ops), 0, 1)
-        cfg.check_ops(seq(W(4, 15), R(1)))
-        cfg.check_ops(seq())
+        cfg.check_ops(seq(W(4, 15), R(1)), 0, 2)
+        cfg.check_ops(seq(), 0, 0)
 
 class TestAlternating:
     def test_n4(self):
@@ -91,7 +91,7 @@ class TestAlternating:
 class TestBlocks:
     def test_n8_k2_no_padding(self):
         y, layout = gen_write_read_blocks(8, 2, 8, random.Random(0))
-        assert layout.ell == 2 and layout.pad_start == 8
+        assert layout.ell == 2 and 2 * layout.k * layout.ell == 8
         kinds_addrs = [(is_write, addr) for is_write, addr, _ in all_rows(y)]
         assert kinds_addrs == [
             (True, 1), (True, 2), (False, 1), (False, 2),
@@ -103,7 +103,7 @@ class TestBlocks:
 
     def test_n10_k2_padding_tail(self):
         y, layout = gen_write_read_blocks(10, 2, 8, random.Random(0))
-        assert layout.ell == 2 and layout.pad_start == 8
+        assert layout.ell == 2 and 2 * layout.k * layout.ell == 8
         assert list(y.rows(8, 10)) == [W(1, 0), R(1)]
 
     def test_k_out_of_range(self):
@@ -127,7 +127,7 @@ class TestBlocks:
         assert len(y) == n
         ell = layout.ell
         assert ell == n // (2 * k)
-        assert layout.pad_start == 2 * k * ell
+        assert 2 * layout.k * layout.ell == 2 * k * ell
         assert 1 <= y.addr.min() and y.addr.max() <= max(ell, 1)
 
     def test_seed_determinism(self):
@@ -165,7 +165,7 @@ def test_block_columns_match_the_op_by_op_generator(n, k, w, seed):
         assert (y.is_write.dtype, y.addr.dtype, y.data.dtype) == (bool, np.int64, np.int64)
         assert tuple(all_rows(y)) == ops
         assert tuple(layout.block(i) for i in range(1, layout.k + 1)) == blocks
-        assert layout.pad_start == pad_start
+        assert 2 * layout.k * layout.ell == pad_start
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -186,7 +186,7 @@ def test_block_layout_tiles_its_blocks(n, k, seed):
     assert spans == [(j * ell, (j + 1) * ell) for j in range(2 * k)]
     _, blocks, pad_start = reference_write_read_blocks(n, k, 8, random.Random(seed))
     assert tuple(layout.block(i) for i in range(1, k + 1)) == blocks
-    assert layout.pad_start == pad_start == 2 * k * ell
+    assert 2 * layout.k * layout.ell == pad_start == 2 * k * ell
     for i in (0, k + 1):
         with pytest.raises(ValueError, match=rf"^block index {i} outside \[1, {k}\]$"):
             layout.block(i)

@@ -121,7 +121,7 @@ class TestPassthrough:
         y = random_sequence(random.Random(1), 10, CFG.M, CFG.w)
         _, srv = run_sequence("passthrough", CFG, y, seed=0)
         assert srv.probe_count == len(y)
-        assert list(adversary_view(srv)) == y.addr.tolist()
+        assert adversary_view(srv).addrs.tolist() == y.addr.tolist()
 
 
 class TestLinearScan:
@@ -179,6 +179,19 @@ class TestLinearScan:
             a_slow += honest_scan_advance(s_slow, cfg.M, y, cut, len(y))
             assert a_fast == a_slow
             self._assert_same_log(s_fast, s_slow, record_meta)
+
+    def test_address_only_run_past_2_16_equals_honest_path(self):
+        """At M = 2^16 + 2 the address-only run resolves its ops with the int64 stable sort; a range
+        starting mid-sequence, over a pre-written store, matches the honest loop."""
+        cfg = OramConfig(m=1, M=2**16 + 2, w=20)
+        top = cfg.M
+        y = seq(W(1, 5), R(top), W(top - 1, 7), R(top - 1), R(top), R(2), W(top, 9))
+        s_fast, s_slow = ServerState(cfg, record_meta=False), ReferenceServer(cfg)
+        for srv in (s_fast, s_slow):
+            srv.load([(top, 11), (2, 13), (2**16, 17)])
+        a_fast = make_engine("linear-scan", cfg, 0).advance(s_fast, y, 2, 6)
+        assert a_fast == honest_scan_advance(s_slow, cfg.M, y, 2, 6) == [7, 11, 13]
+        self._assert_same_log(s_fast, s_slow, False)
 
     def test_run_without_metadata_matches_run_with_it(self):
         cfg = OramConfig(m=1, M=8, w=8)

@@ -14,9 +14,9 @@ from oramlab import (
     run_sequence,
 )
 from oramlab.adversary import trace_digest
-from oramlab.server import FINAL_OP, NO_WRITER, RADIX_MIN_KEYS, stable_order
+from oramlab.server import FINAL_OP, NO_WRITER, RADIX_MIN_KEYS, read_after_write, stable_order
 
-from conftest import R, ReferenceServer, W, last_write_ops, seq, written_cells
+from conftest import R, ReferenceServer, W, last_write_ops, reference_read_after_write, seq, written_cells
 
 CFG = OramConfig(m=1, M=16, w=8)
 
@@ -51,7 +51,7 @@ def test_address_and_payload_range_checks():
 def test_adversary_view_is_address_projection():
     srv = ServerState(CFG)
     srv.probe_batch([1, 1, 0], [3, 9, 3], [1, 2, 0], 0)
-    assert list(adversary_view(srv)) == [3, 9, 3]
+    assert adversary_view(srv).addrs.tolist() == [3, 9, 3]
     assert adversary_view(ServerState(CFG)).N == 0
 
 
@@ -122,6 +122,33 @@ def test_stable_order_is_the_int64_stable_sort(n_keys, top):
     assert np.array_equal(stable_order(keys, 0, top), np.argsort(keys, kind="stable"))
 
 
+_NARROW = [1, 2, 3, 2**16 - 1]  # every address below 2^16: the uint16 sort from RADIX_MIN_KEYS probes on
+_WIDE = _NARROW + [2**16, 2**16 + 1, 2**17]
+
+
+@given(
+    n=st.sampled_from([1, 2, RADIX_MIN_KEYS - 1, RADIX_MIN_KEYS, RADIX_MIN_KEYS + 1]),
+    wide=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_read_after_write_matches_the_probe_loop(n, wide, data):
+    """Each probe sees its address's latest write at or before it, else the cell, and the last
+    writes are those of the probe loop, with addresses on either side of 2^16 and batch sizes
+    either side of the uint16 sort's."""
+    pool = _WIDE if wide else _NARROW
+    addrs = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="addrs"))
+    if wide:
+        addrs[-1] = 2**16  # the top address reaches 2^16: the int64 sort
+    is_write = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="is_write"), dtype=bool)
+    values = np.array(data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n), label="data"))
+    top = int(addrs.max())
+    cells = np.arange(top + 1, dtype=np.int64) % 97 + 1000  # no write's data
+    got, source, final = read_after_write(addrs.astype(np.int64), is_write, values, cells, top)
+    want = reference_read_after_write(addrs.tolist(), is_write.tolist(), values.tolist(), cells.tolist())
+    assert (got.tolist(), source.tolist(), sorted(final.tolist())) == want
+
+
 @pytest.mark.parametrize("bad", [(0, 1), (2**8 + 1, 1), (3, 2**8), (3, -1)])
 def test_load_refuses_what_a_write_probe_refuses_before_any_work(bad):
     srv = ServerState(CFG)
@@ -137,7 +164,7 @@ def test_load_refuses_what_a_write_probe_refuses_before_any_work(bad):
 def test_meta_free_log_keeps_addresses_only():
     srv = ServerState(CFG, record_meta=False)
     srv.probe_batch([1, 0], [4, 4], [1, 0], 0)
-    assert list(adversary_view(srv)) == [4, 4]
+    assert adversary_view(srv).addrs.tolist() == [4, 4]
     with pytest.raises(AttributeError):
         srv.kind_column()
 
@@ -259,7 +286,7 @@ def test_repeating_sequence_matches_its_tile(period, reps, data):
     fresh = AccessSequence.repeating(period, reps)
     assert fresh.window(b, n + 7).tolist() == tiled.window(b, n + 7).tolist()  # clipped at N, as slices are
     assert fresh == tiled and tiled == AccessSequence.repeating(period, reps)
-    assert list(AccessSequence.repeating(period, reps)) == list(tiled)
+    assert AccessSequence.repeating(period, reps).addrs.tolist() == tiled.addrs.tolist()
     assert trace_digest(AccessSequence.repeating(period, reps)) == trace_digest(tiled)
 
 
