@@ -51,7 +51,6 @@ from .partition import (
     certify,
     edge_lower_bound_from_certificate,
     greedy_dense_partition,
-    is_dense,
 )
 from .server import AccessSequence, ServerState, adversary_view
 from .traceio import (

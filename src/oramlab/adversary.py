@@ -311,15 +311,6 @@ class EmpiricalDistance:
     n_y: int
     support: int
 
-    def as_dict(self) -> dict:
-        return {
-            "distance": float(self.distance),
-            "distance_exact": str(self.distance),
-            "n_x": self.n_x,
-            "n_y": self.n_y,
-            "support": self.support,
-        }
-
 
 def statistical_distance_empirical(
     samples_x: Sequence[AccessSequence] | Iterable[AccessSequence],

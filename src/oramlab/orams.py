@@ -211,12 +211,6 @@ class TreeOram(Engine):
         self.pos = [rng.randrange(self.leaves) for _ in range(config.M)]
         self.slot_owner: list[int | None] = [None] * n_slots
         self.stash: dict[int, int] = {}
-        # the parts of a batch's probe columns that depend on the tree's shape only, for a full batch;
-        # each batch slices them (BATCH_PROBES may be lowered after this, never raised)
-        width, ops = self.Z * (self.depth + 1), _ops_per_batch(self.probes_per_op())
-        self._shifts, self._slot_cells = np.arange(self.depth, -1, -1), np.arange(1, self.Z + 1)
-        self._kinds = np.tile(np.repeat([0, 1], width), ops)  # each op's reads, then its writes
-        self._op_offsets = np.repeat(np.arange(ops), 2 * width)
 
     def probes_per_op(self) -> int:
         return 2 * self.Z * (self.depth + 1)
@@ -283,12 +277,14 @@ class TreeOram(Engine):
                     f"stash holds {len(stash)} blocks (> {self.STASH_LIMIT}) after op {first_op + i}"
                 )
                 break
-        buckets = ((n_leaves + np.array(leaves, dtype=np.int64)[:, None]) >> self._shifts) - 1
-        path_addrs = (buckets[:, :, None] * z + self._slot_cells).reshape(len(leaves), width)
+        n_ops = len(leaves)
+        buckets = ((n_leaves + np.array(leaves, dtype=np.int64)[:, None]) >> np.arange(depth, -1, -1)) - 1
+        path_addrs = (buckets[:, :, None] * z + np.arange(1, z + 1)).reshape(n_ops, width)
         addrs = np.concatenate((path_addrs, path_addrs), axis=1).ravel()  # each op's reads, then its writes
+        kinds = np.tile(np.repeat([0, 1], width), n_ops)
         data = np.zeros(len(addrs), dtype=np.int64)
         data[write_at] = write_val
-        server.probe_batch(self._kinds[: len(addrs)], addrs, data, self._op_offsets[: len(addrs)] + first_op)
+        server.probe_batch(kinds, addrs, data, np.repeat(np.arange(first_op, first_op + n_ops), 2 * width))
         if overflow is not None:
             raise overflow
         return answers

@@ -8,7 +8,8 @@ the bare address list, which is all an adversary ever sees in this model.
 
 There is one probe path, ``probe_batch``: every engine sends its probes in
 batches, each probe tagged with the input op it serves.  The log is
-columnar, so a batch lands in each column's numpy buffer as one array.  Cell
+columnar: each column keeps a batch's array as given (``probe_batch`` logs
+copies of its inputs) and joins its arrays into one on a read.  Cell
 contents and last writers live in a dense store, two int64 arrays indexed
 by address, which a probe past the highest address covered reallocates at
 least twice as large, copying the old cells in (so addresses should stay
@@ -34,8 +35,6 @@ read block, the only probes she reads them for, and stops the read block once
 """
 
 from __future__ import annotations
-
-import mmap
 
 import numpy as np
 
@@ -82,61 +81,44 @@ def read_after_write(addrs, is_write, data, cells, top: int) -> tuple[np.ndarray
     return np.where(source >= 0, data[source], cells[addrs]), source, src[hit]
 
 
-_MIN_MAP = 1 << 16  # entries a column's map holds at least
-
-
 class _Column:
-    """Append-only int64 column.
+    """Append-only int64 column: a repeating ``head``, then the arrays appended after it, kept as given.
 
     A repeating AccessSequence appended to an empty column stays its
     ``head``, built only by a read that starts inside it; one that repeats
-    the same period right after the head lengthens it.  Later batches are
-    copied into a buffer that grows fourfold (the first one becomes it
-    uncopied).
+    the same period right after the head lengthens it.  Every other append
+    goes on ``parts`` uncopied, and a read joins the parts into one, once.
     """
 
-    __slots__ = ("head", "buf", "size")
+    __slots__ = ("head", "parts")
 
     def __init__(self):
-        self.head = AccessSequence(())
-        self.buf = np.empty(0, dtype=np.int64)
-        self.size = 0  # entries of buf in use
+        self.head, self.parts = AccessSequence(()), []
 
     def __len__(self) -> int:
-        return self.head.N + self.size
+        return self.head.N + sum(map(len, self.parts))
 
     def extend(self, arr) -> None:
-        """Append arr (array or repeating AccessSequence); the column may keep it, so leave it unchanged."""
+        """Append arr (array or repeating AccessSequence); the column keeps it, so leave it unchanged."""
         if isinstance(arr, AccessSequence):
             head, period = self.head, arr._period
             if not len(self):
                 self.head = arr
                 return
-            if len(self) == head.N and head._period is not None and np.array_equal(head._period, period):
+            if not self.parts and head._period is not None and np.array_equal(head._period, period):
                 self.head = AccessSequence.repeating(period, (head.N + arr.N) // len(period))
                 return
             arr = arr.addrs
-        end = self.size + len(arr)
-        if not self.size:
-            self.buf = arr
-        else:
-            if end > len(self.buf):
-                # an anonymous map's pages cost memory once written and go back to the
-                # system when freed, whatever the heap layout; 4x room (and at least
-                # _MIN_MAP entries, which cost nothing unwritten) keeps regrowth rare
-                grown = np.frombuffer(mmap.mmap(-1, max(4 * end, _MIN_MAP) * 8), dtype=np.int64)
-                grown[: self.size] = self.buf[: self.size]
-                self.buf = grown
-            self.buf[self.size : end] = arr
-        self.size = end
+        self.parts.append(arr)
 
     def to_array(self, start: int = 0) -> np.ndarray:
-        """Entries start..len-1; a start inside the head folds the head into the buffer, once."""
+        """Entries start..len-1; a start inside the head folds the head into the parts, which are joined once."""
         if start < self.head.N:
-            head, self.head = self.head.addrs, AccessSequence(())
-            self.buf = np.concatenate((head, self.buf[: self.size])) if self.size else head
-            self.size = len(self.buf)
-        return self.buf[start - self.head.N : self.size]
+            self.parts.insert(0, self.head.addrs)
+            self.head = AccessSequence(())
+        if len(self.parts) > 1:
+            self.parts = [np.concatenate(self.parts)]
+        return self.parts[0][start - self.head.N :] if self.parts else np.empty(0, dtype=np.int64)
 
 
 class AccessSequence:

@@ -343,6 +343,19 @@ class TestTreeEngine:
         assert len(engine.stash) > 3
         self._assert_prefix_filled(engine)
 
+    def test_engine_built_under_a_lower_batch_bound_advances_at_the_default(self):
+        """A batch's probe columns are sized by its ops, not by the bound in force when the engine was built."""
+        cfg = OramConfig(m=4, M=64, w=16)
+        y = random_sequence(random.Random(3), 64, cfg.M, cfg.w)  # one 3584-probe batch at the default
+        with mock.patch.object(orams, "BATCH_PROBES", 1024):
+            built_low = make_engine("tree", cfg, 7)
+        default = make_engine("tree", cfg, 7)
+        srv, want = ServerState(cfg), ServerState(cfg)
+        assert built_low.advance(srv, y, 0, len(y)) == default.advance(want, y, 0, len(y))
+        n_cells = len(default.slot_owner)
+        assert _server_state(srv, n_cells, 0) == _server_state(want, n_cells, 0)
+        assert built_low.export_state() == default.export_state()
+
     def test_slot_space_must_fit_cell_width(self):
         with pytest.raises(ModelViolationError):
             make_engine("tree", OramConfig(m=1, M=256, w=10), 0)  # 511 buckets * 4 > 2^10

@@ -366,3 +366,24 @@ def test_begin_meta_logs_metadata_from_the_mark(probes, mark, batched):
         with pytest.raises(ValueError):
             srv.begin_meta()
         assert _server_state(srv, meta=True) == before
+
+
+def test_log_keeps_copies_of_the_batches_and_joins_them_once():
+    """Changing every array a caller sent changes no column, with metadata from a mark part way
+    through; a column's second read shares the first's memory, so its batches are joined once."""
+    probes = [(1, 3, 7), (0, 3, 0), (1, 5, 2), (0, 9, 0), (1, 3, 4), (0, 5, 0), (0, 3, 0), (1, 9, 1)]
+    srv, want = ServerState(CFG, record_meta=False), ServerState(CFG, record_meta=False)
+    sent = []
+    for op, at in enumerate(range(0, len(probes), 2)):
+        if at == 2:
+            assert srv.begin_meta() == want.begin_meta() == at
+        arrays = (*_batch(probes[at : at + 2]), np.full(2, op, dtype=np.int64))
+        srv.probe_batch(*arrays)
+        want.probe_batch(*_batch(probes[at : at + 2]), op)
+        sent += arrays
+    for arr in sent:
+        arr[:] = 99
+    for col in ("addr_column", *_META_COLUMNS):
+        first = getattr(srv, col)()
+        assert first.tolist() == getattr(want, col)().tolist()
+        assert np.shares_memory(first, getattr(srv, col)())
