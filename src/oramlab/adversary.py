@@ -258,10 +258,13 @@ def _map_chunks(worker, args: tuple, trials: int, jobs: int) -> list:
     argses = [(*args, range(trials * j // parts, trials * (j + 1) // parts)) for j in range(parts)]
     if parts == 1:
         return [worker(argses[0])]
-    from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for the import
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # only --jobs > 1 pays for the import
 
-    with ProcessPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
-        return list(pool.map(worker, argses))
+    try:
+        with ProcessPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
+            return list(pool.map(worker, argses))
+    except BrokenExecutor as exc:  # a worker was killed, say for memory: a resource error
+        raise OSError(f"a worker process died: {exc}") from None
 
 
 # -- statistical distance ---------------------------------------------------

@@ -41,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--m", type=int, default=1, help="client memory cells (default 1)")
     p.add_argument("--M", type=int, default=None, help="logical address range (default: workload length)")
     p.add_argument("--w", type=int, default=32, help="cell width in bits (default 32)")
@@ -61,7 +63,7 @@ def _at_least(low, parse):
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("ORAMLAB_SEED")
     if env is not None:
@@ -71,7 +73,9 @@ def _resolve_seed(args) -> int:
 
 def _config_for(args, n: int) -> OramConfig:
     M = args.M if args.M is not None else max(n, 1)
-    return OramConfig(m=args.m, M=M, w=args.w)
+    config = OramConfig(m=args.m, M=M, w=args.w)
+    config.bind_workload_length(n)  # refused before any workload is built
+    return config
 
 
 def _emit(payload: dict, path: str | None) -> None:
@@ -88,10 +92,8 @@ def build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="run an engine on a workload and write the trace file")
-    p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
+    _add_run_flags(p)
     p.add_argument("--workload", required=True, help="alt:n=<N> or blocks:n=<N>,k=<K>[,seed=<S>]")
-    _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--with-boundaries", action="store_true", help="annotate op boundaries (debug)")
 
@@ -104,42 +106,34 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", dest="csv_out", default=None, help="per-k verdict CSV path")
 
     p = sub.add_parser("distinguish", help="estimate the dense-partition distinguisher's advantage")
-    p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
+    _add_run_flags(p)
     p.add_argument("--y", required=True, help="first workload spec")
     p.add_argument("--yprime", required=True, help="second workload spec (block-shaped)")
     p.add_argument("--trials", type=_at_least(1, int), required=True)
-    _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=_at_least(1, int), default=1, help="worker processes, at least 1")
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("frequency", help="dense-partition frequency over fresh block workloads")
-    p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
+    _add_run_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=_at_least(1, int), required=True)
     p.add_argument("--family", choices=WORKLOAD_FAMILIES, default="blocks")
-    _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=_at_least(1, int), default=1, help="worker processes, at least 1")
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("codec", help="round-trip the two-party transfer codec on one block")
-    p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
+    _add_run_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--i", type=int, required=True, help="block index, 1-based")
-    _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("report", help="run + analyze in one step")
-    p.add_argument("--engine", required=True, choices=ENGINE_NAMES)
+    _add_run_flags(p)
     p.add_argument("--workload", required=True)
-    _add_config_flags(p)
     p.add_argument("--ell", type=_at_least(0, as_fraction), default=None)
     p.add_argument("--k-max", type=_at_least(1, int), default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("graph-export", help="export a trace's access graph")
@@ -150,14 +144,13 @@ def build_parser() -> _Parser:
     return top
 
 
-def _run_workload(args, seed: int, with_boundaries: bool = False) -> TraceFile:
+def _run_workload(args, with_boundaries: bool = False) -> TraceFile:
     spec = parse_workload_spec(args.workload)
-    return run_trace(args.engine, _config_for(args, spec.n), spec, seed, with_boundaries)
+    return run_trace(args.engine, _config_for(args, spec.n), spec, args.seed, with_boundaries)
 
 
 def _cmd_trace(args) -> int:
-    seed = _resolve_seed(args)
-    write_trace(_run_workload(args, seed, args.with_boundaries), args.out)
+    write_trace(_run_workload(args, args.with_boundaries), args.out)
     return EXIT_OK
 
 
@@ -176,24 +169,22 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    seed = _resolve_seed(args)
     spec_y = parse_workload_spec(args.y)
     spec_yp = parse_workload_spec(args.yprime)
     if spec_y.n != spec_yp.n:
         raise _UsageError("the two workloads must have equal length")
     config = _config_for(args, spec_y.n)
-    y, _ = instantiate_workload(spec_y, config.w, default_seed=seed)
-    y_prime, _ = instantiate_workload(spec_yp, config.w, default_seed=seed + 1)
-    est = estimate_advantage(args.engine, config, y, y_prime, args.trials, seed, jobs=args.jobs)
+    y, _ = instantiate_workload(spec_y, config.w, default_seed=args.seed)
+    y_prime, _ = instantiate_workload(spec_yp, config.w, default_seed=args.seed + 1)
+    est = estimate_advantage(args.engine, config, y, y_prime, args.trials, args.seed, jobs=args.jobs)
     _emit(est.as_dict(), args.json_out)
     return EXIT_OK
 
 
 def _cmd_frequency(args) -> int:
-    seed = _resolve_seed(args)
     config = _config_for(args, args.n)
     freq = dense_partition_frequency(
-        args.engine, config, args.n, args.k, args.trials, seed, family=args.family, jobs=args.jobs
+        args.engine, config, args.n, args.k, args.trials, args.seed, family=args.family, jobs=args.jobs
     )
     _emit(
         {
@@ -211,11 +202,10 @@ def _cmd_frequency(args) -> int:
 
 
 def _cmd_codec(args) -> int:
-    seed = _resolve_seed(args)
     config = _config_for(args, args.n)
-    y, layout = gen_write_read_blocks(args.n, args.k, config.w, random.Random(seed))
-    msg = alice_encode(args.engine, config, y, layout, args.i, shared_seed=seed)
-    recovered = bob_decode(msg, args.engine, config, y, layout, args.i, shared_seed=seed)
+    y, layout = gen_write_read_blocks(args.n, args.k, config.w, random.Random(args.seed))
+    msg = alice_encode(args.engine, config, y, layout, args.i, shared_seed=args.seed)
+    recovered = bob_decode(msg, args.engine, config, y, layout, args.i, shared_seed=args.seed)
     hidden = block_data(y, layout, args.i)
     _emit(
         {
@@ -233,7 +223,7 @@ def _cmd_codec(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    return _report_payload(_run_workload(args, _resolve_seed(args)), args)
+    return _report_payload(_run_workload(args), args)
 
 
 def _cmd_graph_export(args) -> int:
@@ -270,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "seed" in args:
+            args.seed = _resolve_seed(args)
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"oramlab: usage error: {exc}", file=sys.stderr)

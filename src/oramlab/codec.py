@@ -90,7 +90,6 @@ def alice_encode(
     """Simulate through write block i, snapshot client state, then collect the
     read-block probes that read cells last written inside the write block,
     running the read block only until no cell is; ``Engine.advance`` model-checks the ops she runs."""
-    config.bind_workload_length(len(y))
     ws, we, rs, re = layout.block(i)
     machine = make_engine(engine, config, shared_seed, n=len(y))
     server = ServerState(config, record_meta=False)
@@ -133,7 +132,6 @@ def bob_decode(
     data is dead weight in y_template), and DecodeError for a message that
     gives one address two contents (before loading) and for answers that fail the checksum.
     """
-    config.bind_workload_length(len(y_template))
     ws, we, rs, re = layout.block(i)
     machine = make_engine(engine, config, shared_seed, n=len(y_template))
     server = ServerState(config, record_meta=False)

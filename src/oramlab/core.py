@@ -48,9 +48,7 @@ class OramConfig:
         """
         if n < 0:
             raise ModelViolationError(f"workload length n={n} is negative")
-        if n == 0:
-            return
-        if self.m * self.m > n:
+        if 0 < n < self.m * self.m:
             raise ModelViolationError(f"m={self.m} exceeds sqrt(n) for n={n}")
         if n > self.M:
             raise ModelViolationError(f"workload length n={n} exceeds address range M={self.M}")

@@ -403,9 +403,10 @@ ENGINE_NAMES = tuple(_ENGINES)
 
 
 def make_engine(kind: str, config: OramConfig, seed: int, n: int = 0) -> Engine:
-    """A fresh engine of the named kind, its RNG seeded with seed, for a workload of n ops."""
+    """A fresh engine of the named kind, its RNG seeded with seed, for n ops, once config admits n."""
     if kind not in _ENGINES:
         raise ValueError(f"unknown engine {kind!r}; expected one of {', '.join(ENGINE_NAMES)}")
+    config.bind_workload_length(n)
     return _ENGINES[kind](config, random.Random(seed), n)
 
 
@@ -421,7 +422,6 @@ def run_sequence(
     Returns the answers of all read ops and the final server state with its
     probe log.  Deterministic given the seed.
     """
-    config.bind_workload_length(len(y))
     engine = make_engine(kind, config, seed, n=len(y))
     server = ServerState(config, record_meta=record_meta)
     answers = engine.run(server, y)

@@ -133,6 +133,8 @@ class AccessSequence:
     @classmethod
     def repeating(cls, period, reps: int) -> AccessSequence:
         """A non-empty period repeated reps times; ``addrs`` builds and caches the array on first use."""
+        if not len(period):
+            raise ValueError("a repeating trace needs a non-empty period")
         seq = cls.__new__(cls)
         seq._addrs, seq._period, seq._bounds = None, np.asarray(period, dtype=np.int64), None
         seq.N = len(seq._period) * reps
@@ -148,7 +150,7 @@ class AccessSequence:
     def bounds(self) -> tuple[int, int]:
         """(lo, hi) with every address in [lo, hi], (0, 0) for none; a repeating trace's from its period."""
         if self._bounds is None:
-            keys = self._addrs if self._period is None else self._period
+            keys = self._addrs if self._period is None else self._period[: self.N]
             self._bounds = (int(keys.min()), int(keys.max())) if len(keys) else (0, 0)
         return self._bounds
 
@@ -171,14 +173,16 @@ class AccessSequence:
     def cheap_eq(self, other: AccessSequence) -> bool | None:
         """self == other where that builds no repeating trace, else None.
 
-        Two explicit traces compare their arrays; two that repeat periods of
-        one length compare N and the periods.
+        Traces of two lengths differ and two empty ones are equal; two explicit
+        traces compare their arrays; two that repeat periods of one length compare the periods.
         """
+        if self.N != other.N or not self.N:
+            return self.N == other.N
         if self._period is None and other._period is None:
             return np.array_equal(self._addrs, other._addrs)
         if self._period is None or other._period is None or len(self._period) != len(other._period):
             return None
-        return self.N == other.N and (not self.N or np.array_equal(self._period, other._period))
+        return np.array_equal(self._period, other._period)
 
     def __repr__(self) -> str:
         return f"AccessSequence(N={self.N})"

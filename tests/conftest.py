@@ -495,7 +495,6 @@ def honest_tree_advance(engine, server: ReferenceServer, y, start: int, stop: in
 def reference_alice_encode(engine: str, config, y, layout, i: int, shared_seed: int) -> TransferMessage:
     """The transfer codec's sender running the whole read block in one ``advance``: the oracle for
     ``alice_encode``, which stops once no cell holds write-block data."""
-    config.bind_workload_length(len(y))
     ws, we, rs, re = layout.block(i)
     machine = make_engine(engine, config, shared_seed, n=len(y))
     server = ServerState(config, record_meta=False)

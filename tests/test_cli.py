@@ -8,6 +8,7 @@ import json
 import os
 import re
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from unittest import mock
 
@@ -333,6 +334,51 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def _flag(option, required=False, default=None, choices=None, nargs=None):
+    return option, required, default, choices, nargs
+
+
+_RUN_FLAGS = {
+    "engine": _flag("--engine", True, choices=("passthrough", "linear-scan", "tree", "dummy-encoder", "dummy-leaker")),
+    "seed": _flag("--seed"),
+    "m": _flag("--m", default=1),
+    "M": _flag("--M"),
+    "w": _flag("--w", default=32),
+}
+_JSON = {"json_out": _flag("--json")}
+# Per subcommand, dest -> (option, required, default, choices, nargs);
+# the required flags are in the order that usage errors list them.
+_GRAMMAR = {
+    "trace": {**_RUN_FLAGS, "workload": _flag("--workload", True), "out": _flag("--out", True),
+              "with_boundaries": _flag("--with-boundaries", default=False, nargs=0)},
+    "analyze": {"trace": _flag("--trace", True), "ell": _flag("--ell"), "k_max": _flag("--k-max"), **_JSON,
+                "csv_out": _flag("--csv")},
+    "distinguish": {**_RUN_FLAGS, "y": _flag("--y", True), "yprime": _flag("--yprime", True),
+                    "trials": _flag("--trials", True), "jobs": _flag("--jobs", default=1), **_JSON},
+    "frequency": {**_RUN_FLAGS, "n": _flag("--n", True), "k": _flag("--k", True), "trials": _flag("--trials", True),
+                  "family": _flag("--family", default="blocks", choices=("alt", "blocks")),
+                  "jobs": _flag("--jobs", default=1), **_JSON},
+    "codec": {**_RUN_FLAGS, "n": _flag("--n", True), "k": _flag("--k", True), "i": _flag("--i", True), **_JSON},
+    "report": {**_RUN_FLAGS, "workload": _flag("--workload", True), "ell": _flag("--ell"),
+               "k_max": _flag("--k-max"), **_JSON},
+    "graph-export": {"trace": _flag("--trace", True),
+                     "format": _flag("--format", default="edges", choices=("dot", "edges")), "out": _flag("--out")},
+}
+
+
+def test_every_flag_of_every_subcommand_is_pinned():
+    """Each subcommand's flags, one option string each, with their dest, required, default, choices and nargs."""
+    subs = _subparsers(cli.build_parser())
+    assert list(subs) == list(_GRAMMAR)
+    for name, parser in subs.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        got = {a.dest: (*a.option_strings, a.required, a.default, a.choices and tuple(a.choices), a.nargs)
+               for a in actions}
+        assert got == _GRAMMAR[name], name
+        required = [a.option_strings[0] for a in actions if a.required]
+        assert required == [flag[0] for flag in _GRAMMAR[name].values() if flag[1]], name
+
+
 def test_frequency_family_choices_are_the_workload_families():
     family = next(a for a in _subparsers(cli.build_parser())["frequency"]._actions if a.dest == "family")
     assert tuple(family.choices) == WORKLOAD_FAMILIES
@@ -408,6 +454,48 @@ def test_jobs_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, jobs, trials, p
     parts = min(jobs, trials)
     assert _RecordingPool.sizes == [pool, parts]  # the pool's size, then the chunks it was given
     assert chunks == [range(trials * j // parts, trials * (j + 1) // parts) for j in range(parts)]
+
+
+@pytest.mark.parametrize("command", ["frequency", "distinguish"])
+def test_a_dead_worker_is_a_resource_error(monkeypatch, capsys, command):
+    """A worker process that dies fails the pool's map with BrokenProcessPool; no process is started here."""
+    def dead_worker(self, fn, argses):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "map", dead_worker)
+    flags = {"frequency": ("--n", "8", "--k", "1"), "distinguish": ("--y", "alt:n=8", "--yprime", "blocks:n=8,k=1")}
+    argv = (command, "--engine", "passthrough", *flags[command], "--trials", "2", "--jobs", "2", "--seed", "1")
+    assert run_cli(*argv) == EXIT_IO
+    assert capsys.readouterr().err == (
+        "oramlab: i/o error: a worker process died: A process in the process pool was terminated abruptly\n"
+    )
+    assert _RecordingPool.sizes == [2]
+
+
+_HUGE = str(10**30)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--workload", f"alt:n={_HUGE}", "--out", "t.trace"),
+        ("report", "--workload", f"alt:n={_HUGE}"),
+        ("distinguish", "--y", f"alt:n={_HUGE}", "--yprime", f"blocks:n={_HUGE},k=1", "--trials", "1"),
+        ("frequency", "--n", _HUGE, "--k", "1", "--trials", "1"),
+        ("codec", "--n", _HUGE, "--k", "1", "--i", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_length_past_M_is_refused_before_any_workload_is_built(monkeypatch, capsys, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    for module, name in ((core, "gen_alternating_sequence"), (core, "gen_write_read_blocks"),
+                         (cli, "gen_write_read_blocks")):
+        monkeypatch.setattr(module, name, lambda *args: pytest.fail("a workload was built"))
+    assert run_cli(*argv, "--engine", "passthrough", "--M", "8", "--seed", "1") == EXIT_MODEL
+    assert capsys.readouterr().err == f"oramlab: model violation: workload length n={_HUGE} exceeds address range M=8\n"
+    assert not list(tmp_path.iterdir())
 
 
 # -- fuzz guard: argv drawn from the parser's own grammar ---------------------

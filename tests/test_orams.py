@@ -74,6 +74,22 @@ def test_engine_names_keep_the_cli_order():
     assert orams.ENGINE_NAMES == ALL_ENGINES
 
 
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize(
+    "config, n, admitted, message",
+    [
+        (OramConfig(m=1, M=4, w=16), 5, 4, "workload length n=5 exceeds address range M=4"),
+        (OramConfig(m=3, M=64, w=16), 8, 9, "m=3 exceeds sqrt(n) for n=8"),
+    ],
+    ids=["n>M", "m^2>n"],
+)
+def test_make_engine_refuses_a_length_no_run_can_have_before_building(engine, config, n, admitted, message):
+    with mock.patch.dict(orams._ENGINES, {engine: lambda *args: pytest.fail("an engine was built")}):
+        with pytest.raises(ModelViolationError, match=f"^{re.escape(message)}$"):
+            make_engine(engine, config, 0, n=n)
+    assert make_engine(engine, config, 0, n=admitted).name == engine
+
+
 def test_unknown_engine_error_names_every_engine():
     with pytest.raises(ValueError, match="unknown engine 'ring'") as info:
         make_engine("ring", CFG, 0)
@@ -710,8 +726,8 @@ def test_batched_engine_advance_over_cuts_matches_one_range(engine, ops, cuts, m
     with metadata from one cut on as the codec's sender has it, leaves the
     server, the answers and the client state as one advance over all the ops
     in one batch does."""
-    cfg = OramConfig(m=1, M=6, w=8)
-    y = seq(*(_scan_op(*t, cfg.M) for t in ops))
+    cfg = OramConfig(m=1, M=12, w=8)  # M admits every length drawn; the ops keep to addresses 1..6
+    y = seq(*(_scan_op(*t, 6) for t in ops))
     cut, whole = (make_engine(engine, cfg, 5, n=len(y)) for _ in range(2))
     cut_srv, whole_srv = ServerState(cfg, record_meta=False), ServerState(cfg)
     with mock.patch.object(orams, "BATCH_PROBES", batch):

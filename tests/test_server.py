@@ -332,6 +332,18 @@ def test_repeating_sequences_compare_as_their_tiles(period, data, reps, other_re
     assert a._addrs is None and b._addrs is None
 
 
+def test_repeating_refuses_an_empty_period():
+    with pytest.raises(ValueError, match="^a repeating trace needs a non-empty period$"):
+        AccessSequence.repeating([], 3)
+
+
+def test_zero_repeats_are_the_empty_trace():
+    empty = AccessSequence.repeating([5, 6], 0)
+    assert len(empty) == 0 and empty.bounds == (0, 0) and empty.window(0, 4).tolist() == []
+    assert empty.cheap_eq(AccessSequence([])) is True and AccessSequence([]).cheap_eq(empty) is True
+    assert empty == AccessSequence([]) and empty != AccessSequence([5])
+
+
 _META_COLUMNS = ("kind_column", "data_column", "op_column", "read_src_column")
 
 
