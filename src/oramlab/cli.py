@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error (including malformed trace files),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -78,16 +79,22 @@ def _config_for(args, n: int) -> OramConfig:
     return config
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if path in (None, "-"):
-        print(text)
+def _write_out(text: str, path: str | None) -> None:
+    """text to the file at path, or to stdout when path is '-' or unset (None or empty)."""
+    if not path or path == "-":
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
 
 
+def _emit(payload: dict, path: str | None) -> None:
+    _write_out(json.dumps(payload, indent=2) + "\n", path)
+
+
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared after it: parse_args leaves it unchanged."""
     top = _Parser(prog="oramlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -103,7 +110,7 @@ def build_parser() -> _Parser:
                    help="density family threshold (rational >= 0, e.g. 64/5)")
     p.add_argument("--k-max", type=_at_least(1, int), default=None)
     p.add_argument("--json", dest="json_out", default=None, help="report path ('-' for stdout)")
-    p.add_argument("--csv", dest="csv_out", default=None, help="per-k verdict CSV path")
+    p.add_argument("--csv", dest="csv_out", default=None, help="per-k verdict CSV path ('-' for stdout)")
 
     p = sub.add_parser("distinguish", help="estimate the dense-partition distinguisher's advantage")
     _add_run_flags(p)
@@ -139,7 +146,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("graph-export", help="export a trace's access graph")
     p.add_argument("--trace", required=True)
     p.add_argument("--format", choices=("dot", "edges"), default="edges")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--out", default=None, help="output path ('-' or none for stdout)")
 
     return top
 
@@ -159,8 +166,7 @@ def _report_payload(tf: TraceFile, args) -> int:
     report = analyze_trace(tf, ell=args.ell, k_max=args.k_max)
     _emit(report.as_dict(), args.json_out)
     if getattr(args, "csv_out", None):
-        with open(args.csv_out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(report.csv_rows()) + "\n")
+        _write_out("\n".join(report.csv_rows()) + "\n", args.csv_out)
     return EXIT_OK
 
 
@@ -236,12 +242,7 @@ def _cmd_graph_export(args) -> int:
         lines.append("}")
     else:
         lines.extend(f"{u} {v}" for u, v in graph.edges)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

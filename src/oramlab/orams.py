@@ -184,8 +184,11 @@ class TreeOram(Engine):
 
     ``advance`` plans its ops one at a time in plain Python and sends them in
     batches of at most ``BATCH_PROBES`` probes, each op's reads then its
-    writes.  The simulation takes the scan's shortcut: the client takes the
-    blocks it reads from the server's store as the batch starts
+    writes.  Per op, the read walk skips each bucket whose slot 0 is empty
+    and reads the others up to their first empty slot; eviction makes one
+    pass over the stash in place, and the blocks no bucket takes are put back
+    in stash order.  The simulation takes the scan's shortcut: the client
+    takes the blocks it reads from the server's store as the batch starts
     (``ServerState.contents``) and from its own record of the slots it wrote
     earlier in the batch, which is what those reads return.
 
@@ -241,15 +244,16 @@ class TreeOram(Engine):
         overflow = None
         for i, (is_write, addr, payload) in enumerate(ops):
             leaf = pos[addr - 1]
-            path = [((n_leaves + leaf) >> shift) - 1 for shift in shifts]  # root first
-            for bucket in path:
-                for slot in range(bucket * z, bucket * z + z):
-                    owner = owners[slot]
-                    if owner is None:
-                        break
+            firsts = [(((n_leaves + leaf) >> shift) - 1) * z for shift in shifts]  # buckets' slot 0, root first
+            for slot in firsts:
+                if owners[slot] is None:  # most buckets on a path are empty
+                    continue
+                end = slot + z
+                while slot < end and (owner := owners[slot]) is not None:
                     owners[slot] = None
                     val = overlay(slot)
                     stash[owner] = stored(slot) if val is None else val
+                    slot += 1
             if is_write:
                 stash[addr] = payload
             else:
@@ -259,18 +263,23 @@ class TreeOram(Engine):
             # non-full bucket at or above the level where its leaf's path leaves this one
             base = (2 * i + 1) * width  # this op's first write probe
             fill = [0] * (depth + 1)  # blocks placed so far at each level of the path
-            for block, val in list(stash.items()):
+            left = {}  # blocks no bucket took, in stash order
+            for block, val in stash.items():
                 level = depth - (leaf ^ pos[block - 1]).bit_length()
-                while level >= 0 and fill[level] == z:
-                    level -= 1
-                if level >= 0:
+                while level >= 0:
                     s = fill[level]
-                    fill[level] = s + 1
-                    slot = path[level] * z + s
-                    owners[slot], written[slot] = block, val
-                    write_at.append(base + level * z + s)
-                    write_val.append(val)
-                    del stash[block]
+                    if s < z:
+                        fill[level] = s + 1
+                        slot = firsts[level] + s
+                        owners[slot], written[slot] = block, val
+                        write_at.append(base + level * z + s)
+                        write_val.append(val)
+                        break
+                    level -= 1
+                else:
+                    left[block] = val
+            stash.clear()
+            stash.update(left)
             leaves.append(leaf)
             if len(stash) > self.STASH_LIMIT:
                 overflow = StashOverflowError(

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -106,6 +108,43 @@ def test_analyze_emits_report_and_csv(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["certified_probe_bound"] <= report["measured_probes"]
     assert csv.read_text().splitlines()[0] == "k,ell_over_k,found,bound_cumulative"
+
+
+def test_dash_writes_graph_export_and_csv_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("trace", "--engine", "passthrough", "--workload", "blocks:n=40,k=2,seed=3",
+                   "--seed", "3", "--out", "t.trace") == EXIT_OK
+    assert run_cli("graph-export", "--trace", "t.trace") == EXIT_OK
+    edges = capsys.readouterr().out
+    assert run_cli("graph-export", "--trace", "t.trace", "--out", "-") == EXIT_OK
+    assert capsys.readouterr().out == edges != ""
+    assert run_cli("analyze", "--trace", "t.trace", "--ell", "8", "--k-max", "4", "--json", "report.json",
+                   "--csv", "-") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "k,ell_over_k,found,bound_cumulative"
+    assert not (tmp_path / "-").exists()
+
+
+def test_build_parser_is_built_once_and_not_at_import():
+    code = "import oramlab.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}  # the oramlab under test
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert got.stdout == "0\n"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    trace, report = tmp_path / "t.trace", tmp_path / "report.json"
+    run_cli("trace", "--engine", "passthrough", "--workload", "alt:n=8", "--seed", "1", "--out", str(trace))
+    analyze = ("analyze", "--trace", str(trace), "--ell", "2")
+    assert run_cli(*analyze, "--json", str(report)) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert run_cli(*analyze) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == json.loads(report.read_text())
+    assert run_cli(*analyze, "--k-max", "0") == EXIT_USAGE
+    assert run_cli("analyze", "--bogus") == EXIT_USAGE
+    capsys.readouterr()
+    assert run_cli(*analyze) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == json.loads(report.read_text())
 
 
 def test_distinguish_report_fields(capsys):

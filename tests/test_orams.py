@@ -602,6 +602,34 @@ def test_server_logs_are_frozen(engine, n, k, record_meta):
     assert got == GOLDEN_SERVER_LOGS[engine, n, k, record_meta]
 
 
+# blake2b-64 of a tree run of n = M = 2048 random ops per seed 0-1, over at
+# least 12 probe batches: answers, every logged column, the final cells and
+# last writers, and the engine's export_state
+GOLDEN_MANY_BATCH_TREE = ("8b543bc5ac365e2d", "d92a4fe702095e74")
+
+
+def _many_batch_tree_digest(seed: int) -> tuple[str, int]:
+    """The run's digest and the number of probe batches it sent."""
+    cfg = OramConfig(m=2, M=2048, w=16)
+    y = random_sequence(random.Random(seed), cfg.M, cfg.M, cfg.w)
+    engine, srv = make_engine("tree", cfg, seed, n=len(y)), ServerState(cfg)
+    with mock.patch.object(srv, "probe_batch", wraps=srv.probe_batch) as probe_batch:
+        answers = engine.run(srv, y)
+    h = hashlib.blake2b(repr(answers).encode(), digest_size=8)
+    for col in (srv.addr_column(), srv.kind_column(), srv.data_column(), srv.op_column(), srv.read_src_column()):
+        h.update(np.ascontiguousarray(col, dtype=np.int64).tobytes())
+    h.update(repr(sorted(written_cells(srv).items())).encode())
+    h.update(repr(sorted(last_write_ops(srv).items())).encode())
+    h.update(repr(engine.export_state()).encode())
+    return h.hexdigest(), probe_batch.call_count
+
+
+def test_many_batch_tree_run_is_frozen():
+    got = [_many_batch_tree_digest(seed) for seed in range(2)]
+    assert all(batches >= 12 for _, batches in got)
+    assert tuple(digest for digest, _ in got) == GOLDEN_MANY_BATCH_TREE
+
+
 def _server_state(srv, n_cells, meta_from=None):
     """Log and store (cells 1..n_cells); metadata from meta_from on, if that is given."""
     cols = [srv.addr_column().tolist()]
@@ -710,6 +738,28 @@ def test_stash_overflow_mid_batch_matches_honest_oracle(monkeypatch, limit, ops_
     n_cells = len(engine.slot_owner)
     assert _server_state(srv, n_cells, 0) == _server_state(ref, n_cells, 0)
     assert srv.op_column().max() == failing
+    assert engine.export_state() == honest.export_state()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_blocks_kept_in_the_stash_across_batches_match_honest_oracle(monkeypatch, seed):
+    """With buckets of 2, blocks stay in the stash across ops and across the
+    ends of small batches; their order decides where later evictions put them,
+    so the run must still match the honest per-op loop probe for probe."""
+    monkeypatch.setattr(TreeOram, "Z", 2)
+    monkeypatch.setattr(TreeOram, "STASH_LIMIT", 1 << 10)
+    monkeypatch.setattr(orams, "BATCH_PROBES", 200)
+    cfg = OramConfig(m=1, M=64, w=12)
+    y = random_sequence(random.Random(seed), 300, cfg.M, cfg.w)
+    engine, honest = make_engine("tree", cfg, seed), make_engine("tree", cfg, seed)
+    srv, ref = ServerState(cfg), ReferenceServer(cfg)
+    kept, send = [], srv.probe_batch  # the stash's size as each batch is sent
+    with mock.patch.object(srv, "probe_batch", side_effect=lambda *a: kept.append(len(engine.stash)) or send(*a)):
+        answers = engine.advance(srv, y, 0, len(y))
+    assert len(kept) > 1 and max(kept) > 1
+    assert answers == honest_tree_advance(honest, ref, y, 0, len(y))
+    n_cells = len(engine.slot_owner)
+    assert _server_state(srv, n_cells, 0) == _server_state(ref, n_cells, 0)
     assert engine.export_state() == honest.export_state()
 
 
