@@ -22,10 +22,9 @@ from ._util import ModelViolationError, as_fraction
 from .adversary import dense_partition_frequency, estimate_advantage
 from .codec import DecodeError, alice_encode, block_data, bob_decode
 from .core import WORKLOAD_FAMILIES, OramConfig, gen_write_read_blocks, instantiate_workload, parse_workload_spec
-from .graph import AccessGraph
 from .orams import ENGINE_NAMES, StashOverflowError
 from .partition import CertificateError
-from .traceio import TraceFile, analyze_trace, read_trace, run_trace, write_trace
+from .traceio import TraceFile, analyze_trace, graph_export, read_trace, run_trace, write_output, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,17 +78,8 @@ def _config_for(args, n: int) -> OramConfig:
     return config
 
 
-def _write_out(text: str, path: str | None) -> None:
-    """text to the file at path, or to stdout when path is '-' or unset (None or empty)."""
-    if not path or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
 def _emit(payload: dict, path: str | None) -> None:
-    _write_out(json.dumps(payload, indent=2) + "\n", path)
+    write_output((json.dumps(payload, indent=2) + "\n").encode("ascii"), path)
 
 
 @functools.cache
@@ -165,8 +155,8 @@ def _report_payload(tf: TraceFile, args) -> int:
     """Certify tf at the flags' --ell and --k-max and emit the report."""
     report = analyze_trace(tf, ell=args.ell, k_max=args.k_max)
     _emit(report.as_dict(), args.json_out)
-    if getattr(args, "csv_out", None):
-        _write_out("\n".join(report.csv_rows()) + "\n", args.csv_out)
+    if getattr(args, "csv_out", None) is not None:
+        write_output(("\n".join(report.csv_rows()) + "\n").encode("ascii"), args.csv_out)
     return EXIT_OK
 
 
@@ -233,16 +223,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_graph_export(args) -> int:
-    tf = read_trace(args.trace)
-    graph = AccessGraph(tf.addrs)
-    lines = []
-    if args.format == "dot":
-        lines.append("digraph access {")
-        lines.extend(f"  {u} -> {v};" for u, v in graph.edges)
-        lines.append("}")
-    else:
-        lines.extend(f"{u} {v}" for u, v in graph.edges)
-    _write_out("\n".join(lines) + "\n", args.out)
+    write_output(graph_export(read_trace(args.trace), args.format), args.out)
     return EXIT_OK
 
 

@@ -62,11 +62,6 @@ class AccessGraph:
         return self._edge_u, self._edge_v
 
     @property
-    def edges(self) -> list[tuple[int, int]]:
-        u, v = self.edge_arrays()
-        return list(zip(u.tolist(), v.tolist()))
-
-    @property
     def edge_count(self) -> int:
         return len(self.edge_arrays()[0])
 

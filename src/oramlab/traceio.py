@@ -1,4 +1,4 @@
-"""Trace files and experiment reports.
+"""Trace files, graph exports, experiment reports and the output writer.
 
 Trace files are line-oriented text: ``#key=value`` header lines in a fixed
 order, then one decimal server address per line.  With boundary annotations
@@ -13,12 +13,14 @@ included: every line of 1 to 18 digits is parsed in one numpy pass, and
 one loop strips and classifies every other line once,
 as a blank, an ``#op`` mark, a header key or an address read through
 ``int()`` (a padded, signed or underscored one).  The writer formats every
-address in one numpy pass.
+address in one numpy pass, as ``graph_export`` formats edges, and
+``write_output``, the one writer of every CLI output, reads '-' as stdout.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -74,15 +76,17 @@ def run_trace(
     )
 
 
-def _decimal_lines(values: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Non-negative ints as newline-ended decimal lines, and each line's end offset.
+def _decimal_lines(values: np.ndarray, terminators: bytes = b"\n") -> tuple[bytes, np.ndarray]:
+    """Non-negative ints as decimal lines, and each line's end offset; line i ends in terminators[i % len(terminators)].
 
     Digits come from repeated division by 10 into an (N, W+1) byte matrix whose last
-    column is the newline; each row's leading zeros are masked off.
+    column is the line's end; each row's leading zeros are masked off.
     """
     values = np.asarray(values, dtype=np.int64)
     width = len(str(int(values.max()))) if len(values) else 1
-    digits = np.full((len(values), width + 1), ord("\n"), dtype=np.uint8)
+    digits = np.empty((len(values), width + 1), dtype=np.uint8)
+    cycles = -(-len(values) // len(terminators))  # np.tile: np.resize concatenates one array per copy
+    digits[:, width] = np.tile(np.frombuffer(terminators, dtype=np.uint8), cycles)[: len(values)]
     rest = values.astype(np.uint32) if width <= 9 else values  # narrower words divide faster
     for col in range(width - 1, -1, -1):
         quot = rest // 10  # numpy divides by a constant without a division instruction; divmod does not
@@ -91,6 +95,15 @@ def _decimal_lines(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     lengths = np.searchsorted(10 ** np.arange(1, width), values, side="right") + 2
     keep = np.arange(width + 1) >= width + 1 - np.arange(width + 2)[:, None]  # row l keeps the last l bytes
     return digits[np.take(keep, lengths, axis=0)].tobytes(), np.cumsum(lengths)
+
+
+def write_output(data: bytes, path) -> None:
+    """data to the file at path, or to stdout when path is '-' or unset (None or empty)."""
+    if not path or path == "-":
+        sys.stdout.write(data.decode("ascii"))
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def write_trace(tf: TraceFile, path) -> None:
@@ -105,8 +118,18 @@ def write_trace(tf: TraceFile, path) -> None:
         cuts = np.append(0, ends)[first].tolist() + [len(body)]
         marks = (b"#op %d\n" % op for op in ops[first].tolist())
         body = b"".join(mark + body[a:b] for mark, a, b in zip(marks, cuts, cuts[1:]))
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + body)
+    write_output(header.encode("ascii") + body, path)
+
+
+def graph_export(tf: TraceFile, fmt: str) -> bytes:
+    """The access graph of tf's addresses, one edge a line in increasing target order:
+    ``u v`` lines for fmt "edges", ``  u -> v;`` lines inside ``digraph access { }`` for "dot"."""
+    u, v = AccessGraph(tf.addrs).edge_arrays()
+    pairs, _ = _decimal_lines(np.column_stack((u, v)).ravel(), b" \n")
+    if fmt == "edges":
+        return pairs or b"\n"
+    dot = b"digraph access {\n  " + pairs.replace(b" ", b" -> ").replace(b"\n", b";\n  ")
+    return dot[:-2] + b"}\n"  # the last line's indent gives way to the closing brace
 
 
 def _body_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:

@@ -10,6 +10,7 @@ trial-by-trial loops among them)."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -187,11 +188,36 @@ def reference_greedy_witness(addrs, k: int, threshold: int) -> tuple[int, ...] |
 BRUTE_FORCE_CAP = 18
 
 
+@functools.lru_cache(maxsize=16)
+def _crossing_table(addrs: tuple[int, ...]) -> list[list[list[int]]]:
+    """table[b][m][e] = #edges (u, v) with b <= u < m <= v < e of the access graph of addrs.
+
+    The edges come from addrs by a plain loop over consecutive occurrences, not from
+    the library, so the oracle shares no edge derivation with the greedy.  Cached by
+    addresses: the oracle is asked about one graph at several (k, ell) in a row.
+    """
+    n = len(addrs)
+    table = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    last: dict[int, int] = {}
+    for v, a in enumerate(addrs):
+        u = last.get(a)
+        last[a] = v
+        if u is None:
+            continue
+        for b in range(u + 1):
+            for m in range(u + 1, v + 1):
+                row = table[b][m]
+                for e in range(v + 1, n + 1):
+                    row[e] += 1
+    return table
+
+
 def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
     """Exhaustive oracle over all monotone boundary sequences (N <= 18).
 
     Independent of the greedy: it enumerates (m, e) choices per part directly
-    over the edge list, memoizing only part starts already proven dead.
+    over a crossing-count table of its own edges, memoizing only part starts
+    already proven dead.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -202,10 +228,7 @@ def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | 
     if ell <= 0:
         return Partition((0,) * (2 * k) + (n,))
     need = math.ceil(ell)  # an integer count reaches ell exactly when it reaches ceil(ell)
-    edges = graph.edges
-
-    def cross(b: int, m: int, e: int) -> int:
-        return sum(1 for u, v in edges if b <= u < m <= v < e)
+    cross = _crossing_table(tuple(graph.trace.addrs.tolist()))
 
     dead: list[set[int]] = [set() for _ in range(k + 1)]
 
@@ -216,7 +239,7 @@ def brute_force_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | 
             return None
         for e in range(b, n + 1):
             for m in range(b, e + 1):
-                if cross(b, m, e) >= need:
+                if cross[b][m][e] >= need:
                     rest = search(e, parts_left - 1)
                     if rest is not None:
                         return [m, e] + rest

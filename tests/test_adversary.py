@@ -167,6 +167,14 @@ class TestAdvantage:
         est = estimate_advantage("linear-scan", self.CFG, y0, yb, trials=60, seed=7)
         assert est.advantage == 0.0
 
+    @pytest.mark.parametrize("trials, seed", [(1, 7), (4, 1), (4, 27)])  # every coin of a run agrees
+    def test_half_width_is_floored_at_one_over_trials(self, trials, seed):
+        """Frequencies of 0 or 1 on both arms have no normal variance; the half-width is then 1/trials."""
+        yb, _ = gen_write_read_blocks(40, 2, 16, random.Random(5))
+        est = estimate_advantage("passthrough", self.CFG, yb, yb, trials=trials, seed=seed)
+        assert {est.p1_on_y, est.p1_on_yprime} <= {0.0, 1.0}
+        assert est.half_width == 1 / trials
+
     def test_needs_trials(self):
         y0 = gen_alternating_sequence(40)
         with pytest.raises(ValueError):

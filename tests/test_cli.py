@@ -3,6 +3,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -216,6 +217,44 @@ def test_graph_export_formats(tmp_path, capsys):
     assert dot.startswith("digraph") and "0 -> 1;" in dot
 
 
+# blake2b-64 of graph-export's edges and dot output for the trace of
+# `trace --engine <engine> --workload <workload> --m 2 --seed 5`
+GOLDEN_GRAPH_EXPORTS = {
+    ("passthrough", "blocks:n=64,k=2,seed=1"): ("c8f24e800605b134", "68461def1f39df82"),
+    ("passthrough", "blocks:n=256,k=4,seed=2"): ("84336c004221ce77", "2a2dd09c07e15e38"),
+    ("linear-scan", "blocks:n=64,k=2,seed=1"): ("735b863823d9552f", "8fb2219d45a0390c"),
+    ("linear-scan", "blocks:n=256,k=4,seed=2"): ("9a66ebf75ee9cebf", "30af22201e052feb"),
+    ("tree", "blocks:n=64,k=2,seed=1"): ("1999ab54e3be73ac", "f7bb81af3addb942"),
+    ("tree", "blocks:n=256,k=4,seed=2"): ("908067d272cb3dbb", "7782986c466a494d"),
+    ("dummy-encoder", "blocks:n=64,k=2,seed=1"): ("556f37bf1884d345", "59cfb63c7f1357a2"),
+    ("dummy-encoder", "blocks:n=256,k=4,seed=2"): ("e75cbeeb7f0b1672", "ec0ab405fd7d1993"),
+    ("dummy-leaker", "blocks:n=64,k=2,seed=1"): ("8731ded7f55d3f6d", "42c4d0fafd93f4e3"),
+    ("dummy-leaker", "blocks:n=256,k=4,seed=2"): ("237033cf6146abdc", "de3758b57d82bfe0"),
+}
+
+
+def _graph_exports(tmp_path, *run) -> tuple[bytes, bytes]:
+    trace, out = tmp_path / "t.trace", tmp_path / "graph"
+    assert run_cli("trace", *run, "--out", str(trace)) == EXIT_OK
+    got = []
+    for fmt in ("edges", "dot"):
+        assert run_cli("graph-export", "--trace", str(trace), "--format", fmt, "--out", str(out)) == EXIT_OK
+        got.append(out.read_bytes())
+    return tuple(got)
+
+
+@pytest.mark.parametrize("engine, workload", list(GOLDEN_GRAPH_EXPORTS))
+def test_graph_exports_are_frozen(tmp_path, engine, workload):
+    exports = _graph_exports(tmp_path, "--engine", engine, "--workload", workload, "--m", "2", "--seed", "5")
+    got = tuple(hashlib.blake2b(raw, digest_size=8).hexdigest() for raw in exports)
+    assert got == GOLDEN_GRAPH_EXPORTS[engine, workload]
+
+
+def test_graph_export_of_a_trace_with_no_edges(tmp_path):
+    exports = _graph_exports(tmp_path, "--engine", "passthrough", "--workload", "alt:n=0", "--seed", "1")
+    assert exports == (b"\n", b"digraph access {\n}\n")
+
+
 def test_stash_overflow_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(TreeOram, "STASH_LIMIT", -1)
     assert run_cli("report", "--engine", "tree", "--workload", "blocks:n=64,k=4,seed=2",
@@ -421,6 +460,55 @@ def test_every_flag_of_every_subcommand_is_pinned():
 def test_frequency_family_choices_are_the_workload_families():
     family = next(a for a in _subparsers(cli.build_parser())["frequency"]._actions if a.dest == "family")
     assert tuple(family.choices) == WORKLOAD_FAMILIES
+
+
+# per subcommand, the flags of a small run that writes every output once
+_SMALL_RUNS = {
+    "trace": ("--engine", "passthrough", "--workload", "blocks:n=16,k=2,seed=3", "--seed", "3"),
+    "analyze": ("--trace", "t.trace", "--ell", "2", "--k-max", "4"),
+    "distinguish": ("--engine", "passthrough", "--y", "alt:n=16", "--yprime", "blocks:n=16,k=2",
+                    "--trials", "2", "--seed", "3"),
+    "frequency": ("--engine", "passthrough", "--n", "16", "--k", "2", "--trials", "2", "--seed", "3"),
+    "codec": ("--engine", "passthrough", "--n", "8", "--k", "2", "--i", "1", "--seed", "3"),
+    "report": ("--engine", "passthrough", "--workload", "blocks:n=16,k=2,seed=3", "--seed", "3",
+               "--ell", "2", "--k-max", "4"),
+    "graph-export": ("--trace", "t.trace"),
+}
+_OUTPUT_FLAGS = [
+    (name, action.option_strings[0])
+    for name, parser in _subparsers(cli.build_parser()).items()
+    for action in parser._actions
+    if action.option_strings and action.option_strings[0] in ("--json", "--csv", "--out")
+]
+
+
+@pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS, ids=["".join(pair) for pair in _OUTPUT_FLAGS])
+def test_every_output_flag_reads_dash_and_empty_as_stdout(tmp_path, capsys, monkeypatch, command, flag):
+    """`-` and '' print the bytes a path gets, after what the run prints anyway, and no file named `-` appears."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("trace", *_SMALL_RUNS["trace"], "--out", "t.trace") == EXIT_OK
+    run = (command, *_SMALL_RUNS[command], flag)
+    assert run_cli(*run, "out.txt") == EXIT_OK
+    printed, written = capsys.readouterr().out.encode("ascii"), (tmp_path / "out.txt").read_bytes()
+    assert written
+    for stdout in ("-", ""):
+        assert run_cli(*run, stdout) == EXIT_OK
+        assert capsys.readouterr().out.encode("ascii") == printed + written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "t.trace"]
+
+
+def test_output_flags_cover_every_subcommand():
+    assert {name for name, _ in _OUTPUT_FLAGS} == set(_SMALL_RUNS) == set(_subparsers(cli.build_parser()))
+
+
+def test_json_is_printed_before_csv(tmp_path, capsys):
+    trace, report, csv = tmp_path / "t.trace", tmp_path / "report.json", tmp_path / "perk.csv"
+    run_cli("trace", "--engine", "passthrough", "--workload", "blocks:n=40,k=2,seed=3",
+            "--seed", "3", "--out", str(trace))
+    analyze = ("analyze", "--trace", str(trace), "--ell", "8", "--k-max", "4")
+    assert run_cli(*analyze, "--json", str(report), "--csv", str(csv)) == EXIT_OK
+    assert run_cli(*analyze, "--json", "-", "--csv", "-") == EXIT_OK
+    assert capsys.readouterr().out == report.read_text() + csv.read_text()
 
 
 @functools.cache

@@ -19,14 +19,19 @@ from conftest import (
 addr_lists = st.lists(st.integers(min_value=1, max_value=6), max_size=24)
 
 
+def _edge_list(g) -> list[tuple[int, int]]:
+    u, v = g.edge_arrays()
+    return list(zip(u.tolist(), v.tolist()))
+
+
 def test_interleaved_pair():
     g = AccessGraph([5, 7, 5, 7])
-    assert g.edges == [(0, 2), (1, 3)]
+    assert _edge_list(g) == [(0, 2), (1, 3)]
 
 
 def test_consecutive_occurrences_only():
     g = AccessGraph([3, 3, 3])
-    assert g.edges == [(0, 1), (1, 2)]  # (0, 2) is excluded: 1 sits in between
+    assert _edge_list(g) == [(0, 1), (1, 2)]  # (0, 2) is excluded: 1 sits in between
 
 
 def test_empty_trace():
@@ -57,7 +62,7 @@ def test_structural_invariants(addrs):
     assert_graph_invariants(g)
     # pred holds exactly the edges: each edge's source at its target, -1 elsewhere
     want = np.full(g.N, -1, dtype=np.int64)
-    for u, v in g.edges:
+    for u, v in _edge_list(g):
         want[v] = u
     assert g.pred.tolist() == want.tolist()
 
@@ -67,7 +72,7 @@ def test_structural_invariants(addrs):
 def test_build_is_pure(addrs):
     g1 = AccessGraph(addrs)
     g2 = AccessGraph(addrs)
-    assert g1.edges == g2.edges and g1.N == g2.N
+    assert _edge_list(g1) == _edge_list(g2) and g1.N == g2.N
 
 
 @given(addrs=st.lists(st.integers(min_value=1, max_value=4), max_size=12), data=st.data())
@@ -136,7 +141,7 @@ def test_graph_from_edges_realizes_exactly():
     for _ in range(200):
         g = random_degree_bounded_graph(rng, max_n=9)
         rebuilt = AccessGraph(g.trace.addrs)
-        assert sorted(rebuilt.edges) == sorted(g.edges)
+        assert sorted(_edge_list(rebuilt)) == sorted(_edge_list(g))
         assert_graph_invariants(g)
 
 

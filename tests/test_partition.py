@@ -13,6 +13,7 @@ from oramlab import (
     CertificateError,
     OramConfig,
     Partition,
+    PartitionCertificate,
     adversary_view,
     certify,
     edge_lower_bound_from_certificate,
@@ -20,6 +21,7 @@ from oramlab import (
     greedy_dense_partition,
     run_sequence,
 )
+from oramlab.partition import certified_bound
 
 from conftest import (
     ALL_ENGINES,
@@ -231,6 +233,26 @@ class TestCertificates:
             edge_lower_bound_from_certificate(cert)
         cert.witnessed[k] = honest
         edge_lower_bound_from_certificate(cert)
+
+    @staticmethod
+    def _certificate_of_parts(crossings, ell):
+        """A k = len(crossings) certificate whose part i is crossed by exactly crossings[i] edges."""
+        edges, bounds = [], [0]
+        for c in crossings:  # c sources, then their c targets
+            b = bounds[-1]
+            edges += [(b + i, b + c + i) for i in range(c)]
+            bounds += [b + c, b + 2 * c]
+        g = graph_from_edges(bounds[-1], edges)
+        witness = {len(crossings): Partition(tuple(bounds))}
+        return PartitionCertificate(base_ell=Fraction(ell), witnessed=witness, graph=g)
+
+    def test_witness_one_edge_short_of_its_density_is_rejected(self):
+        """Parts need ceil(16/4) = 4 crossing edges; one has 3, while the 15 distinct ones meet the bound 8."""
+        assert self._certificate_of_parts((4, 4, 4, 4), 16).verify() == 16
+        short = self._certificate_of_parts((4, 4, 3, 4), 16)
+        assert 15 >= certified_bound(short.base_ell, 1)
+        with pytest.raises(CertificateError, match="density re-check"):
+            short.verify()
 
     def test_non_power_of_4_key_is_rejected(self):
         g, cert = self._scan_certificate()
