@@ -245,6 +245,8 @@ def dense_partition_frequency(
     trial's reuses its decision."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if k < 1:
+        raise ValueError("need k >= 1")
     if family not in WORKLOAD_FAMILIES:  # refused before any trial, as instantiate_workload refuses it
         raise ValueError(f"unknown workload family {family!r}")
     found = _map_chunks(_frequency_chunk, (engine, config, n, k, seed, family), trials, jobs)

@@ -15,13 +15,12 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 
 from ._util import ModelViolationError, as_fraction
 from .adversary import dense_partition_frequency, estimate_advantage
 from .codec import DecodeError, alice_encode, block_data, bob_decode
-from .core import WORKLOAD_FAMILIES, OramConfig, gen_write_read_blocks, instantiate_workload, parse_workload_spec
+from .core import WORKLOAD_FAMILIES, OramConfig, WorkloadSpec, instantiate_workload, parse_workload_spec
 from .orams import ENGINE_NAMES, StashOverflowError
 from .partition import CertificateError
 from .traceio import TraceFile, analyze_trace, graph_export, read_trace, run_trace, write_output, write_trace
@@ -113,7 +112,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("frequency", help="dense-partition frequency over fresh block workloads")
     _add_run_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(1, int), required=True)
     p.add_argument("--trials", type=_at_least(1, int), required=True)
     p.add_argument("--family", choices=WORKLOAD_FAMILIES, default="blocks")
     p.add_argument("--jobs", type=_at_least(1, int), default=1, help="worker processes, at least 1")
@@ -199,7 +198,7 @@ def _cmd_frequency(args) -> int:
 
 def _cmd_codec(args) -> int:
     config = _config_for(args, args.n)
-    y, layout = gen_write_read_blocks(args.n, args.k, config.w, random.Random(args.seed))
+    y, layout = instantiate_workload(WorkloadSpec("blocks", args.n, args.k, args.seed), config.w)
     msg = alice_encode(args.engine, config, y, layout, args.i, shared_seed=args.seed)
     recovered = bob_decode(msg, args.engine, config, y, layout, args.i, shared_seed=args.seed)
     hidden = block_data(y, layout, args.i)

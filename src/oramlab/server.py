@@ -8,8 +8,8 @@ the bare address list, which is all an adversary ever sees in this model.
 
 There is one probe path, ``probe_batch``: every engine sends its probes in
 batches, each probe tagged with the input op it serves.  The log is
-columnar: each column keeps a batch's array as given (``probe_batch`` logs
-copies of its inputs) and joins its arrays into one on a read.  Cell
+columnar: a column is the list of what was appended, in order and as
+given (``probe_batch`` logs copies of its inputs), joined on a read.  Cell
 contents and last writers live in a dense store, two int64 arrays indexed
 by address, which a probe past the highest address covered reallocates at
 least twice as large, copying the old cells in (so addresses should stay
@@ -17,12 +17,12 @@ of the workload's order, not of 2^w); ``load`` sets cells without a probe,
 and ``contents`` and ``last_writers`` read them as read-only views of the
 store.  ``probe_batch`` is the only writer of the metadata columns.  With
 metadata off, ``_log_passes`` resolves a run of the linear scan's passes
-with no probe, and logs it as its period of addresses and a repeat count;
-both resolve reads with ``read_after_write``, the one place a read sees the
-latest earlier write.  A trace that repeats one period is kept as
+with no probe, and logs it unbuilt, as its period of addresses and a
+repeat count; both resolve reads with ``read_after_write``, the one place a
+read sees the latest earlier write.  A log that is one repeating run stays
 ``AccessSequence.repeating`` through ``adversary_view``: ``window`` builds
 only what is read, and ``addrs`` and ``addr_column()`` build it all, once;
-``addr_column(start)`` builds none of it when start is past it, and ``==``
+``addr_column(start)`` builds no run that ends at or before start, and ``==``
 builds neither of two traces that repeat periods of one length.
 
 Metadata can start part way through a run: a server made with
@@ -82,43 +82,34 @@ def read_after_write(addrs, is_write, data, cells, top: int) -> tuple[np.ndarray
 
 
 class _Column:
-    """Append-only int64 column: a repeating ``head``, then the arrays appended after it, kept as given.
+    """Append-only int64 column: the list of what was appended, in order and as given.
 
-    A repeating AccessSequence appended to an empty column stays its
-    ``head``, built only by a read that starts inside it; one that repeats
-    the same period right after the head lengthens it.  Every other append
-    goes on ``parts`` uncopied, and a read joins the parts into one, once.
+    A part is an array or a repeating AccessSequence, which stays unbuilt
+    until a read covers it.  A read skips the parts that end at or before its
+    start and builds and joins the rest into one part, once.
     """
 
-    __slots__ = ("head", "parts")
+    __slots__ = ("parts",)
 
     def __init__(self):
-        self.head, self.parts = AccessSequence(()), []
+        self.parts = []
 
     def __len__(self) -> int:
-        return self.head.N + sum(map(len, self.parts))
+        return sum(map(len, self.parts))
 
     def extend(self, arr) -> None:
         """Append arr (array or repeating AccessSequence); the column keeps it, so leave it unchanged."""
-        if isinstance(arr, AccessSequence):
-            head, period = self.head, arr._period
-            if not len(self):
-                self.head = arr
-                return
-            if not self.parts and head._period is not None and np.array_equal(head._period, period):
-                self.head = AccessSequence.repeating(period, (head.N + arr.N) // len(period))
-                return
-            arr = arr.addrs
         self.parts.append(arr)
 
     def to_array(self, start: int = 0) -> np.ndarray:
-        """Entries start..len-1; a start inside the head folds the head into the parts, which are joined once."""
-        if start < self.head.N:
-            self.parts.insert(0, self.head.addrs)
-            self.head = AccessSequence(())
-        if len(self.parts) > 1:
-            self.parts = [np.concatenate(self.parts)]
-        return self.parts[0][start - self.head.N :] if self.parts else np.empty(0, dtype=np.int64)
+        """Entries start..len-1."""
+        i = 0
+        while i < len(self.parts) and start >= len(self.parts[i]):
+            start, i = start - len(self.parts[i]), i + 1
+        rest = [part.addrs if isinstance(part, AccessSequence) else part for part in self.parts[i:]]
+        if len(rest) > 1:
+            self.parts[i:] = rest = [np.concatenate(rest)]
+        return rest[0][start:] if rest else np.empty(0, dtype=np.int64)
 
 
 class AccessSequence:
@@ -355,7 +346,9 @@ def adversary_view(state: ServerState) -> AccessSequence:
 
     Everything else in the log (op boundaries, kinds, payloads) is ground
     truth for validation and the transfer codec, and is deliberately dropped
-    here: the adversary sees addresses only.  A repeating log stays repeating.
+    here: the adversary sees addresses only.  A log that is one repeating run stays that run.
     """
-    col = state._addr
-    return col.head if len(col) == col.head.N else AccessSequence(col.to_array())
+    parts = state._addr.parts
+    if len(parts) == 1 and isinstance(parts[0], AccessSequence):
+        return parts[0]
+    return AccessSequence(state._addr.to_array())

@@ -226,9 +226,8 @@ def test_frequency_matches_the_trial_loop_when_decisions_flip(jobs):
     assert got == honest_frequency("dummy-leaker", ORACLE_CFG, 40, 30, 40, 11, family="alt")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_frequency_refuses_an_unknown_family_before_any_run(monkeypatch, jobs):
-    """No trial starts, in this process or in a worker."""
+def _refuse_any_run(monkeypatch):
+    """Make any trial, in this process or in a worker, fail the test."""
 
     def fail(what):
         def refuse(*args, **kwargs):
@@ -238,8 +237,24 @@ def test_frequency_refuses_an_unknown_family_before_any_run(monkeypatch, jobs):
 
     monkeypatch.setattr(adversary, "run_sequence", fail("an engine ran"))
     monkeypatch.setattr(adversary, "_map_chunks", fail("the trials were mapped"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_frequency_refuses_an_unknown_family_before_any_run(monkeypatch, jobs):
+    """No trial starts, in this process or in a worker."""
+    _refuse_any_run(monkeypatch)
     with pytest.raises(ValueError, match="^unknown workload family 'x'$"):
         dense_partition_frequency("passthrough", ORACLE_CFG, 40, 2, trials=4, seed=0, family="x", jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("family", ["alt", "blocks"])
+def test_frequency_refuses_k_below_one_before_any_run(monkeypatch, family, k, jobs):
+    """Of either family: an alt workload ignores k, and the density n/5k has none at k = 0."""
+    _refuse_any_run(monkeypatch)
+    with pytest.raises(ValueError, match="^need k >= 1$"):
+        dense_partition_frequency("passthrough", ORACLE_CFG, 40, k, trials=4, seed=0, family=family, jobs=jobs)
 
 
 @pytest.mark.parametrize("engine, distinct", [("passthrough", 1), ("linear-scan", 1), ("tree", 12)])

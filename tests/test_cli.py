@@ -311,6 +311,13 @@ def test_unparsable_ell_is_a_usage_error(tmp_path, capsys, ell):
          "--trials"),
         (("distinguish", "--engine", "passthrough", "--y", "alt:n=8", "--yprime", "blocks:n=8,k=1",
           "--trials=-3", "--seed", "1"), "--trials"),
+        (("frequency", "--engine", "passthrough", "--n", "8", "--k", "0", "--trials", "2", "--seed", "1"), "--k"),
+        (("frequency", "--engine", "passthrough", "--n", "8", "--k", "0", "--trials", "2", "--seed", "1",
+          "--family", "alt", "--jobs", "2"), "--k"),
+        (("frequency", "--engine", "passthrough", "--n", "8", "--k=-1", "--trials", "2", "--seed", "1",
+          "--family", "alt"), "--k"),
+        (("frequency", "--engine", "passthrough", "--n", "8", "--k=-1", "--trials", "2", "--seed", "1",
+          "--family", "blocks", "--jobs", "2"), "--k"),
     ],
 )
 def test_out_of_range_ell_and_jobs_are_usage_errors(monkeypatch, capsys, argv, flag):
@@ -617,9 +624,8 @@ _HUGE = str(10**30)
 )
 def test_a_length_past_M_is_refused_before_any_workload_is_built(monkeypatch, capsys, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    for module, name in ((core, "gen_alternating_sequence"), (core, "gen_write_read_blocks"),
-                         (cli, "gen_write_read_blocks")):
-        monkeypatch.setattr(module, name, lambda *args: pytest.fail("a workload was built"))
+    for name in ("gen_alternating_sequence", "gen_write_read_blocks"):
+        monkeypatch.setattr(core, name, lambda *args: pytest.fail("a workload was built"))
     assert run_cli(*argv, "--engine", "passthrough", "--M", "8", "--seed", "1") == EXIT_MODEL
     assert capsys.readouterr().err == f"oramlab: model violation: workload length n={_HUGE} exceeds address range M=8\n"
     assert not list(tmp_path.iterdir())
@@ -658,7 +664,7 @@ def _flag_values(tmp: str) -> dict[str, tuple[st.SearchStrategy, st.SearchStrate
         "w": (st.sampled_from(["8", "16", "63"]), st.one_of(st.sampled_from(["1", "3", "64"]), _BAD_INT)),
         "seed": (st.integers(-(2**70), 2**70).map(str), st.sampled_from(["x", "", "1.5"])),
         "n": (_N, st.one_of(st.sampled_from(["3", "64"]), _BAD_INT)),
-        "k": (st.sampled_from(["1", "2", "4"]), st.one_of(st.just("64"), _BAD_INT)),
+        "k": (st.sampled_from(["1", "2", "4"]), st.one_of(st.sampled_from(["64", "0"]), _BAD_INT)),
         "i": (st.sampled_from(["1", "2"]), st.one_of(st.just("5"), _BAD_INT)),
         "trials": (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"])),
         "jobs": (st.just("1"), st.sampled_from(["0", "-3", "x"])),

@@ -74,9 +74,8 @@ def test_scan_round_trip_builds_no_repeating_head(monkeypatch):
     monkeypatch.setattr(AccessSequence, "addrs", property(unbuilt))
     msg = alice_encode("linear-scan", CFG, y, layout, 2, shared_seed=4)
     assert bob_decode(msg, "linear-scan", CFG, y, layout, 2, shared_seed=4) == block_data(y, layout, 2)
-    # each party logged its prefix as one repeating run; Bob's read block, a
-    # second run of the same period, lengthened Bob's
-    assert len(heads) == 4
+    # each party logged its prefix as one repeating run, and Bob his read block as a second
+    assert len(heads) == 3
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES)

@@ -225,11 +225,14 @@ class TestLinearScan:
         engine.advance(srv, y, 0, 3)
         srv.load([(2, 5)])
         engine.advance(srv, y, 5, 8)
+        runs = srv._addr.parts  # one repeating run per range, each unbuilt
+        assert [(type(run), run._addrs is None, run.N) for run in runs] == [(AccessSequence, True, 2 * cfg.M * 3)] * 2
+        assert all(np.array_equal(run._period, engine._addrs) for run in runs)
         view = adversary_view(srv)
-        assert view is srv._addr.head and view.N == 2 * cfg.M * 6
+        assert view.N == 2 * cfg.M * 6
         assert view == AccessSequence(np.tile(engine._addrs, 6))
         srv.probe_batch([0], [1], [0], 8)
-        engine.advance(srv, y, 0, 1)  # a run after a probe is appended as addresses
+        engine.advance(srv, y, 0, 1)  # a run after a probe is one more part
         assert adversary_view(srv).addrs.tolist() == np.tile(engine._addrs, 6).tolist() + [1] + engine._addrs.tolist()
 
 
@@ -249,7 +252,8 @@ class TestLinearScan:
         calls.clear()
         _, srv = run_sequence("linear-scan", cfg, y, seed=0, record_meta=False)
         view = adversary_view(srv)
-        assert calls == [] and view is srv._addr.head and view == AccessSequence.repeating(view._period, len(y))
+        assert calls == [] and [part is view for part in srv._addr.parts] == [True]  # the log's one part
+        assert view == AccessSequence.repeating(view._period, len(y))
 
     @pytest.mark.parametrize("record_meta", [True, False])
     def test_pass_refuses_a_cell_outside_w_bits(self, record_meta):

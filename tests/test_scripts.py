@@ -1,10 +1,13 @@
-"""Smoke tests: each experiment script runs end to end on tiny arguments."""
+"""Smoke tests: each script runs end to end on tiny arguments."""
 
+import inspect
 import runpy
 import sys
 from pathlib import Path
 
-from oramlab import ENGINE_NAMES
+import pytest
+
+from oramlab import ENGINE_NAMES, cli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,3 +32,25 @@ def test_distinguisher_experiment(monkeypatch, capsys):
     rows = {line.split()[0]: line.split()[1:] for line in out[2:]}
     assert list(rows) == list(ENGINE_NAMES)
     assert rows["linear-scan"][2] == "0.000"  # the oblivious engine's advantage
+
+
+def test_traffic_lines(tmp_path):
+    tool = runpy.run_path(str(SCRIPTS / "traffic_lines.py"))
+    trace, before = str(tmp_path / "t.trace"), sys.gettrace()
+    hits = tool["run_traced"]([
+        ["trace", "--engine", "passthrough", "--workload", "alt:n=4", "--seed", "1", "--out", trace],
+        ["analyze", "--trace", trace],
+    ])
+    assert sys.gettrace() is before
+    report = tool["unexecuted"](hits)
+    assert set(report) == {path.name for path in Path(cli.__file__).parent.glob("*.py")}
+    counted, missed = report["cli.py"]
+    assert 0 < len(missed) < counted
+    first_line = {fn: inspect.getsourcelines(fn)[1] + 1 for fn in (cli._cmd_trace, cli._cmd_codec)}
+    assert first_line[cli._cmd_trace] not in missed and first_line[cli._cmd_codec] in missed
+    for name, (_, missed) in report.items():
+        lines = (Path(cli.__file__).parent / name).read_text().splitlines()
+        assert not [at for at in missed if lines[at - 1].lstrip().startswith("raise ")]
+    with pytest.raises(RuntimeError, match="^oramlab nope exited 1: "):
+        tool["run_traced"]([["nope"]])
+    assert sys.gettrace() is before

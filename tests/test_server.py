@@ -11,6 +11,7 @@ from oramlab import (
     ServerState,
     adversary_view,
     gen_alternating_sequence,
+    make_engine,
     run_sequence,
 )
 from oramlab.adversary import trace_digest
@@ -342,6 +343,63 @@ def test_zero_repeats_are_the_empty_trace():
     assert len(empty) == 0 and empty.bounds == (0, 0) and empty.window(0, 4).tolist() == []
     assert empty.cheap_eq(AccessSequence([])) is True and AccessSequence([]).cheap_eq(empty) is True
     assert empty == AccessSequence([]) and empty != AccessSequence([5])
+
+
+# an append: an int64 array of addresses, or a repeating run (period, repeats) of one of two periods of one length
+_APPEND = st.one_of(
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    st.tuples(st.sampled_from([(1, 2), (3, 1)]), st.integers(0, 3)),
+)
+
+
+def _logged(appends):
+    """A server with no metadata whose address log holds appends, and the tiled list they stand for."""
+    srv, tiled = ServerState(CFG, record_meta=False), []
+    for part in appends:
+        if isinstance(part, tuple):
+            period, reps = part
+            srv._addr.extend(AccessSequence.repeating(period, reps))
+            tiled += list(period) * reps
+        else:
+            srv._addr.extend(np.array(part, dtype=np.int64))
+            tiled += part
+    return srv, tiled
+
+
+@given(appends=st.lists(_APPEND, max_size=6))
+@example(appends=[((1, 2), 2), ((1, 2), 3)])  # back-to-back runs of one period
+@example(appends=[((1, 2), 0), [4], ((3, 1), 0), ((3, 1), 2), [5, 6]])
+@example(appends=[[4, 4], ((1, 2), 2), ((1, 2), 1)])
+@settings(max_examples=150, deadline=None)
+def test_column_reads_are_its_tiled_appends(appends):
+    srv, tiled = _logged(appends)
+    view = adversary_view(srv)
+    assert srv.probe_count == view.N == len(tiled) and view.addrs.tolist() == tiled
+    for starts in (range(len(tiled) + 1), range(len(tiled), -1, -1)):
+        srv, _ = _logged(appends)
+        col = srv._addr
+        for start in starts:
+            assert len(col) == len(tiled) and col.to_array(start).tolist() == tiled[start:]
+        assert srv.probe_count == len(tiled) and adversary_view(srv).addrs.tolist() == tiled
+
+
+def test_a_repeating_run_after_an_array_is_built_only_by_a_read_that_covers_it(monkeypatch):
+    built = []
+    addrs = AccessSequence.addrs
+    monkeypatch.setattr(AccessSequence, "addrs", property(lambda seq: built.append(seq) or addrs.fget(seq)))
+    cfg = OramConfig(m=1, M=4, w=8)
+    engine, srv = make_engine("linear-scan", cfg, 0), ServerState(cfg, record_meta=False)
+    srv.probe_batch([0, 0], [3, 4], [0, 0], 0)
+    engine.advance(srv, gen_alternating_sequence(4), 0, 2)  # two passes, logged as one repeating run
+    srv.probe_batch([0], [2], [0], FINAL_OP)
+    assert built == [] and srv.probe_count == 2 + 2 * 2 * cfg.M + 1
+    (run,) = (part for part in srv._addr.parts if isinstance(part, AccessSequence))
+    assert srv.addr_column(srv.probe_count - 1).tolist() == [2]  # a read of the probe after the run
+    assert srv.addr_column(srv.probe_count).tolist() == []
+    assert built == []
+    tile = np.tile(run._period, 2).tolist()
+    assert srv.addr_column(1).tolist() == [4] + tile + [2]
+    assert built == [run]
 
 
 _META_COLUMNS = ("kind_column", "data_column", "op_column", "read_src_column")
