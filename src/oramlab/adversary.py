@@ -9,12 +9,12 @@ index) by a fixed mixing function, and the two arms of an advantage estimate
 share the engine seed and the decision coin per trial (common random numbers;
 unbiased, and it makes "identical traces -> advantage exactly 0" hold sample
 by sample instead of only in the limit).  The trials run in contiguous
-chunks, one per worker; within a chunk each arm keeps its last trace and
-decision, and a trial whose trace equals it reuses the decision.  An
-oblivious engine's trace is the same for every input and seed, so its graph
-is decided once per chunk rather than once per trial.  The reuse is exact
-and every trial still flips its own coin, so results are identical for any
-number of workers.
+chunks, one per worker; within a chunk a trial whose trace equals the last
+one of its arm reuses that decision.  A seed-free engine (passthrough,
+linear-scan) draws no randomness, so an advantage arm, whose input is fixed,
+runs it on the chunk's first trial only; ``frequency`` draws a fresh input
+per trial and runs it every trial.  The reuse is exact and every trial still
+flips its own coin, so results are identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import sqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 from ._util import as_fraction, derive_seed
 from .core import WORKLOAD_FAMILIES, InputSequence, OramConfig, WorkloadSpec, instantiate_workload
 from .graph import AccessGraph
-from .orams import run_sequence
+from .orams import SEED_FREE_ENGINES, run_sequence
 from .partition import greedy_dense_partition
 from .server import AccessSequence, adversary_view
 
@@ -147,10 +148,22 @@ class _LastDecision:
         return self.found
 
 
-def _trial_trace(engine: str, config: OramConfig, y: InputSequence, engine_seed: int) -> AccessSequence:
+def _trial_trace(engine: str, config: OramConfig, y: InputSequence, engine_seed: int | None) -> AccessSequence:
     """The adversary's view of one engine run on y; the run's server is freed on return."""
     _, server = run_sequence(engine, config, y, engine_seed, record_meta=False)
     return adversary_view(server)
+
+
+def _trial_decisions(engine, config, k, seed, salt, trials, inputs):
+    """Whether each trial t, run on the next of inputs from engine seed (seed, t, salt), finds the dense k-partition:
+    a trace equal to the last one reuses its decision, and a seed-free engine gets no seed and no rerun on one y."""
+    seeded, last, y_last = engine not in SEED_FREE_ENGINES, _LastDecision(), None
+    for t, y in zip(trials, inputs):
+        if seeded or y is not y_last:
+            engine_seed = derive_seed(seed, t, salt) if seeded else None
+            found = last.decide(_trial_trace(engine, config, y, engine_seed), len(y), k)
+        y_last = y
+        yield found
 
 
 @dataclass(frozen=True)
@@ -166,16 +179,12 @@ class AdvantageEstimate:
 
 
 def _advantage_chunk(args) -> tuple[int, int]:
-    """Guess-1 counts on y and on y_prime over a range of trials."""
+    """Guess-1 counts on y and on y_prime over a range of trials; a trial builds its coin only to flip it."""
     engine, config, y, y_prime, k_prime, seed, trials = args
-    arms = ((y, _LastDecision()), (y_prime, _LastDecision()))
     ones = [0, 0]
-    for t in trials:
-        engine_seed = derive_seed(seed, t, 1)
-        coin_seed = derive_seed(seed, t, 2)
-        for arm, (y_arm, last) in enumerate(arms):
-            found = last.decide(_trial_trace(engine, config, y_arm, engine_seed), len(y), k_prime)
-            ones[arm] += _verdict(found, random.Random(coin_seed)).guess == 1
+    for arm, y_arm in enumerate((y, y_prime)):
+        for t, found in zip(trials, _trial_decisions(engine, config, k_prime, seed, 1, trials, repeat(y_arm))):
+            ones[arm] += not found or _verdict(found, random.Random(derive_seed(seed, t, 2))).guess == 1
     return ones[0], ones[1]
 
 
@@ -190,11 +199,11 @@ def estimate_advantage(
 ) -> AdvantageEstimate:
     """Empirical distinguishing advantage of the dense-partition test.
 
-    Runs the engine ``trials`` times on each input with derived per-trial
-    seeds and reports both guess-1 frequencies, their absolute difference,
-    and a 95% normal-approximation half-width floored at 1/trials.  Each
-    trial decides as ``distinguish`` does, with a trace equal to the arm's
-    previous one reusing its decision.
+    Runs a seeded engine ``trials`` times on each input from derived seeds (a
+    seed-free one once per input and chunk) and reports both guess-1
+    frequencies, their absolute difference, and a 95% normal-approximation
+    half-width floored at 1/trials.  Each trial decides as ``distinguish``
+    does, and a trace equal to the arm's last one reuses its decision.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -214,20 +223,12 @@ def estimate_advantage(
     )
 
 
-def _frequency_trace(engine, config, n, k, seed, family, t) -> AccessSequence:
-    """Trial t's trace: a fresh workload sample run from a fresh engine seed.
-
-    The "alt" family is a debug family: the partition property is expected to fail.
-    """
-    y, _ = instantiate_workload(WorkloadSpec(family, n, k, derive_seed(seed, t, 3)), config.w)
-    return _trial_trace(engine, config, y, derive_seed(seed, t, 4))
-
-
 def _frequency_chunk(args) -> int:
-    """How many of a range of trials find the dense partition."""
+    """How many of a range of trials find the dense partition, each on a fresh workload sample
+    (of the "alt" debug family, the partition property is expected to fail)."""
     engine, config, n, k, seed, family, trials = args
-    last = _LastDecision()
-    return sum(last.decide(_frequency_trace(engine, config, n, k, seed, family, t), n, k) for t in trials)
+    inputs = (instantiate_workload(WorkloadSpec(family, n, k, derive_seed(seed, t, 3)), config.w)[0] for t in trials)
+    return sum(_trial_decisions(engine, config, k, seed, 4, trials, inputs))
 
 
 def dense_partition_frequency(

@@ -24,7 +24,8 @@ The five engines span the security spectrum on purpose:
 
 The two dummy engines are deliberately insecure constructions with honest
 correctness; they exist so the analyses can demonstrate what length-only
-security definitions fail to rule out.
+security definitions fail to rule out.  Passthrough and linear-scan draw
+no randomness (``seeded = False``), so ``make_engine`` gives them no RNG.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class Engine:
     """
 
     name: str = "abstract"
+    seeded: bool = True  # whether it draws randomness; ``make_engine`` gives a seed-free engine no RNG
 
-    def __init__(self, config: OramConfig, rng: random.Random, n: int = 0):
+    def __init__(self, config: OramConfig, rng: random.Random | None, n: int = 0):
         """n is the workload's length; only an engine that must know it up front reads it."""
         self.config = config
         self.rng = rng
@@ -125,6 +127,7 @@ class Passthrough(Engine):
     """One probe per op, straight to the logical address."""
 
     name = "passthrough"
+    seeded = False
 
     def _advance(self, server, y, start, stop):
         return _direct_probes(server, y, start, stop, 0)
@@ -149,6 +152,7 @@ class LinearScan(Engine):
     """
 
     name = "linear-scan"
+    seeded = False
 
     def __init__(self, config, rng, n=0):
         super().__init__(config, rng, n)
@@ -409,27 +413,30 @@ class DummyLengthLeaker(Engine):
 
 _ENGINES = {cls.name: cls for cls in (Passthrough, LinearScan, TreeOram, DummyLengthEncoder, DummyLengthLeaker)}
 ENGINE_NAMES = tuple(_ENGINES)
+SEED_FREE_ENGINES = frozenset(name for name, cls in _ENGINES.items() if not cls.seeded)
 
 
-def make_engine(kind: str, config: OramConfig, seed: int, n: int = 0) -> Engine:
-    """A fresh engine of the named kind, its RNG seeded with seed, for n ops, once config admits n."""
+def make_engine(kind: str, config: OramConfig, seed: int | None, n: int = 0) -> Engine:
+    """A fresh engine of the named kind for n ops, once config admits n: a seeded engine's RNG is seeded with
+    seed, and a seed-free one (passthrough, linear-scan) ignores seed and gets ``rng=None``, so a draw fails."""
     if kind not in _ENGINES:
         raise ValueError(f"unknown engine {kind!r}; expected one of {', '.join(ENGINE_NAMES)}")
     config.bind_workload_length(n)
-    return _ENGINES[kind](config, random.Random(seed), n)
+    cls = _ENGINES[kind]
+    return cls(config, random.Random(seed) if cls.seeded else None, n)
 
 
 def run_sequence(
     kind: str,
     config: OramConfig,
     y: InputSequence,
-    seed: int,
+    seed: int | None,
     record_meta: bool = True,
 ) -> tuple[list[int], ServerState]:
     """Fresh engine + fresh server, the whole of y run in order (``Engine.run``).
 
     Returns the answers of all read ops and the final server state with its
-    probe log.  Deterministic given the seed.
+    probe log.  Deterministic given the seed (a seed-free engine's, given y).
     """
     engine = make_engine(kind, config, seed, n=len(y))
     server = ServerState(config, record_meta=record_meta)

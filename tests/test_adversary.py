@@ -21,7 +21,9 @@ from oramlab import (
     statistical_distance_exact,
 )
 from oramlab import adversary
+from oramlab._util import derive_seed
 from oramlab.adversary import COIN_FLIP, NO_PARTITION, _has_dense_partition, _LastDecision, trace_digest
+from oramlab.orams import SEED_FREE_ENGINES
 from oramlab.server import AccessSequence
 
 from conftest import R, W, all_rows, honest_advantage, honest_frequency, reference_block_shape, seq
@@ -270,6 +272,38 @@ def test_each_distinct_trace_is_decided_once(monkeypatch, engine, distinct):
     del calls[:]
     dense_partition_frequency(engine, ORACLE_CFG, 40, 2, trials=12, seed=3)
     assert len(calls) == distinct
+
+
+@pytest.mark.parametrize("engine, runs", [("passthrough", 2), ("linear-scan", 2), ("dummy-encoder", 24), ("tree", 24)])
+def test_a_seed_free_engine_runs_once_per_arm(monkeypatch, engine, runs):
+    """A seeded engine runs every trial of both arms; frequency draws a fresh input per trial, so it runs each."""
+    seeds = []
+    run = adversary.run_sequence
+
+    def counted(kind, cfg, y, seed, **kwargs):
+        seeds.append(seed)
+        return run(kind, cfg, y, seed, **kwargs)
+
+    monkeypatch.setattr(adversary, "run_sequence", counted)
+    y = gen_alternating_sequence(40)
+    y_prime, _ = gen_write_read_blocks(40, 2, 16, random.Random(5))
+    estimate_advantage(engine, ORACLE_CFG, y, y_prime, trials=12, seed=3, jobs=1)
+    assert len(seeds) == runs
+    assert all(seed is None for seed in seeds) == (engine in SEED_FREE_ENGINES)  # no engine seed is derived
+    del seeds[:]
+    dense_partition_frequency(engine, ORACLE_CFG, 40, 2, trials=12, seed=3, jobs=1)
+    assert len(seeds) == 12
+
+
+def test_a_trial_builds_its_coin_only_to_flip_it(monkeypatch):
+    """Passthrough finds no partition on y and one on y_prime: only y_prime's trials build a coin."""
+    y = gen_alternating_sequence(40)
+    y_prime, _ = gen_write_read_blocks(40, 2, 16, random.Random(5))
+    built = []
+    monkeypatch.setattr(random, "Random", lambda seed, cls=random.Random: built.append(seed) or cls(seed))
+    est = estimate_advantage("passthrough", ORACLE_CFG, y, y_prime, trials=12, seed=3, jobs=1)
+    assert built == [derive_seed(3, t, 2) for t in range(12)]
+    assert est.p1_on_y == 1 and 0 < est.p1_on_yprime < 1
 
 
 def test_last_decision_reuses_only_traces_it_compares_unbuilt(monkeypatch):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -164,6 +165,54 @@ def test_distinguish_jobs_merge_deterministically(capsys):
     assert run_cli(*args, "--jobs", "2") == EXIT_OK
     two = capsys.readouterr().out
     assert one == two
+
+
+# (trials, p1_on_y, p1_on_yprime, advantage, half_width) of `distinguish --engine <engine>
+# --y alt:n=200 --yprime blocks:n=200,k=4 --trials 40 --seed <seed>`, for any --jobs
+GOLDEN_DISTINGUISH = {
+    ("passthrough", 11): (40, 1.0, 0.325, 0.675, 0.14515086978726652),
+    ("passthrough", 12): (40, 1.0, 0.425, 0.575, 0.15319848236846212),
+    ("linear-scan", 11): (40, 0.325, 0.325, 0.0, 0.20527432864340345),
+    ("linear-scan", 12): (40, 0.425, 0.425, 0.0, 0.2166553715004546),
+    ("dummy-encoder", 11): (40, 1.0, 0.325, 0.675, 0.14515086978726652),
+    ("dummy-encoder", 12): (40, 1.0, 0.425, 0.575, 0.15319848236846212),
+    ("tree", 11): (40, 0.325, 0.325, 0.0, 0.20527432864340345),
+    ("tree", 12): (40, 0.425, 0.425, 0.0, 0.2166553715004546),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("engine, seed", list(GOLDEN_DISTINGUISH))
+def test_distinguish_output_is_frozen(capsys, engine, seed, jobs):
+    assert run_cli("distinguish", "--engine", engine, "--y", "alt:n=200", "--yprime", "blocks:n=200,k=4",
+                   "--trials", "40", "--seed", str(seed), "--jobs", str(jobs)) == EXIT_OK
+    fields = ("trials", "p1_on_y", "p1_on_yprime", "advantage", "half_width")
+    assert capsys.readouterr().out == json.dumps(dict(zip(fields, GOLDEN_DISTINGUISH[engine, seed])), indent=2) + "\n"
+
+
+# frequency_exact of `frequency --engine <engine> --n 200 --k 4 --family <family>
+# --trials 12 --seed <seed>`, for any --jobs
+GOLDEN_FREQUENCY = {
+    ("passthrough", "blocks", 11): "1",
+    ("passthrough", "blocks", 12): "1",
+    ("passthrough", "alt", 11): "0",
+    ("passthrough", "alt", 12): "0",
+    ("linear-scan", "blocks", 11): "1",
+    ("linear-scan", "blocks", 12): "1",
+    ("linear-scan", "alt", 11): "1",
+    ("linear-scan", "alt", 12): "1",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("engine, family, seed", list(GOLDEN_FREQUENCY))
+def test_frequency_output_is_frozen(capsys, engine, family, seed, jobs):
+    assert run_cli("frequency", "--engine", engine, "--n", "200", "--k", "4", "--family", family,
+                   "--trials", "12", "--seed", str(seed), "--jobs", str(jobs)) == EXIT_OK
+    exact = GOLDEN_FREQUENCY[engine, family, seed]
+    want = {"engine": engine, "n": 200, "k": 4, "trials": 12, "family": family,
+            "frequency": float(Fraction(exact)), "frequency_exact": exact}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 def test_codec_round_trip(capsys):

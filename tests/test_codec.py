@@ -20,6 +20,8 @@ from oramlab import (
     gen_write_read_blocks,
 )
 
+from oramlab.orams import SEED_FREE_ENGINES
+
 from conftest import ALL_ENGINES, R, W, all_rows, reference_alice_encode, seq
 
 CFG = OramConfig(m=2, M=16, w=16)
@@ -38,6 +40,19 @@ def test_round_trip_recovers_hidden_block(engine):
             msg = alice_encode(engine, CFG, y, layout, i, shared_seed=100 + seed)
             got = bob_decode(msg, engine, CFG, y, layout, i, shared_seed=100 + seed)
             assert got == block_data(y, layout, i)
+
+
+@pytest.mark.parametrize("engine", sorted(SEED_FREE_ENGINES))
+def test_a_seed_free_engine_round_trips_with_no_rng(monkeypatch, engine):
+    """Its client state is empty, so the codec's snapshot and restore touch no RNG."""
+    made = []
+    make = codec.make_engine
+    monkeypatch.setattr(codec, "make_engine", lambda *args, **kwargs: made.append(make(*args, **kwargs)) or made[-1])
+    y, layout = _instance(3)
+    for i in range(1, layout.k + 1):
+        msg = alice_encode(engine, CFG, y, layout, i, shared_seed=7)
+        assert bob_decode(msg, engine, CFG, y, layout, i, shared_seed=7) == block_data(y, layout, i)
+    assert len(made) == 2 * layout.k and all(machine.rng is None for machine in made)
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES)

@@ -117,6 +117,66 @@ def test_same_seed_same_run(engine):
     assert np.array_equal(s1.data_column(), s2.data_column())
 
 
+SEEDED_ENGINES = [engine for engine in ALL_ENGINES if orams._ENGINES[engine].seeded]
+
+
+def test_passthrough_and_the_scan_are_the_seed_free_engines():
+    assert orams.SEED_FREE_ENGINES == set(ALL_ENGINES) - set(SEEDED_ENGINES) == {"passthrough", "linear-scan"}
+
+
+def _whole_run(engine, cfg, y, seed, record_meta):
+    """A run's answers, every column it logged, and each written cell's content and last writer."""
+    answers, srv = run_sequence(engine, cfg, y, seed, record_meta=record_meta)
+    cols = [srv.addr_column()]
+    if record_meta:
+        cols += [srv.kind_column(), srv.data_column(), srv.op_column(), srv.read_src_column()]
+    return answers, [np.asarray(col).tolist() for col in cols], written_cells(srv), last_write_ops(srv)
+
+
+@pytest.mark.parametrize("engine", sorted(orams.SEED_FREE_ENGINES))
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2),
+    data_seed=st.integers(0, 2**32),
+    n=st.integers(0, CFG.M),
+    record_meta=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_seed_free_run_is_the_same_under_any_seed(engine, seeds, data_seed, n, record_meta):
+    y = random_sequence(random.Random(data_seed), n, CFG.M, CFG.w)
+    first, second = (_whole_run(engine, CFG, y, seed, record_meta) for seed in seeds)
+    assert first == second
+
+
+@pytest.mark.parametrize("record_meta", [True, False])
+@pytest.mark.parametrize("engine", SEEDED_ENGINES)
+def test_a_seeded_engine_draws(engine, record_meta):
+    """Some two of a few seeds give different runs; with a read of address 1 first, the encoder's
+    comparand falls below the input about half the time."""
+    y = seq(R(1), *random_sequence(random.Random(4), 7, CFG.M, CFG.w).rows(0, 7))
+    first, *rest = (_whole_run(engine, CFG, y, seed, record_meta) for seed in range(4))
+    assert any(run != first for run in rest)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_only_a_seeded_engine_gets_an_rng(engine):
+    machine = make_engine(engine, CFG, 5, n=4)
+    assert machine.seeded == isinstance(machine.rng, random.Random)
+    assert machine.seeded == (engine not in orams.SEED_FREE_ENGINES)
+
+
+def test_a_seed_free_engine_that_draws_fails(monkeypatch):
+    class DrawingPassthrough(orams.Passthrough):
+        name = "drawing-passthrough"
+
+        def _advance(self, server, y, start, stop):
+            self.rng.random()
+            return super()._advance(server, y, start, stop)
+
+    monkeypatch.setitem(orams._ENGINES, DrawingPassthrough.name, DrawingPassthrough)
+    with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'random'"):
+        run_sequence(DrawingPassthrough.name, CFG, seq(W(1, 3), R(1)), seed=7)
+
+
 def test_trials_and_repeated_runs_do_no_per_op_work(monkeypatch):
     """The model check reduces a sequence's columns once, on its first run,
     however often it is run after that."""
