@@ -9,12 +9,10 @@ index) by a fixed mixing function, and the two arms of an advantage estimate
 share the engine seed and the decision coin per trial (common random numbers;
 unbiased, and it makes "identical traces -> advantage exactly 0" hold sample
 by sample instead of only in the limit).  The trials run in contiguous
-chunks, one per worker; within a chunk a trial whose trace equals the last
-one of its arm reuses that decision.  A seed-free engine (passthrough,
-linear-scan) draws no randomness, so an advantage arm, whose input is fixed,
-runs it on the chunk's first trial only; ``frequency`` draws a fresh input
-per trial and runs it every trial.  The reuse is exact and every trial still
-flips its own coin, so results are identical for any number of workers.
+chunks, one per worker; in a chunk each arm's trials go through
+``_trial_decisions``, the one place a decision, or a seed-free engine's run
+on a fixed input, is reused.  The reuse is exact and every trial still flips
+its own coin, so results are identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -130,38 +128,22 @@ def _verdict(found: bool, coin: random.Random) -> DistinguisherVerdict:
     return DistinguisherVerdict(1 if coin.random() < 0.5 else 2, COIN_FLIP)
 
 
-class _LastDecision:
-    """The last trace one arm of a chunk produced and whether it held the dense partition.
-
-    Traces are compared with ``AccessSequence.cheap_eq``, so a repeating trace
-    is never built: a pair it cannot compare counts as a miss, one greedy call.
-    """
-
-    __slots__ = ("trace", "found")
-
-    def __init__(self):
-        self.trace, self.found = None, False
-
-    def decide(self, trace: AccessSequence, n: int, k: int) -> bool:
-        if self.trace is None or not self.trace.cheap_eq(trace):
-            self.trace, self.found = trace, _has_dense_partition(trace, n, k)
-        return self.found
-
-
-def _trial_trace(engine: str, config: OramConfig, y: InputSequence, engine_seed: int | None) -> AccessSequence:
-    """The adversary's view of one engine run on y; the run's server is freed on return."""
-    _, server = run_sequence(engine, config, y, engine_seed, record_meta=False)
-    return adversary_view(server)
-
-
 def _trial_decisions(engine, config, k, seed, salt, trials, inputs):
-    """Whether each trial t, run on the next of inputs from engine seed (seed, t, salt), finds the dense k-partition:
-    a trace equal to the last one reuses its decision, and a seed-free engine gets no seed and no rerun on one y."""
-    seeded, last, y_last = engine not in SEED_FREE_ENGINES, _LastDecision(), None
+    """Whether each trial t, run on the next of inputs from engine seed (seed, t, salt), finds the dense k-partition.
+
+    The one place the estimators reuse work.  A seed-free engine gets no seed
+    and is not run again on the input it ran last.  A trace equal to the last
+    one decided reuses its decision; traces are compared with
+    ``AccessSequence.cheap_eq``, so a repeating trace is never built, and a
+    pair it cannot compare counts as a miss, one greedy call.
+    """
+    seeded, last, y_last = engine not in SEED_FREE_ENGINES, None, None
     for t, y in zip(trials, inputs):
         if seeded or y is not y_last:
             engine_seed = derive_seed(seed, t, salt) if seeded else None
-            found = last.decide(_trial_trace(engine, config, y, engine_seed), len(y), k)
+            trace = adversary_view(run_sequence(engine, config, y, engine_seed, record_meta=False)[1])
+            if last is None or not last.cheap_eq(trace):
+                last, found = trace, _has_dense_partition(trace, len(y), k)
         y_last = y
         yield found
 
@@ -203,7 +185,7 @@ def estimate_advantage(
     seed-free one once per input and chunk) and reports both guess-1
     frequencies, their absolute difference, and a 95% normal-approximation
     half-width floored at 1/trials.  Each trial decides as ``distinguish``
-    does, and a trace equal to the arm's last one reuses its decision.
+    does; ``_trial_decisions`` holds the rule by which an arm reuses a decision.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -242,8 +224,8 @@ def dense_partition_frequency(
     jobs: int = 1,
 ) -> Fraction:
     """Fraction of fresh (workload sample, engine run) trials whose access
-    graph admits an (n/5k)-dense k-partition; a trace equal to the previous
-    trial's reuses its decision."""
+    graph admits an (n/5k)-dense k-partition; ``_trial_decisions`` holds the
+    rule by which a trial reuses a decision."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if k < 1:

@@ -65,9 +65,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("ORAMLAB_SEED")
-    if env is not None:
+    if env is None:
+        raise _UsageError("a seed is required: pass --seed or set ORAMLAB_SEED")
+    try:
         return int(env)
-    raise _UsageError("a seed is required: pass --seed or set ORAMLAB_SEED")
+    except ValueError:
+        raise _UsageError(f"ORAMLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _config_for(args, n: int) -> OramConfig:

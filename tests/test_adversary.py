@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
+    ENGINE_NAMES,
     OramConfig,
     WorkloadShapeError,
+    WorkloadSpec,
     adversary_view,
     dense_partition_frequency,
     distinguish,
     estimate_advantage,
     gen_alternating_sequence,
     gen_write_read_blocks,
+    instantiate_workload,
     parse_block_shape,
     run_sequence,
     statistical_distance_empirical,
@@ -22,7 +26,7 @@ from oramlab import (
 )
 from oramlab import adversary
 from oramlab._util import derive_seed
-from oramlab.adversary import COIN_FLIP, NO_PARTITION, _has_dense_partition, _LastDecision, trace_digest
+from oramlab.adversary import COIN_FLIP, NO_PARTITION, _has_dense_partition, trace_digest
 from oramlab.orams import SEED_FREE_ENGINES
 from oramlab.server import AccessSequence
 
@@ -306,6 +310,43 @@ def test_a_trial_builds_its_coin_only_to_flip_it(monkeypatch):
     assert est.p1_on_y == 1 and 0 < est.p1_on_yprime < 1
 
 
+def _decisions_without_reuse(engine, config, k, seed, salt, trials, inputs):
+    """One fresh engine run and one greedy call per trial, seeded as the estimators seed it."""
+    found = []
+    for t, y in zip(trials, inputs):
+        engine_seed = None if engine in SEED_FREE_ENGINES else derive_seed(seed, t, salt)
+        _, srv = run_sequence(engine, config, y, engine_seed, record_meta=False)
+        found.append(_has_dense_partition(adversary_view(srv), len(y), k))
+    return found
+
+
+@given(
+    engine=st.sampled_from(ENGINE_NAMES),
+    half=st.integers(1, 20),
+    family=st.sampled_from(["alt", "blocks"]),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+    salt=st.integers(0, 7),
+    start=st.integers(0, 40),
+    count=st.integers(1, 8),
+)
+@settings(max_examples=60, deadline=None)
+def test_trial_decisions_equal_one_fresh_run_per_trial(engine, half, family, data, seed, salt, start, count):
+    """Over a fixed input, as an advantage arm, and over a fresh input per trial, as frequency."""
+    n, k = 2 * half, data.draw(st.integers(1, half), label="k")
+    trials = range(start, start + count)
+
+    def sample(s):
+        return instantiate_workload(WorkloadSpec(family, n, k, s), ORACLE_CFG.w)[0]
+
+    y = sample(seed)
+    fixed = list(adversary._trial_decisions(engine, ORACLE_CFG, k, seed, salt, trials, repeat(y)))
+    assert fixed == _decisions_without_reuse(engine, ORACLE_CFG, k, seed, salt, trials, repeat(y))
+    fresh = [sample(derive_seed(seed, t, 3)) for t in trials]
+    got = list(adversary._trial_decisions(engine, ORACLE_CFG, k, seed, salt, trials, iter(fresh)))
+    assert got == _decisions_without_reuse(engine, ORACLE_CFG, k, seed, salt, trials, fresh)
+
+
 def test_last_decision_reuses_only_traces_it_compares_unbuilt(monkeypatch):
     period = np.repeat(np.arange(1, 9), 2)
     traces = [
@@ -322,9 +363,12 @@ def test_last_decision_reuses_only_traces_it_compares_unbuilt(monkeypatch):
     calls = []
     greedy = adversary.greedy_dense_partition
     monkeypatch.setattr(adversary, "greedy_dense_partition", lambda *args: calls.append(args) or greedy(*args))
+    runs = iter(traces)  # each run of the seeded engine gives the next scripted trace as its view
+    monkeypatch.setattr(adversary, "run_sequence", lambda *args, **kwargs: (None, next(runs)))
+    monkeypatch.setattr(adversary, "adversary_view", lambda trace: trace)
     monkeypatch.setattr(AccessSequence, "addrs", property(lambda seq: pytest.fail("a trace was built")))
-    last = _LastDecision()
-    assert [last.decide(t, 40, 1) for t in traces] == want
+    y = gen_alternating_sequence(40)
+    assert list(adversary._trial_decisions("tree", ORACLE_CFG, 1, 0, 1, range(7), repeat(y))) == want
     assert len(calls) == 4
 
 

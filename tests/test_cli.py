@@ -100,6 +100,17 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["frequency"] == 1.0
 
 
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_a_non_integer_env_seed_is_refused_by_name(monkeypatch, capsys, value):
+    """The refusal names ORAMLAB_SEED and the value it got; --seed still wins over a bad value."""
+    monkeypatch.setenv("ORAMLAB_SEED", value)
+    argv = ("frequency", "--engine", "passthrough", "--n", "40", "--k", "2", "--trials", "5")
+    assert run_cli(*argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"oramlab: usage error: ORAMLAB_SEED must be an integer, got {value!r}\n"
+    assert run_cli(*argv, "--seed", "11") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["frequency"] == 1.0
+
+
 def test_analyze_emits_report_and_csv(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     run_cli("trace", "--engine", "passthrough", "--workload", "blocks:n=40,k=2,seed=3",
