@@ -10,7 +10,9 @@ for a test that reaches it.  Module and class bodies run at import, before
 tracing starts, so only statements inside functions are counted.
 
 The list covers every subcommand on every engine at small sizes, then the
-argv shapes of the benchmark's four workloads at reduced sizes.  Every run
+argv shapes of the benchmark's four workloads at reduced sizes, then an
+``analyze`` of one hand-edited trace written in the parts of the grammar of
+docs/formats.md that ``write_trace`` never writes.  Every run
 that takes ``--jobs`` gets ``--jobs 1``: pool workers are not traced.
 
 Usage:
@@ -35,7 +37,7 @@ PACKAGE = Path(oramlab.__file__).resolve().parent
 
 
 def traffic(tmp: str) -> list[list[str]]:
-    """The fixed argv list; trace files and other outputs go under tmp."""
+    """The fixed argv list; trace files and other outputs go under tmp, where the hand-edited trace is written."""
     runs = []
     for engine in ENGINE_NAMES:
         run, trace = ["--engine", engine, "--seed", "1"], f"{tmp}/{engine}.trace"
@@ -62,6 +64,13 @@ def traffic(tmp: str) -> list[list[str]]:
            "--trials", "20", "--m", "1", "--seed", seed, "--jobs", "1"]
           for engine, n, k in (("passthrough", 40, 4), ("dummy-encoder", 40, 4), ("linear-scan", 20, 2))),
     ]
+    # \r\n line ends (none after the last line), a padded, a signed and an underscored address, a blank line
+    edited = Path(tmp) / "edited.trace"
+    edited.write_bytes(b"\r\n".join([
+        b"#format=oramlab-trace/1", b"#engine=passthrough", b"#workload=alt:n=2", b"#n=2", b"#m=1", b"#M=4",
+        b"#w=4", b"#seed=0", b"#N=4", b"#op 0", b" 1 ", b"+2", b"", b"#op 1", b"1_2", b"4",
+    ]))
+    runs.append(["analyze", "--trace", str(edited)])
     return runs
 
 

@@ -104,7 +104,7 @@ def alice_encode(
         lo, step = lo + step, 4 * step
         held = held[server.last_writers()[held] < we]  # read-block ops write as ops >= rs = we
     srcs = server.read_src_column()
-    hit = (server.kind_column() == 0) & (srcs >= ws) & (srcs < we)
+    hit = (srcs >= ws) & (srcs < we)  # a write's read_src is NO_WRITER, below every ws
     addrs = server.addr_column(mark)[hit]
     contents = server.data_column()[hit]
     matched = tuple(zip(addrs.tolist(), contents.tolist()))

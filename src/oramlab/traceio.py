@@ -7,14 +7,16 @@ marks wrap-up probes after the last op); analyses must ignore those lines.
 The format is documented in docs/formats.md and round-trips byte-exactly.
 Reading rejects unknown engines, a header no run can have (one that
 ``OramConfig`` or ``bind_workload_length`` refuses) and addresses outside
-[1, 2^w], the range the server enforces on every probe.  Both directions
-work in bulk.  The reader splits the file's bytes into lines once, header
-included: every line of 1 to 18 digits is parsed in one numpy pass, and
-one loop strips and classifies every other line once,
-as a blank, an ``#op`` mark, a header key or an address read through
-``int()`` (a padded, signed or underscored one).  The writer formats every
-address in one numpy pass, as ``graph_export`` formats edges, and
-``write_output``, the one writer of every CLI output, reads '-' as stdout.
+[1, min(2^w, 2^63 - 1)], the range the server enforces on every probe as
+far as an int64 holds it.  Both directions work in bulk and lay the header
+out from one key table.  ``read_trace`` splits the file's bytes into lines
+once, header included, and keeps only each line's end, width, address flag
+and value: every line of 1 to 18 digits is parsed in one numpy pass, and one
+loop strips and classifies every other line once, as a blank, an ``#op``
+mark, a header key or an address read through ``int()`` (a padded, signed
+or underscored one).  The writer formats every address in one numpy pass,
+as ``graph_export`` formats edges, and ``write_output``, the one writer of
+every CLI output, reads '-' as stdout.
 """
 
 from __future__ import annotations
@@ -107,10 +109,7 @@ def write_output(data: bytes, path) -> None:
 
 
 def write_trace(tf: TraceFile, path) -> None:
-    header = (
-        f"#format={TRACE_FORMAT}\n#engine={tf.engine}\n#workload={tf.workload}\n"
-        f"#n={tf.n}\n#m={tf.m}\n#M={tf.M}\n#w={tf.w}\n#seed={tf.seed}\n#N={tf.N}\n"
-    )
+    header = "".join(f"#{key}={TRACE_FORMAT if key == 'format' else getattr(tf, key)}\n" for key in _HEADER_KEYS)
     body, ends = _decimal_lines(tf.addrs)
     if tf.op_index is not None and len(ends):
         ops = tf.op_index
@@ -132,40 +131,6 @@ def graph_export(tf: TraceFile, fmt: str) -> bytes:
     return dot[:-2] + b"}\n"  # the last line's indent gives way to the closing brace
 
 
-def _body_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
-    """Split raw into lines and parse the digit-only ones in bulk.
-
-    Returns each line's value (0 where not parsed), each line's width, and
-    (line index, stripped text) for every line that is not 1-18 digits.
-    """
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    ends = newlines if raw.endswith(b"\n") or not len(buf) else np.append(newlines, len(buf))
-    starts = np.empty_like(ends)
-    starts[:1], starts[1:] = 0, ends[:-1] + 1
-    widths = ends - starts
-    slow = widths > 18  # 18 digits always fit in int64
-    not_digit = buf - ord("0") >= 10
-    not_digit[newlines] = False  # a byte other than a digit or a newline sends its line to the slow path
-    slow[np.searchsorted(ends, np.flatnonzero(not_digit))] = True
-    values = np.zeros(len(ends), dtype=np.int64)
-    fast_widths = np.where(slow, 0, widths)
-    for width in (np.flatnonzero(np.bincount(fast_widths)[1:]) + 1).tolist():
-        rows = fast_widths == width
-        pos = starts[rows]
-        acc = buf[pos].astype(np.int64)
-        for _ in range(width - 1):
-            pos += 1
-            acc *= 10
-            acc += buf[pos]
-        values[rows] = acc - ord("0") * (10**width - 1) // 9  # each digit byte carried ord("0") along
-    at = np.flatnonzero(slow)
-    others = [
-        (i, raw[b:e].decode("ascii").strip()) for i, b, e in zip(at.tolist(), starts[at].tolist(), ends[at].tolist())
-    ]
-    return values, widths, others
-
-
 def read_trace(path) -> TraceFile:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -173,28 +138,42 @@ def read_trace(path) -> TraceFile:
         raise ValueError("trace file holds a byte outside ASCII")
     if b"\r" in raw:  # universal newlines
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    values, widths, others = _body_lines(raw)
-    is_addr = widths > 0
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    widths = np.diff(ends, prepend=-1) - 1  # a line starts at its end minus its width
+    # a line of 1 to 18 digits is parsed in bulk (18 digits always fit in int64), any other one on its own
+    is_addr = (widths > 0) & (widths <= 18)
+    is_addr[np.searchsorted(ends, np.flatnonzero((buf - ord("0") >= 10) & (buf != ord("\n"))))] = False
+    others = np.flatnonzero(~is_addr & (widths > 0))
+    values = np.zeros(len(ends), dtype=np.int64)
+    for width in np.flatnonzero(np.bincount(widths[is_addr])).tolist():
+        rows = is_addr & (widths == width)
+        pos = ends[rows]
+        pos -= width
+        acc = buf[pos].astype(np.int64)
+        for _ in range(width - 1):
+            pos += 1
+            acc *= 10
+            acc += buf[pos]
+        values[rows] = acc - ord("0") * (10**width - 1) // 9  # each digit byte carried ord("0") along
     keys: list[str] = []
     header: dict[str, str] = {}
-    key_at = 0  # the last header line; no address comes before it
-    marks: list[str] = []  # each #op line's index
-    mark_at: list[int] = []
-    texts: list[str] = []  # the address lines not parsed in bulk, in order
-    text_at: list[int] = []
-    for i, line in others:
+    first = int(np.argmax(is_addr)) if is_addr.any() else len(ends)  # the first address line
+    marks: list[tuple[int, str]] = []  # (line index, #op index)
+    texts: list[tuple[int, str]] = []  # (line index, an address not parsed in bulk)
+    for i, end, width in zip(others.tolist(), ends[others].tolist(), widths[others].tolist()):
+        line = raw[end - width : end].decode("ascii").strip()
         if line and not line.startswith("#"):
-            texts.append(line)
-            text_at.append(i)
-            continue
-        is_addr[i] = False
-        if line.startswith("#op "):
-            marks.append(line[4:])
-            mark_at.append(i)
+            texts.append((i, line))
+            is_addr[i] = True
+            first = min(first, i)
+        elif line.startswith("#op "):
+            marks.append((i, line[4:]))
         elif line:
-            if is_addr[key_at:i].any():
+            if i > first:
                 raise ValueError(f"trace header line {line!r} after the first address")
-            key_at = i
             key, _, val = line[1:].partition("=")
             keys.append(key)
             header[key] = val
@@ -212,21 +191,22 @@ def read_trace(path) -> TraceFile:
         OramConfig(m, M, w).bind_workload_length(n)
     except ModelViolationError as exc:
         raise ValueError(f"trace header fits no run: {exc}") from None
-    out_of_range = ValueError(f"trace has an address outside [1, 2^{w}]")
+    top = f"2^{w}" if w < 63 else "2^63 - 1"  # an int64 holds no more
+    out_of_range = ValueError(f"trace has an address outside [1, {top}]")
     op_index = None
     if marks:  # an address takes the index of the last #op line before it, else -1
         try:
-            ops = np.array(marks, dtype=np.int64)
+            ops = np.array([mark for _, mark in marks], dtype=np.int64)
         except OverflowError:
             raise ValueError("trace has an #op index outside int64") from None
-        starts = np.cumsum(is_addr)[mark_at]  # addresses before each #op line
+        starts = np.cumsum(is_addr)[[i for i, _ in marks]]  # addresses before each #op line
         op_index = np.repeat(np.append(-1, ops), np.diff(starts, prepend=0, append=n_addrs))
     try:
-        values[text_at] = np.array(texts, dtype=np.int64)
+        values[[i for i, _ in texts]] = np.array([text for _, text in texts], dtype=np.int64)
     except OverflowError:
         raise out_of_range from None
-    # when every line after the header is an address, as write_trace writes them, keep them a view
-    addr_array = values[key_at + 1 :] if n_addrs == len(values) - key_at - 1 else values[is_addr]
+    # when every line from the first address on is one, as write_trace writes them, keep them a view
+    addr_array = values[first:] if n_addrs == len(values) - first else values[is_addr]
     if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << w:
         raise out_of_range
     return TraceFile(

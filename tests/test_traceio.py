@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,11 @@ _HEADER_W63 = "#format=oramlab-trace/1\n#engine=tree\n#workload=alt:n=2\n#n=2\n#
 @example(text=_HEADER_W63 + "#N=2\n5\n7")  # a last line with no newline after it
 @example(text=_HEADER_W63 + "#N=2\n#op 0\n" + "0" * 20 + "7\n" + "1" * 19)
 @example(text=_HEADER_W63 + f"#N=3\n{'9' * 18}\n{2**63 - 1}\n{'0' * 17}1\n")  # all three accepted
+@example(text=_HEADER_W63 + "#N=1\n 5\n#x=1\n")  # a header line after a first address read through int()
+@example(text=_HEADER_W63 + "#N=1\n+5\n#x=1\n")
+@example(text=_HEADER_W63 + "#N=1\n5\n#op 3")  # a last #op line with no newline after it
+@example(text="\n\n\n")  # blank lines only
+@example(text=_HEADER_W63.replace("\n", "\r") + "#N=2\r5\r7")  # \r line ends, none after the last address
 @settings(max_examples=400, deadline=None)
 def test_read_trace_matches_line_oracle(tmp_path_factory, text):
     """On mutated trace texts the reader and the line-by-line oracle return the
@@ -369,6 +375,32 @@ def test_read_trace_accepts_the_top_address(tmp_path):
     write_trace(tf, p)
     p.write_text(p.read_text().replace("\n1\n", f"\n{2**16}\n", 1))
     assert read_trace(p).addrs.max() == 2**16
+
+
+def test_a_w63_trace_refuses_2_to_the_63_as_outside_what_an_int64_holds(tmp_path):
+    p = tmp_path / "t.trace"
+    p.write_text(_HEADER_W63 + f"#N=1\n{2**63 - 1}\n")
+    assert read_trace(p).addrs.tolist() == [2**63 - 1]
+    p.write_text(_HEADER_W63 + f"#N=1\n{2**63}\n")
+    with pytest.raises(ValueError, match=r"^trace has an address outside \[1, 2\^63 - 1\]$"):
+        read_trace(p)
+
+
+def test_read_trace_peaks_under_60_bytes_a_line(tmp_path):
+    """Reading a write_trace file keeps a few arrays of one entry a line alive at once, the result included."""
+    n = 200_000
+    tf = TraceFile(engine="tree", workload="alt:n=2", n=2, m=1, M=4, w=16, seed=0,
+                   addrs=np.random.default_rng(1).integers(1, 2**16 + 1, n))
+    p = tmp_path / "t.trace"
+    write_trace(tf, p)
+    tracemalloc.start()
+    try:
+        back = read_trace(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.addrs, tf.addrs)
+    assert peak < 60 * n
 
 
 def test_read_trace_accepts_M_up_to_2_to_the_w(tmp_path):
