@@ -10,8 +10,10 @@ earliest close is never a mistake and the greedy is complete as well as
 sound.  Monotonicity also means the earliest close can be searched for:
 window lengths gallop upward from 2*ceil(ell) (a cut crossed by t edges needs
 2t vertices) until one is feasible, then bisection finds the smallest.  Each
-probe derives the window's edges with one stable sort and reads every cut's
-crossing count off a prefix sum, so only the windows examined are touched.
+gallop derives the window's ``pred`` with one stable sort (``predecessors``);
+a shorter window's ``pred`` is that array's prefix, so bisection sorts
+nothing.  Every cut's crossing count is read off a prefix sum, so only the
+windows examined are touched.
 The test suite audits it against an exhaustive oracle that shares none of
 its logic.
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import as_fraction, frac_ceil, is_power_of_4, powers_of_4_up_to
-from .graph import AccessGraph, consecutive_pairs
+from .graph import AccessGraph, predecessors
 
 
 class CertificateError(ValueError):
@@ -60,13 +62,14 @@ class Partition:
         return [(bs[2 * i], bs[2 * i + 1], bs[2 * i + 2]) for i in range(self.k)]
 
 
-def _first_heavy_cut(u: np.ndarray, v: np.ndarray, length: int, threshold: int) -> int | None:
-    """Smallest window-local cut c in [0, length] crossed by at least threshold
-    of the window's edges (u < c <= v), or None."""
-    crossing = np.cumsum(
-        np.bincount(u + 1, minlength=length + 1) - np.bincount(v + 1, minlength=length + 1)
-    )
-    c = int(np.argmax(crossing >= threshold))
+def _first_heavy_cut(pred: np.ndarray, threshold: int) -> int | None:
+    """Smallest window-local cut c in [0, len(pred)] crossed by at least threshold
+    of the window's edges (pred[v] < c <= v), or None."""
+    delta = np.bincount(pred + 1, minlength=len(pred) + 1)
+    delta[0] = 0  # first occurrences (pred -1) start no edge
+    delta[1:] -= pred >= 0  # an edge into v crosses no cut past v
+    crossing = delta.cumsum()
+    c = int((crossing >= threshold).argmax())
     return c if crossing[c] >= threshold else None
 
 
@@ -78,22 +81,21 @@ def _close_part(graph: AccessGraph, b: int, threshold: int) -> tuple[int, int] |
     if b + hi > n:
         return None
     while True:
-        u, v = consecutive_pairs(graph.trace.window(b, b + hi), *graph.trace.bounds)
-        cut = _first_heavy_cut(u, v, hi, threshold)
+        pred = predecessors(graph.trace.window(b, b + hi), *graph.trace.bounds)
+        cut = _first_heavy_cut(pred, threshold)
         if cut is not None:
             break
         if b + hi == n:
             return None
         lo, hi = hi, min(2 * hi, n - b)
-    # a shorter window's edges are the longer one's edges that end inside it
+    # a shorter window's pred is the longer one's prefix
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        keep = v < mid
-        mid_cut = _first_heavy_cut(u[keep], v[keep], mid, threshold)
+        mid_cut = _first_heavy_cut(pred[:mid], threshold)
         if mid_cut is None:
             lo = mid
         else:
-            hi, cut, u, v = mid, mid_cut, u[keep], v[keep]
+            hi, cut = mid, mid_cut
     return b + cut, b + hi
 
 
@@ -151,10 +153,11 @@ class PartitionCertificate:
 
         Raises CertificateError unless each key k is a power of 4 whose witness
         has k parts and ends at N, the witnesses' crossing edges (one mask over
-        ``edge_arrays()``) number at least the bound, and each witness is (base_ell/k)-dense.
+        their targets: each vertex has at most one edge in) number at least the
+        bound, and each witness is (base_ell/k)-dense.
         """
         graph = self.graph
-        exhibited = np.zeros(graph.edge_count, dtype=bool)
+        exhibited = np.zeros(graph.N, dtype=bool)
         fewest = {}  # each witness's smallest part crossing count
         for k, partition in self.witnessed.items():
             if not is_power_of_4(k):

@@ -121,7 +121,7 @@ def write_trace(tf: TraceFile, path) -> None:
 
 
 def graph_export(tf: TraceFile, fmt: str) -> bytes:
-    """The access graph of tf's addresses, one edge a line in increasing target order:
+    """The access graph of tf's addresses, one edge (pred[v], v) a line in increasing target order v:
     ``u v`` lines for fmt "edges", ``  u -> v;`` lines inside ``digraph access { }`` for "dot"."""
     u, v = AccessGraph(tf.addrs).edge_arrays()
     pairs, _ = _decimal_lines(np.column_stack((u, v)).ravel(), b" \n")

@@ -2,11 +2,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oramlab import AccessGraph, AccessSequence
-from oramlab.graph import consecutive_pairs
+from oramlab.graph import predecessors
 
 from conftest import (
     assert_graph_invariants,
@@ -36,8 +36,13 @@ def test_consecutive_occurrences_only():
 
 def test_empty_trace():
     g = AccessGraph([])
-    assert g.N == 0 and g.edge_count == 0
+    assert g.N == 0 and len(g.edge_arrays()[1]) == 0
     assert len(g.crossing_edges(0, 0, 0)) == 0
+
+
+def test_repr_builds_no_pred():
+    g = AccessGraph([5, 7, 5, 7])
+    assert repr(g) == "AccessGraph(N=4)" and g._pred is None
 
 
 def test_crossing_examples():
@@ -94,18 +99,16 @@ def test_crossing_edges_match_brute_force_edge_set(addrs, data):
     m = data.draw(st.integers(a, g.N))
     b = data.draw(st.integers(m, g.N))
     at = g.crossing_edges(a, m, b)
-    assert at.tolist() == sorted(set(at.tolist()))  # distinct positions in edge_arrays() order
-    u, v = g.edge_arrays()
-    assert list(zip(u[at].tolist(), v[at].tolist())) == brute_force_crossing_edges(addrs, a, m, b)
+    assert at.tolist() == sorted(set(at.tolist()))  # distinct targets, increasing
+    assert list(zip(g.pred[at].tolist(), at.tolist())) == brute_force_crossing_edges(addrs, a, m, b)
 
 
 def test_crossing_edges_lie_in_their_window():
     addrs = [1, 2, 1, 3, 2, 1, 3]
     g = AccessGraph(addrs)
-    u, v = g.edge_arrays()
     for a, m, b in [(0, 3, 7), (1, 2, 5), (0, 0, 7), (2, 4, 6)]:
         at = g.crossing_edges(a, m, b)
-        window = list(zip(u[at].tolist(), v[at].tolist()))
+        window = list(zip(g.pred[at].tolist(), at.tolist()))
         assert len(window) == brute_force_crossing(addrs, a, m, b)
         assert all(a <= u < m <= v < b for u, v in window)
 
@@ -116,7 +119,6 @@ class _StubGraph:
     def __init__(self, n, edges):
         self.N, self.trace = n, AccessSequence(np.arange(n))
         self._u, self._v = (np.array(side, dtype=np.int64) for side in zip(*edges))
-        self.edge_count = len(edges)
 
     def edge_arrays(self):
         return self._u, self._v
@@ -157,25 +159,49 @@ def test_graph_from_edges_rejects_degree_violations():
 @pytest.mark.parametrize("top", [2**16 - 1, 2**16, 2**16 + 1, 2**40])
 @pytest.mark.parametrize("lo", [0, 1, -3])
 def test_consecutive_pairs_match_the_int64_sort(lo, top):
-    """Keys sorted as uint16 below 2^16 and as int64 from 2^16 on give the
-    edges, in the same order, that a stable sort of the int64 keys gives."""
+    """Keys sorted as uint16 below 2^16 and as int64 from 2^16 on give
+    predecessors the consecutive-occurrence pairs a stable sort of the int64 keys gives."""
     rng = np.random.default_rng(top + lo)
     pool = np.array([lo, lo + 1, 2**16 - 2, 2**16 - 1, top - 1, top], dtype=np.int64)
     addrs = pool[rng.integers(0, len(pool), 4000)]
     addrs[[0, -1]] = lo, top
     order = np.argsort(addrs, kind="stable")
     same = addrs[order][1:] == addrs[order][:-1]
-    u, v = consecutive_pairs(addrs, *AccessSequence(addrs).bounds)
-    assert np.array_equal(u, order[:-1][same]) and np.array_equal(v, order[1:][same])
-    assert len(u) == len(addrs) - len(np.unique(addrs))
+    want = np.full(len(addrs), -1, dtype=np.int64)
+    want[order[1:][same]] = order[:-1][same]
+    pred = predecessors(addrs, *AccessSequence(addrs).bounds)
+    assert pred.dtype == np.int64 and np.array_equal(pred, want)
+    assert np.count_nonzero(pred >= 0) == len(addrs) - len(np.unique(addrs))
 
 
 def test_consecutive_pairs_of_no_address():
     seq = AccessSequence(np.empty(0, dtype=np.int64))
     assert seq.bounds == (0, 0)
-    u, v = consecutive_pairs(seq.addrs, *seq.bounds)
-    assert len(u) == len(v) == 0
-    assert AccessGraph(seq).edge_count == 0
+    assert len(predecessors(seq.addrs, *seq.bounds)) == 0
+    assert len(AccessGraph(seq).edge_arrays()[1]) == 0
+
+
+_NARROW = [1, 2, 3, 2**16 - 1]  # every address below 2^16: the uint16 sort from RADIX_MIN_KEYS keys on
+_WIDE = _NARROW + [2**16, 2**16 + 1, 2**40]
+_PERIODS = st.one_of(*(st.lists(st.sampled_from(pool), min_size=1, max_size=130) for pool in (_NARROW, _WIDE)))
+
+
+@given(period=_PERIODS, reps=st.integers(0, 3), b=st.integers(0, 400), span=st.integers(0, 400))
+@example(period=_NARROW * 33, reps=1, b=0, span=400)  # 132 keys below 2^16: the uint16 sort
+@example(period=_NARROW * 11 + [2**16], reps=3, b=2, span=400)  # a top at 2^16: the int64 sort
+@settings(max_examples=100, deadline=None)
+def test_a_shorter_windows_pred_is_a_longer_windows_prefix(period, reps, b, span):
+    """predecessors(w)[:j] == predecessors(w[:j]) for every j, on windows of a repeating
+    trace whose tops lie either side of 2^16 and whose lengths lie either side of
+    RADIX_MIN_KEYS: the greedy's bisection reads a window's pred off a longer one's prefix."""
+    seq = AccessSequence.repeating(period, reps)
+    b = min(b, seq.N)
+    e = min(b + span, seq.N)
+    w = seq.window(b, e)
+    assert np.array_equal(w, np.tile(np.array(period, dtype=np.int64), reps)[b:e])
+    pred = predecessors(w, *seq.bounds)
+    for j in range(len(w) + 1):
+        assert np.array_equal(pred[:j], predecessors(w[:j], *seq.bounds))
 
 
 def test_bounds_of_a_repeating_trace_come_from_its_period():

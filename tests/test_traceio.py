@@ -403,6 +403,22 @@ def test_read_trace_peaks_under_60_bytes_a_line(tmp_path):
     assert peak < 60 * n
 
 
+def test_analyze_trace_peaks_under_32_bytes_a_probe():
+    """Certifying a tree trace holds its pred, one window's pred and the verify mask over
+    targets (about 26 bytes a probe), and no (u, v) edge arrays, which would add 14."""
+    n = 8192
+    tf = run_trace("tree", OramConfig(m=4, M=n, w=32), WorkloadSpec("blocks", n, 4), 9000)
+    assert tf.N == 917_504
+    tracemalloc.start()
+    try:
+        report = analyze_trace(tf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.certified_probe_bound > 0
+    assert peak < 32 * tf.N
+
+
 def test_read_trace_accepts_M_up_to_2_to_the_w(tmp_path):
     tf = _trace_file()  # w=16, M=10
     p = tmp_path / "t.trace"
