@@ -10,10 +10,12 @@ for a test that reaches it.  Module and class bodies run at import, before
 tracing starts, so only statements inside functions are counted.
 
 The list covers every subcommand on every engine at small sizes, then the
-argv shapes of the benchmark's four workloads at reduced sizes, then an
-``analyze`` of one hand-edited trace written in the parts of the grammar of
-docs/formats.md that ``write_trace`` never writes.  Every run
-that takes ``--jobs`` gets ``--jobs 1``: pool workers are not traced.
+argv shapes of the benchmark's four workloads at reduced sizes, then a
+trace long enough to span several blocks of each trace pass, written with
+``#op`` marks, analyzed and exported, then an ``analyze`` of one
+hand-edited trace written in the parts of the grammar of docs/formats.md
+that ``write_trace`` never writes.  Every run that takes ``--jobs`` gets
+``--jobs 1``: pool workers are not traced.
 
 Usage:
     PYTHONPATH=src python scripts/traffic_lines.py
@@ -52,10 +54,16 @@ def traffic(tmp: str) -> list[list[str]]:
             ["codec", *run, "--n", "16", "--k", "2", "--i", "2"],
             *(["graph-export", "--trace", trace, "--format", fmt] for fmt in ("edges", "dot")),
         ]
-    seed, tree = "9000", f"{tmp}/tree-report.trace"
+    seed, tree, blocks = "9000", f"{tmp}/tree-report.trace", f"{tmp}/blocks.trace"
     runs += [
         ["trace", "--engine", "tree", "--workload", "blocks:n=256,k=4", "--m", "4", "--seed", seed, "--out", tree],
         ["analyze", "--trace", tree],
+        # 90,112 probes: more than one block of the trace writer, the reader, pred and graph_export
+        ["trace", "--engine", "tree", "--workload", "blocks:n=1024,k=4", "--m", "4", "--seed", seed,
+         "--with-boundaries", "--out", blocks],
+        ["analyze", "--trace", blocks],
+        *(["graph-export", "--trace", blocks, "--format", fmt, "--out", f"{tmp}/blocks.{fmt}"]
+          for fmt in ("edges", "dot")),
         *(["frequency", "--engine", "linear-scan", "--n", "256", "--M", "256", "--m", "4", "--trials", "3",
            "--k", k, "--seed", seed, "--jobs", "1"] for k in ("1", "4")),
         *(["codec", "--engine", engine, "--n", "64", "--k", "2", "--m", "8", "--i", i, "--seed", seed]

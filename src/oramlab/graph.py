@@ -9,8 +9,9 @@ trace always has at least as many probes as its graph has edges.
 Indegree at most one makes one array the whole graph: ``pred[v]`` is the
 source of the edge into v, or -1, and every edge is ``(pred[v], v)``.
 Construction is lazy: the graph wraps an ``AccessSequence`` and builds
-``pred`` on first use (one stable sort); prefix-only analyses read
-``trace.window``s, which on a repeating trace never build the whole array (``pred`` does).
+``pred`` on first use (one stable sort, whose order fills ``pred`` a block
+at a time); prefix-only analyses read ``trace.window``s, which on a
+repeating trace never build the whole array (``pred`` does).
 ``predecessors`` is the only place edges are derived from addresses.
 """
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .server import AccessSequence, stable_order
+
+_BLOCK_PROBES = 1 << 16  # the sorted positions pred is filled from at a time
 
 
 def predecessors(addrs: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -29,12 +32,15 @@ def predecessors(addrs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     depends on addrs[:j] alone, so a window's pred is a longer window's prefix.
     """
     order = stable_order(addrs, lo, hi)
-    sorted_a = addrs[order]
-    same = sorted_a[1:] == sorted_a[:-1]
-    del sorted_a
     pred = np.empty_like(order)
-    pred[order[:1]] = -1  # the smallest key's first occurrence
-    pred[order[1:]] = np.where(same, order[:-1], -1)
+    for start in range(0, len(order), _BLOCK_PROBES):
+        seg = order[start - 1 if start else 0 : start + _BLOCK_PROBES]  # a block's positions and the one before
+        keys = addrs[seg]
+        same = keys[1:] == keys[:-1]
+        del keys  # np.where's result reuses its memory, which is faster than fresh pages
+        pred[seg[1:]] = np.where(same, seg[:-1], -1)
+        if not start:
+            pred[seg[0]] = -1  # the smallest key's first occurrence
     return pred
 
 

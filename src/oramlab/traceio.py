@@ -8,21 +8,25 @@ The format is documented in docs/formats.md and round-trips byte-exactly.
 Reading rejects unknown engines, a header no run can have (one that
 ``OramConfig`` or ``bind_workload_length`` refuses) and addresses outside
 [1, min(2^w, 2^63 - 1)], the range the server enforces on every probe as
-far as an int64 holds it.  Both directions work in bulk and lay the header
-out from one key table.  ``read_trace`` splits the file's bytes into lines
-once, header included, and keeps only each line's end, width, address flag
-and value: every line of 1 to 18 digits is parsed in one numpy pass, and one
+far as an int64 holds it.  Both directions work in bulk, a block at a time,
+and lay the header out from one key table.  ``read_trace`` reads the file
+as one bytes object and parses it in blocks of whole lines, about
+``_BLOCK`` bytes each, header included, into one int64 array of an entry a
+line, allocated once, whose front the addresses fill in order.  In each
+block every line of 1 to 18 digits is parsed in one numpy pass, and one
 loop strips and classifies every other line once, as a blank, an ``#op``
 mark, a header key or an address read through ``int()`` (a padded, signed
-or underscored one).  The writer formats every address in one numpy pass,
-as ``graph_export`` formats edges, and ``write_output``, the one writer of
-every CLI output, reads '-' as stdout.
+or underscored one).  The writer formats ``_BLOCK`` addresses at a time, as
+``graph_export`` formats edges, and ``write_output``, the one writer of
+every CLI output, writes each block as it is made and reads '-' as stdout:
+an output is whole only once its command has exited 0.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -36,6 +40,7 @@ from .partition import CertificateError, certified_bound, certify, edge_lower_bo
 
 TRACE_FORMAT = "oramlab-trace/1"
 _HEADER_KEYS = ("format", "engine", "workload", "n", "m", "M", "w", "seed", "N")
+_BLOCK = 1 << 16  # the numbers a writer formats, and the bytes the reader parses, at a time
 
 
 @dataclass
@@ -82,7 +87,8 @@ def _decimal_lines(values: np.ndarray, terminators: bytes = b"\n") -> tuple[byte
     """Non-negative ints as decimal lines, and each line's end offset; line i ends in terminators[i % len(terminators)].
 
     Digits come from repeated division by 10 into an (N, W+1) byte matrix whose last
-    column is the line's end; each row's leading zeros are masked off.
+    column is the line's end; each row's leading zeros are masked off.  Callers pass
+    at most ``_BLOCK`` values at a time.
     """
     values = np.asarray(values, dtype=np.int64)
     width = len(str(int(values.max()))) if len(values) else 1
@@ -99,36 +105,81 @@ def _decimal_lines(values: np.ndarray, terminators: bytes = b"\n") -> tuple[byte
     return digits[np.take(keep, lengths, axis=0)].tobytes(), np.cumsum(lengths)
 
 
-def write_output(data: bytes, path) -> None:
-    """data to the file at path, or to stdout when path is '-' or unset (None or empty)."""
+def write_output(data: bytes | Iterable[bytes], path) -> None:
+    """data, bytes or an iterable of byte blocks each written as it is made, to the file at path,
+    or to stdout when path is '-' or unset (None or empty)."""
+    blocks = (data,) if isinstance(data, bytes) else data
     if not path or path == "-":
-        sys.stdout.write(data.decode("ascii"))
+        sys.stdout.writelines(block.decode("ascii") for block in blocks)
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(blocks)
 
 
 def write_trace(tf: TraceFile, path) -> None:
+    """tf as a trace file at path (stdout for '-'): the header, then the body a block of lines at a time.
+
+    The file is open while its body is formatted, so a failure to format a block leaves
+    the file cut at a block edge, short of the addresses its header's ``#N`` counts."""
+    write_output(_trace_blocks(tf), path)
+
+
+def _trace_blocks(tf: TraceFile) -> Iterator[bytes]:
     header = "".join(f"#{key}={TRACE_FORMAT if key == 'format' else getattr(tf, key)}\n" for key in _HEADER_KEYS)
-    body, ends = _decimal_lines(tf.addrs)
-    if tf.op_index is not None and len(ends):
-        ops = tf.op_index
-        first = np.flatnonzero(np.r_[True, ops[1:] != ops[:-1]])  # each op's first probe
+    yield header.encode("ascii")
+    ops = tf.op_index
+    for start in range(0, tf.N, _BLOCK):
+        body, ends = _decimal_lines(tf.addrs[start : start + _BLOCK])
+        if ops is None:
+            yield body
+            continue
+        seg = ops[start : start + _BLOCK]
+        # each op's first probe in the block; one that began in an earlier block has its mark there
+        first = np.flatnonzero(np.r_[start == 0 or ops[start - 1] != seg[0], seg[1:] != seg[:-1]])
         cuts = np.append(0, ends)[first].tolist() + [len(body)]
-        marks = (b"#op %d\n" % op for op in ops[first].tolist())
-        body = b"".join(mark + body[a:b] for mark, a, b in zip(marks, cuts, cuts[1:]))
-    write_output(header.encode("ascii") + body, path)
+        marks = (b"#op %d\n" % op for op in seg[first].tolist())
+        yield body[: cuts[0]] + b"".join(mark + body[a:b] for mark, a, b in zip(marks, cuts, cuts[1:]))
 
 
-def graph_export(tf: TraceFile, fmt: str) -> bytes:
-    """The access graph of tf's addresses, one edge (pred[v], v) a line in increasing target order v:
-    ``u v`` lines for fmt "edges", ``  u -> v;`` lines inside ``digraph access { }`` for "dot"."""
-    u, v = AccessGraph(tf.addrs).edge_arrays()
-    pairs, _ = _decimal_lines(np.column_stack((u, v)).ravel(), b" \n")
-    if fmt == "edges":
-        return pairs or b"\n"
-    dot = b"digraph access {\n  " + pairs.replace(b" ", b" -> ").replace(b"\n", b";\n  ")
-    return dot[:-2] + b"}\n"  # the last line's indent gives way to the closing brace
+def graph_export(tf: TraceFile, fmt: str) -> Iterator[bytes]:
+    """The access graph of tf's addresses in byte blocks, one edge (pred[v], v) a line in increasing target
+    order v: ``u v`` lines for fmt "edges", ``  u -> v;`` lines inside ``digraph access { }`` for "dot"."""
+    pred = AccessGraph(tf.addrs).pred
+    if fmt == "dot":
+        yield b"digraph access {\n"
+    edges, targets = 0, -(-_BLOCK // 2)  # a block formats _BLOCK numbers, two an edge
+    for start in range(0, len(pred), targets):
+        v = start + np.flatnonzero(pred[start : start + targets] >= 0)
+        edges += len(v)
+        pairs, _ = _decimal_lines(np.column_stack((pred[v], v)).ravel(), b" \n")
+        if fmt == "dot":  # every line indented: the indent after the last one is cut off
+            pairs = (b"  " + pairs.replace(b" ", b" -> ").replace(b"\n", b";\n  "))[:-2]
+        yield pairs
+    if fmt == "dot":
+        yield b"}\n"
+    elif not edges:
+        yield b"\n"
+
+
+def _digit_lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per line of buf, ASCII bytes that end in a line end: where it ends, its width, whether it is
+    1 to 18 digits and nothing else (18 digits always fit in int64), and that line's value (else 0)."""
+    ends = np.flatnonzero(buf == ord("\n"))
+    widths = np.diff(ends, prepend=-1) - 1  # a line starts at its end minus its width
+    is_digits = (widths > 0) & (widths <= 18)
+    is_digits[np.searchsorted(ends, np.flatnonzero((buf - ord("0") >= 10) & (buf != ord("\n"))))] = False
+    values = np.zeros(len(ends), dtype=np.int64)
+    for width in np.flatnonzero(np.bincount(widths[is_digits])).tolist():
+        rows = is_digits & (widths == width)
+        pos = ends[rows]
+        pos -= width
+        acc = buf[pos].astype(np.int64)
+        for _ in range(width - 1):
+            pos += 1
+            acc *= 10
+            acc += buf[pos]
+        values[rows] = acc - ord("0") * (10**width - 1) // 9  # each digit byte carried ord("0") along
+    return ends, widths, is_digits, values
 
 
 def read_trace(path) -> TraceFile:
@@ -140,44 +191,44 @@ def read_trace(path) -> TraceFile:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if raw and not raw.endswith(b"\n"):
         raw += b"\n"
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    widths = np.diff(ends, prepend=-1) - 1  # a line starts at its end minus its width
-    # a line of 1 to 18 digits is parsed in bulk (18 digits always fit in int64), any other one on its own
-    is_addr = (widths > 0) & (widths <= 18)
-    is_addr[np.searchsorted(ends, np.flatnonzero((buf - ord("0") >= 10) & (buf != ord("\n"))))] = False
-    others = np.flatnonzero(~is_addr & (widths > 0))
-    values = np.zeros(len(ends), dtype=np.int64)
-    for width in np.flatnonzero(np.bincount(widths[is_addr])).tolist():
-        rows = is_addr & (widths == width)
-        pos = ends[rows]
-        pos -= width
-        acc = buf[pos].astype(np.int64)
-        for _ in range(width - 1):
-            pos += 1
-            acc *= 10
-            acc += buf[pos]
-        values[rows] = acc - ord("0") * (10**width - 1) // 9  # each digit byte carried ord("0") along
+    values = np.empty(raw.count(b"\n"), dtype=np.int64)  # the addresses fill its front, in order
+    n_addrs = 0
     keys: list[str] = []
     header: dict[str, str] = {}
-    first = int(np.argmax(is_addr)) if is_addr.any() else len(ends)  # the first address line
-    marks: list[tuple[int, str]] = []  # (line index, #op index)
-    texts: list[tuple[int, str]] = []  # (line index, an address not parsed in bulk)
-    for i, end, width in zip(others.tolist(), ends[others].tolist(), widths[others].tolist()):
-        line = raw[end - width : end].decode("ascii").strip()
-        if line and not line.startswith("#"):
-            texts.append((i, line))
-            is_addr[i] = True
-            first = min(first, i)
-        elif line.startswith("#op "):
-            marks.append((i, line[4:]))
-        elif line:
-            if i > first:
-                raise ValueError(f"trace header line {line!r} after the first address")
-            key, _, val = line[1:].partition("=")
-            keys.append(key)
-            header[key] = val
-    n_addrs = int(np.count_nonzero(is_addr))
+    marks: list[tuple[int, str]] = []  # (addresses before it, #op index)
+    texts: list[tuple[int, str]] = []  # (address index, an address not parsed in bulk)
+    start = 0
+    while start < len(raw):
+        # a block of whole lines: to the last line end within _BLOCK bytes, or to the first one after
+        stop = raw.rfind(b"\n", start, start + _BLOCK) + 1 or raw.index(b"\n", start) + 1
+        ends, widths, is_addr, block = _digit_lines(np.frombuffer(raw, np.uint8, stop - start, start))
+        ends += start
+        # the block's first address line, or -1 once an earlier block held one
+        first = -1 if n_addrs else int(np.argmax(is_addr)) if is_addr.any() else len(ends)
+        n_marks, n_texts = len(marks), len(texts)
+        others = np.flatnonzero(~is_addr & (widths > 0))  # read one at a time: marks, header keys, int() addresses
+        for i, end, width in zip(others.tolist(), ends[others].tolist(), widths[others].tolist()):
+            line = raw[end - width : end].decode("ascii").strip()
+            if line and not line.startswith("#"):
+                texts.append((i, line))
+                is_addr[i] = True
+                first = min(first, i)
+            elif line.startswith("#op "):
+                marks.append((i, line[4:]))
+            elif line:
+                if i > first:
+                    raise ValueError(f"trace header line {line!r} after the first address")
+                key, _, val = line[1:].partition("=")
+                keys.append(key)
+                header[key] = val
+        if len(marks) > n_marks or len(texts) > n_texts:  # the block's line indexes become address counts
+            upto = np.cumsum(is_addr) + n_addrs  # the addresses up to each line, that line included
+            marks[n_marks:] = [(int(upto[i]), op) for i, op in marks[n_marks:]]
+            texts[n_texts:] = [(int(upto[i]) - 1, text) for i, text in texts[n_texts:]]
+        kept = block[is_addr]
+        values[n_addrs : n_addrs + len(kept)] = kept
+        n_addrs += len(kept)
+        start = stop
     if keys != list(_HEADER_KEYS):
         raise ValueError(f"trace header keys {keys} are not exactly {list(_HEADER_KEYS)} in that order")
     if header["format"] != TRACE_FORMAT:
@@ -199,14 +250,13 @@ def read_trace(path) -> TraceFile:
             ops = np.array([mark for _, mark in marks], dtype=np.int64)
         except OverflowError:
             raise ValueError("trace has an #op index outside int64") from None
-        starts = np.cumsum(is_addr)[[i for i, _ in marks]]  # addresses before each #op line
+        starts = [at for at, _ in marks]
         op_index = np.repeat(np.append(-1, ops), np.diff(starts, prepend=0, append=n_addrs))
     try:
-        values[[i for i, _ in texts]] = np.array([text for _, text in texts], dtype=np.int64)
+        values[[at for at, _ in texts]] = np.array([text for _, text in texts], dtype=np.int64)
     except OverflowError:
         raise out_of_range from None
-    # when every line from the first address on is one, as write_trace writes them, keep them a view
-    addr_array = values[first:] if n_addrs == len(values) - first else values[is_addr]
+    addr_array = values[:n_addrs]
     if len(addr_array) and not 1 <= int(addr_array.min()) <= int(addr_array.max()) <= 1 << w:
         raise out_of_range
     return TraceFile(

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oramlab import ENGINE_NAMES, TreeOram, adversary, cli, core, read_trace
+from oramlab import ENGINE_NAMES, TreeOram, adversary, cli, core, read_trace, traceio
 from oramlab.cli import EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from oramlab.core import WORKLOAD_FAMILIES
 
@@ -617,6 +617,35 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys, module, name, ar
     monkeypatch.setattr(module, name, _out_of_memory)
     assert run_cli(*argv) == EXIT_IO
     assert capsys.readouterr().err == "oramlab: resource error: out of memory\n"
+
+
+def test_a_trace_cut_at_a_block_edge_is_refused(tmp_path, monkeypatch, capsys):
+    """trace --out opens its file, writes the header, then formats and writes the body a block at a
+    time; a failure at any block leaves the file cut at a block edge, and analyze refuses it by its #N."""
+    monkeypatch.setattr(traceio, "_BLOCK", 7)
+    format_block, out = traceio._decimal_lines, tmp_path / "t.trace"
+    argv = ("trace", "--engine", "tree", "--workload", "blocks:n=16,k=2", "--seed", "1", "--with-boundaries",
+            "--out", str(out))
+    cut = []
+    for blocks in range(100):
+        budget = iter(range(blocks))
+
+        def format_or_fail(*args):
+            if next(budget, None) is None:
+                raise MemoryError
+            return format_block(*args)
+
+        monkeypatch.setattr(traceio, "_decimal_lines", format_or_fail)
+        code = run_cli(*argv)
+        if code == EXIT_OK:
+            break
+        assert code == EXIT_IO and capsys.readouterr().err == "oramlab: resource error: out of memory\n"
+        cut.append(out.read_bytes())
+        assert run_cli("analyze", "--trace", str(out)) == EXIT_USAGE
+        assert "but body has" in capsys.readouterr().err
+    assert len(cut) == -(-read_trace(out).N // 7) > 1  # the header alone, then one more body block each
+    assert all(len(a) < len(b) and b.startswith(a) for a, b in zip(cut, cut[1:] + [out.read_bytes()]))
+    assert run_cli("analyze", "--trace", str(out)) == EXIT_OK
 
 
 class _RecordingPool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oramlab import AccessGraph, AccessSequence
+from oramlab import AccessGraph, AccessSequence, graph
 from oramlab.graph import predecessors
 
 from conftest import (
@@ -165,13 +165,34 @@ def test_consecutive_pairs_match_the_int64_sort(lo, top):
     pool = np.array([lo, lo + 1, 2**16 - 2, 2**16 - 1, top - 1, top], dtype=np.int64)
     addrs = pool[rng.integers(0, len(pool), 4000)]
     addrs[[0, -1]] = lo, top
+    pred = predecessors(addrs, *AccessSequence(addrs).bounds)
+    assert pred.dtype == np.int64 and np.array_equal(pred, _int64_sort_pred(addrs))
+    assert np.count_nonzero(pred >= 0) == len(addrs) - len(np.unique(addrs))
+
+
+def _int64_sort_pred(addrs: np.ndarray) -> np.ndarray:
+    """pred from one stable argsort of the int64 keys and one whole-trace pass over it."""
     order = np.argsort(addrs, kind="stable")
     same = addrs[order][1:] == addrs[order][:-1]
     want = np.full(len(addrs), -1, dtype=np.int64)
     want[order[1:][same]] = order[:-1][same]
-    pred = predecessors(addrs, *AccessSequence(addrs).bounds)
-    assert pred.dtype == np.int64 and np.array_equal(pred, want)
-    assert np.count_nonzero(pred >= 0) == len(addrs) - len(np.unique(addrs))
+    return want
+
+
+@given(
+    addrs=st.lists(st.integers(1, 4) | st.sampled_from([2**16 - 1, 2**16, 2**40]), max_size=300),
+    block=st.sampled_from([1, 2, 3, 7]),
+)
+@example(addrs=[1, 2] * 100, block=7)  # 200 keys below 2^16: the uint16 sort
+@example(addrs=[5], block=1)
+@settings(max_examples=150, deadline=None)
+def test_predecessors_in_blocks_match_the_int64_sort(addrs, block):
+    """Filled from a few sorted positions at a time, pred is still the one a whole-trace pass gives."""
+    addrs = np.array(addrs, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_BLOCK_PROBES", block)
+        pred = predecessors(addrs, *AccessSequence(addrs).bounds)
+    assert np.array_equal(pred, _int64_sort_pred(addrs))
 
 
 def test_consecutive_pairs_of_no_address():

@@ -24,7 +24,8 @@ from oramlab import (
     run_sequence,
     write_trace,
 )
-from oramlab.traceio import run_trace
+from oramlab import traceio
+from oramlab.traceio import graph_export, run_trace, write_output
 
 from conftest import ALL_ENGINES, reference_read_trace
 
@@ -214,6 +215,69 @@ def test_read_trace_matches_line_oracle(tmp_path_factory, text):
         assert got is not None and _same_trace(got, want)
 
 
+_BLOCKS = [1, 2, 3, 7]  # bytes a block of the reader, values a block of the writers
+
+
+def _read_or_message(path):
+    """read_trace's TraceFile, or the message it refuses the file with."""
+    try:
+        return read_trace(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(text=_mutated_trace_text(), block=st.sampled_from(_BLOCKS))
+@example(text=_HEADER_W63.replace("\n", "\r\n") + "#N=2\r\n5\r\n7\r\n", block=3)  # CRLF line ends
+@example(text=_HEADER_W63 + "#N=2\n" + "0" * 17 + "5\n7\n", block=7)  # a line longer than a block
+@example(text=_HEADER_W63 + "#N=3\n5\n6\n#op 1\n7\n", block=7)  # an #op mark alone in its block
+@example(text=_HEADER_W63 + "#N=2\n#op 4\n5\n#op -2\n7\n", block=1)  # every line a block of its own
+@example(text=_HEADER_W63 + "#N=1\n5\n#x=1\n", block=2)  # a header line in the block after an address
+@example(text=_HEADER_W63 + "#N=1\n#op 0\n5\n", block=7)  # the last header line and an #op mark, each a block
+@example(text=_HEADER_W63 + "#N=0\n", block=7)  # an empty body
+@settings(max_examples=300, deadline=None)
+def test_read_trace_in_blocks_matches_line_oracle(tmp_path_factory, text, block):
+    """Parsed a few bytes at a time, the reader accepts exactly what the line oracle accepts, returns
+    what it returns, and refuses the rest with the message of a one-block read."""
+    p = tmp_path_factory.getbasetemp() / "blocks.trace"
+    p.write_bytes(text.encode("ascii"))
+    one_block = _read_or_message(p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "_BLOCK", block)
+        got = _read_or_message(p)
+    want = _read_or_none(reference_read_trace, p)
+    if want is None:
+        assert isinstance(one_block, str) and got == one_block
+    else:
+        assert isinstance(got, TraceFile) and _same_trace(got, want)
+
+
+def _writer_outputs(tf: TraceFile, path) -> list[bytes]:
+    """The trace file of tf with and without its #op marks, and its graph's edges and dot exports."""
+    got = []
+    for op_index in (tf.op_index, None):
+        write_trace(dataclasses.replace(tf, op_index=op_index), path)
+        got.append(path.read_bytes())
+    return got + [b"".join(graph_export(tf, fmt)) for fmt in ("edges", "dot")]
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_writers_in_blocks_match_one_block(tmp_path, monkeypatch, block):
+    """Formatting a few values at a time, write_trace (an op's probes running across block edges)
+    and graph_export give the bytes of a one-block run, on edgeless and empty graphs too."""
+    traces = [
+        run_trace("tree", OramConfig(2, 64, 16), WorkloadSpec("blocks", 64, 2), 5, with_boundaries=True),
+        _trace_file(True, engine="dummy-encoder"),
+        dataclasses.replace(_trace_file(True), addrs=np.arange(1, 11), seed=4),  # no edge
+        TraceFile(engine="tree", workload="alt:n=0", n=0, m=1, M=4, w=16, seed=0,
+                  addrs=np.empty(0, dtype=np.int64), op_index=np.empty(0, dtype=np.int64)),
+    ]
+    p = tmp_path / "t.trace"
+    one_block = [_writer_outputs(tf, p) for tf in traces]
+    assert one_block[2][2:] == [b"\n", b"digraph access {\n}\n"] == one_block[3][2:]
+    monkeypatch.setattr(traceio, "_BLOCK", block)
+    assert [_writer_outputs(tf, p) for tf in traces] == one_block
+
+
 @given(
     w=st.sampled_from(sorted(_TOP)),
     data=st.data(),
@@ -386,37 +450,63 @@ def test_a_w63_trace_refuses_2_to_the_63_as_outside_what_an_int64_holds(tmp_path
         read_trace(p)
 
 
-def test_read_trace_peaks_under_60_bytes_a_line(tmp_path):
-    """Reading a write_trace file keeps a few arrays of one entry a line alive at once, the result included."""
-    n = 200_000
-    tf = TraceFile(engine="tree", workload="alt:n=2", n=2, m=1, M=4, w=16, seed=0,
-                   addrs=np.random.default_rng(1).integers(1, 2**16 + 1, n))
-    p = tmp_path / "t.trace"
-    write_trace(tf, p)
+def _peak_bytes(fn):
+    """fn's result, and the most bytes traced at once while it ran."""
     tracemalloc.start()
     try:
-        back = read_trace(p)
-        peak = tracemalloc.get_traced_memory()[1]
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.addrs, tf.addrs)
-    assert peak < 60 * n
 
 
-def test_analyze_trace_peaks_under_32_bytes_a_probe():
-    """Certifying a tree trace holds its pred, one window's pred and the verify mask over
-    targets (about 26 bytes a probe), and no (u, v) edge arrays, which would add 14."""
+def _random_trace(n: int) -> TraceFile:
+    return TraceFile(engine="tree", workload="alt:n=2", n=2, m=1, M=4, w=16, seed=0,
+                     addrs=np.random.default_rng(1).integers(1, 2**16 + 1, n))
+
+
+@pytest.fixture(scope="module")
+def tree_report_trace() -> TraceFile:
+    """The benchmark's tree-report trace: blocks:n=8192,k=4 on the tree at m = 4, seed 9000."""
     n = 8192
     tf = run_trace("tree", OramConfig(m=4, M=n, w=32), WorkloadSpec("blocks", n, 4), 9000)
     assert tf.N == 917_504
-    tracemalloc.start()
-    try:
-        report = analyze_trace(tf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return tf
+
+
+def test_write_trace_peaks_under_8_bytes_a_probe(tmp_path, tree_report_trace):
+    """Formatting the body a block at a time holds about 3 bytes a probe here; a whole-body pass held 30."""
+    _, peak = _peak_bytes(lambda: write_trace(tree_report_trace, tmp_path / "t.trace"))
+    assert peak < 8 * tree_report_trace.N
+
+
+def test_read_trace_peaks_under_28_bytes_a_line(tmp_path):
+    """Reading a write_trace file holds the file's bytes and one int64 a line, the result's, besides
+    one block's arrays (about 18 bytes a line here); a whole-file pass held 52."""
+    n = 200_000
+    tf = _random_trace(n)
+    p = tmp_path / "t.trace"
+    write_trace(tf, p)
+    back, peak = _peak_bytes(lambda: read_trace(p))
+    assert np.array_equal(back.addrs, tf.addrs)
+    assert peak < 28 * n
+
+
+@pytest.mark.parametrize("fmt", ["edges", "dot"])
+def test_graph_export_peaks_under_40_bytes_a_probe(tmp_path, fmt):
+    """Exporting a block of edges at a time holds pred, its sort and one block's text (about 26 bytes a
+    probe for edges here); formatting every edge at once held 68 to 70."""
+    n = 200_000
+    tf = _random_trace(n)
+    _, peak = _peak_bytes(lambda: write_output(graph_export(tf, fmt), tmp_path / "g"))
+    assert peak < 40 * n
+
+
+def test_analyze_trace_peaks_under_22_bytes_a_probe(tree_report_trace):
+    """Certifying a tree trace holds its pred, one window's pred and the verify mask over targets
+    (about 18 bytes a probe), and no whole-trace temporary of the pred build, which held 26."""
+    report, peak = _peak_bytes(lambda: analyze_trace(tree_report_trace))
     assert report.certified_probe_bound > 0
-    assert peak < 32 * tf.N
+    assert peak < 22 * tree_report_trace.N
 
 
 def test_read_trace_accepts_M_up_to_2_to_the_w(tmp_path):
