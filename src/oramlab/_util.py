@@ -1,9 +1,12 @@
-"""Shared helpers: deterministic seed derivation, exact-arithmetic utilities."""
+"""Shared helpers: deterministic seed derivation, bulk random draws, exact-arithmetic utilities."""
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -30,6 +33,37 @@ def derive_seed(base: int, *indices: int) -> int:
     for ix in indices:
         h = _splitmix64(h ^ ((ix & _MASK64) * _GOLDEN & _MASK64))
     return h
+
+
+def draw_bits(rng: random.Random, w: int, count: int) -> np.ndarray:
+    """[rng.getrandbits(w) for _ in range(count)] as an int64 array, for w in [1, 63], from one getrandbits call.
+
+    CPython builds a w-bit draw from c = ceil(w/32) 32-bit outputs, the first
+    the least significant, keeping the top bits of the last.  One draw of
+    32 * c * count bits takes the same outputs, in order, whole, and leaves
+    the RNG where the count draws leave it.
+    """
+    c = (w + 31) // 32
+    raw = rng.getrandbits(32 * c * count).to_bytes(4 * c * count, "little")
+    words = np.frombuffer(raw, dtype="<u4").reshape(count, c)
+    out = (words[:, -1] >> (32 * c - w)).astype(np.int64)
+    return (out << 32) | words[:, 0] if c == 2 else out
+
+
+def draw_below(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """[rng.randrange(n) for _ in range(count)] as an int64 array, for n in [1, 2^63).
+
+    CPython's randrange(n) draws n.bit_length() bits until a draw falls below
+    n.  Rounds of exactly as many draws as are still missing keep the same
+    draws and never draw past the last one used, so the RNG ends where the
+    per-call loop leaves it.
+    """
+    k, parts, missing = n.bit_length(), [np.empty(0, dtype=np.int64)], count
+    while missing:
+        got = draw_bits(rng, k, missing)
+        parts.append(got[got < n])
+        missing -= len(parts[-1])
+    return np.concatenate(parts)
 
 
 def as_fraction(x) -> Fraction:

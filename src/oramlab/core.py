@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import ModelViolationError
+from ._util import ModelViolationError, draw_bits
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,9 @@ def gen_write_read_blocks(
 
     Block length ell = floor(n / 2k); writes cover addresses 1..ell in order,
     reads re-read them in the same order, and the sequence is padded to length
-    exactly n with alternating write/read pairs at address 1.
+    exactly n with alternating write/read pairs at address 1.  The k * ell
+    data words come from one call (``draw_bits``): the same words, and the
+    same RNG state after, as one rng.getrandbits(w) per write op.
     """
     if n < 2 or n % 2 != 0:
         raise ModelViolationError(f"block workload needs even n >= 2, got {n}")
@@ -146,9 +148,7 @@ def gen_write_read_blocks(
     blocks = is_write[:pad_start].reshape(k, 2, ell)
     blocks[:, 0], blocks[:, 1] = True, False
     addr[:pad_start].reshape(2 * k, ell)[:] = np.arange(1, ell + 1)
-    draws = data[:pad_start].reshape(k, 2, ell)
-    for b in range(k):
-        draws[b, 0] = [rng.getrandbits(w) for _ in range(ell)]
+    data[:pad_start].reshape(k, 2, ell)[:, 0] = draw_bits(rng, w, k * ell).reshape(k, ell)
     return InputSequence(is_write, addr, data), BlockLayout(k, ell)
 
 

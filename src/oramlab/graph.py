@@ -61,11 +61,6 @@ class AccessGraph:
             self._pred = predecessors(self.trace.addrs, *self.trace.bounds)
         return self._pred
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges as parallel (u, v) = (pred[v], v) arrays ordered by target v, built on each call."""
-        v = np.flatnonzero(self.pred >= 0)
-        return self.pred[v], v
-
     def crossing_edges(self, a: int, m: int, b: int) -> np.ndarray:
         """Targets v in {m..b-1}, increasing, of the edges (pred[v], v) from {a..m-1}."""
         if not 0 <= a <= m <= b <= self.N:

@@ -31,10 +31,11 @@ no randomness (``seeded = False``), so ``make_engine`` gives them no RNG.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import numpy as np
 
-from ._util import ModelViolationError
+from ._util import ModelViolationError, draw_below
 from .core import InputSequence, OramConfig
 from .server import FINAL_OP, ServerState
 
@@ -133,6 +134,16 @@ class Passthrough(Engine):
         return _direct_probes(server, y, start, stop, 0)
 
 
+@lru_cache(maxsize=4)
+def _scan_pass(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The addresses (1, 1, 2, 2, ..., M, M) and kinds (0, 1, 0, 1, ...) of one scan pass, read-only and
+    shared by every scan engine of that M: a server's log keeps the addresses as its period."""
+    addrs = np.repeat(np.arange(1, M + 1, dtype=np.int64), 2)
+    kinds = np.tile(np.array([0, 1], dtype=np.int64), M)
+    addrs.flags.writeable = kinds.flags.writeable = False
+    return addrs, kinds
+
+
 class LinearScan(Engine):
     """Read and write back every cell 1..M for each op.
 
@@ -145,7 +156,9 @@ class LinearScan(Engine):
     ``probe_batch``; a read's answer is what the pass read at its address.
     With metadata off it probes nothing: the server resolves the ops as a
     probe batch and logs their passes as one period with a repeat count
-    (``ServerState._log_passes``), whatever their number.
+    (``ServerState._log_passes``), whatever their number.  The pass's
+    addresses and kinds are built once per M (``_scan_pass``) and shared,
+    read-only, by every scan engine and log of that M.
 
     This reproduces the honest probe loop bit for bit; the tests keep that
     loop as their oracle.
@@ -156,8 +169,7 @@ class LinearScan(Engine):
 
     def __init__(self, config, rng, n=0):
         super().__init__(config, rng, n)
-        self._addrs = np.repeat(np.arange(1, config.M + 1, dtype=np.int64), 2)
-        self._kinds = np.tile(np.array([0, 1], dtype=np.int64), config.M)
+        self._addrs, self._kinds = _scan_pass(config.M)
 
     def _advance(self, server, y, start, stop):
         if not server.record_meta:
@@ -215,7 +227,7 @@ class TreeOram(Engine):
             raise ModelViolationError(
                 f"tree of {2 * self.leaves - 1} buckets needs {n_slots} server cells, over 2^{config.w}"
             )
-        self.pos = [rng.randrange(self.leaves) for _ in range(config.M)]
+        self.pos = draw_below(rng, self.leaves, config.M).tolist()  # one rng.randrange(leaves) per address
         self.slot_owner: list[int | None] = [None] * n_slots
         self.stash: dict[int, int] = {}
 

@@ -13,7 +13,12 @@ window lengths gallop upward from 2*ceil(ell) (a cut crossed by t edges needs
 gallop derives the window's ``pred`` with one stable sort (``predecessors``);
 a shorter window's ``pred`` is that array's prefix, so bisection sorts
 nothing.  Every cut's crossing count is read off a prefix sum, so only the
-windows examined are touched.
+windows examined are touched.  Each window examined also gives its largest
+crossing count g, and one more vertex raises g by at most 1: its in-edge
+adds at most 1 to each cut, and the new last cut crosses nothing.  So a
+window of length L with g < t rules out every length below L + t - g, and
+one with g >= t vouches for every length from L - (g - t) on; both narrow
+the bracket, on the gallop and in the bisection.
 The test suite audits it against an exhaustive oracle that shares none of
 its logic.
 
@@ -62,40 +67,47 @@ class Partition:
         return [(bs[2 * i], bs[2 * i + 1], bs[2 * i + 2]) for i in range(self.k)]
 
 
-def _first_heavy_cut(pred: np.ndarray, threshold: int) -> int | None:
-    """Smallest window-local cut c in [0, len(pred)] crossed by at least threshold
-    of the window's edges (pred[v] < c <= v), or None."""
+def _first_heavy_cut(pred: np.ndarray, threshold: int) -> tuple[int | None, int]:
+    """(c, g): the smallest window-local cut c in [0, len(pred)] crossed by at
+    least threshold of the window's edges (pred[v] < c <= v), or None, and g,
+    the largest crossing count of any cut."""
     delta = np.bincount(pred + 1, minlength=len(pred) + 1)
     delta[0] = 0  # first occurrences (pred -1) start no edge
     delta[1:] -= pred >= 0  # an edge into v crosses no cut past v
     crossing = delta.cumsum()
-    c = int((crossing >= threshold).argmax())
-    return c if crossing[c] >= threshold else None
+    g = int(crossing.max())
+    return (int((crossing >= threshold).argmax()) if g >= threshold else None), g
 
 
 def _close_part(graph: AccessGraph, b: int, threshold: int) -> tuple[int, int] | None:
     """(m, e) for the part starting at b: the smallest feasible end e and the
-    smallest cut m of [b, e) reaching the threshold, or None if no end works."""
-    n = graph.N
-    lo, hi = 2 * threshold - 1, 2 * threshold  # window lengths: lo infeasible, hi to try
+    smallest cut m of [b, e) reaching the threshold, or None if no end works.
+    A window's largest crossing count narrows the bracket (see the module docstring)."""
+    n, t = graph.N, threshold
+    lo, hi = 2 * t - 1, 2 * t  # window lengths: lo infeasible, hi to try
     if b + hi > n:
         return None
     while True:
         pred = predecessors(graph.trace.window(b, b + hi), *graph.trace.bounds)
-        cut = _first_heavy_cut(pred, threshold)
+        cut, g = _first_heavy_cut(pred, t)
         if cut is not None:
             break
-        if b + hi == n:
+        lo = hi + t - g - 1  # every length below hi + t - g falls short too
+        if b + lo >= n:
             return None
-        lo, hi = hi, min(2 * hi, n - b)
+        hi = min(2 * hi, n - b)
+    # lengths up to lo are infeasible and from hi on feasible; cut is the first heavy cut at length at;
     # a shorter window's pred is the longer one's prefix
+    at, hi = hi, hi - (g - t)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        mid_cut = _first_heavy_cut(pred[:mid], threshold)
+        mid_cut, g = _first_heavy_cut(pred[:mid], t)
         if mid_cut is None:
-            lo = mid
+            lo = mid + t - g - 1
         else:
-            hi, cut = mid, mid_cut
+            at, cut, hi = mid, mid_cut, mid - (g - t)
+    if at != hi:
+        cut = _first_heavy_cut(pred[:hi], t)[0]
     return b + cut, b + hi
 
 
@@ -104,9 +116,11 @@ def greedy_dense_partition(graph: AccessGraph, k: int, ell) -> Partition | None:
 
     Each part starting at b closes at the smallest end e for which some cut m
     of [b, e) reaches the threshold, found by galloping over window lengths
-    from 2*ceil(ell) and then bisecting; the witness records the smallest
-    such m.  The last part's end is widened to N.  Returns a witness
-    partition, or None when none exists.
+    from 2*ceil(ell) and then bisecting, with the bracket narrowed by each
+    window's largest crossing count (one vertex more raises it by at most 1);
+    the witness records the smallest such m, evaluated at e.  The last
+    part's end is widened to N.  Returns a witness partition, or None when
+    none exists.
     """
     if k < 1:
         raise ValueError("need k >= 1")

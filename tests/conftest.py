@@ -75,13 +75,21 @@ def prefix(y: InputSequence, j: int) -> InputSequence:
     return InputSequence(y.is_write[:j], y.addr[:j], y.data[:j])
 
 
-def assert_graph_invariants(graph: AccessGraph) -> None:
+def edge_arrays(graph: AccessGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's edges as parallel (u, v) = (pred[v], v) arrays, ordered by target v."""
+    v = np.flatnonzero(graph.pred >= 0)
+    return graph.pred[v], v
+
+
+def assert_graph_invariants(graph: AccessGraph, edges=None) -> None:
     """Degree bounds and the edge-count identity every access graph must satisfy.
 
-    Linear in N: the range checks come first, so that an out-of-range index
-    fails as an assertion and the degree counts can index by vertex.
+    edges, parallel (u, v) arrays, default to the graph's own
+    (``edge_arrays``); a test of the checker hands in broken ones.  Linear in
+    N: the range checks come first, so that an out-of-range index fails as an
+    assertion and the degree counts can index by vertex.
     """
-    u, v = graph.edge_arrays()
+    u, v = edge_arrays(graph) if edges is None else edges
     assert len(u) == len(v)
     if len(v):
         assert int(v.max()) < graph.N and int(u.min()) >= 0
@@ -162,21 +170,28 @@ def reference_greedy_witness(addrs, k: int, threshold: int) -> tuple[int, ...] |
 
     Each part [b, e) closes at its smallest end e for which some cut reaches
     the threshold, at the smallest such cut m; the last part's end is then
-    widened to N without moving its cut.
+    widened to N without moving its cut.  Ends are tried one at a time: the
+    window's crossing counts are kept per cut, and the vertex e - 1 that
+    joins adds its edge, from the last earlier probe of its address in the
+    window, to every cut it spans.
     """
     n = len(addrs)
     boundaries = [0]
     b = 0
     for _ in range(k):
-        close = next(
-            (
-                (m, e)
-                for e in range(b, n + 1)
-                for m in range(b, e + 1)
-                if brute_force_crossing(addrs, b, m, e) >= threshold
-            ),
-            None,
-        )
+        crossing = [0]  # crossing[m - b]: edges of the window [b, e) over cut m
+        close = None
+        for e in range(b + 1, n + 1):
+            v = e - 1
+            u = next((i for i in range(v - 1, b - 1, -1) if addrs[i] == addrs[v]), None)
+            crossing.append(0)
+            if u is not None:
+                for m in range(u + 1, v + 1):
+                    crossing[m - b] += 1
+            m = next((m for m, count in enumerate(crossing) if count >= threshold), None)
+            if m is not None:
+                close = (b + m, e)
+                break
         if close is None:
             return None
         boundaries.extend(close)

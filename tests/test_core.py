@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oramlab import (
@@ -16,6 +16,7 @@ from oramlab import (
     parse_workload_spec,
     run_sequence,
 )
+from oramlab._util import draw_below, draw_bits
 from oramlab.core import WORKLOAD_FAMILIES
 
 from conftest import R, W, all_rows, reference_write_read_blocks, seq
@@ -166,6 +167,43 @@ def test_block_columns_match_the_op_by_op_generator(n, k, w, seed):
         assert tuple(all_rows(y)) == ops
         assert tuple(layout.block(i) for i in range(1, layout.k + 1)) == blocks
         assert 2 * layout.k * layout.ell == pad_start
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@given(w=st.integers(1, 63), count=st.integers(0, 300), seed=st.integers(0, 2**32))
+@example(w=1, count=0, seed=0)
+@example(w=32, count=5, seed=1)  # whole words
+@example(w=33, count=5, seed=1)  # one bit of a second word
+@example(w=63, count=5, seed=1)
+@settings(max_examples=200)
+def test_draw_bits_matches_per_call_draws(w, count, seed):
+    """One getrandbits call holds count w-bit draws, and leaves the rng where they leave it."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = draw_bits(rng, w, count)
+    assert got.dtype == np.int64 and got.tolist() == [ref_rng.getrandbits(w) for _ in range(count)]
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@given(
+    n=st.one_of(
+        st.just(1),
+        st.integers(0, 62).map(lambda e: 2**e),
+        st.integers(2, 2**62).filter(lambda x: x & (x - 1)),
+        st.just(2**31),
+    ),
+    count=st.integers(0, 300),
+    seed=st.integers(0, 2**32),
+)
+@example(n=1, count=7, seed=0)  # k = 1: every draw of a 1 is refused
+@example(n=2**31, count=50, seed=3)  # 32-bit draws, a whole word each
+@example(n=3, count=100, seed=4)  # a quarter of the draws refused
+@settings(max_examples=200)
+def test_draw_below_matches_per_call_randrange(n, count, seed):
+    """count randrange(n) draws in rounds of the draws still missing: the same values, and the rng
+    where the per-call loop leaves it (no draw past the last one used)."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = draw_below(rng, n, count)
+    assert got.dtype == np.int64 and got.tolist() == [ref_rng.randrange(n) for _ in range(count)]
     assert rng.getstate() == ref_rng.getstate()
 
 

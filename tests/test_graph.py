@@ -12,6 +12,7 @@ from conftest import (
     assert_graph_invariants,
     brute_force_crossing,
     brute_force_crossing_edges,
+    edge_arrays,
     graph_from_edges,
     random_degree_bounded_graph,
 )
@@ -20,7 +21,7 @@ addr_lists = st.lists(st.integers(min_value=1, max_value=6), max_size=24)
 
 
 def _edge_list(g) -> list[tuple[int, int]]:
-    u, v = g.edge_arrays()
+    u, v = edge_arrays(g)
     return list(zip(u.tolist(), v.tolist()))
 
 
@@ -36,7 +37,7 @@ def test_consecutive_occurrences_only():
 
 def test_empty_trace():
     g = AccessGraph([])
-    assert g.N == 0 and len(g.edge_arrays()[1]) == 0
+    assert g.N == 0 and len(edge_arrays(g)[1]) == 0
     assert len(g.crossing_edges(0, 0, 0)) == 0
 
 
@@ -113,17 +114,6 @@ def test_crossing_edges_lie_in_their_window():
         assert all(a <= u < m <= v < b for u, v in window)
 
 
-class _StubGraph:
-    """Edges handed to the invariant checker as given, with no access graph behind them."""
-
-    def __init__(self, n, edges):
-        self.N, self.trace = n, AccessSequence(np.arange(n))
-        self._u, self._v = (np.array(side, dtype=np.int64) for side in zip(*edges))
-
-    def edge_arrays(self):
-        return self._u, self._v
-
-
 @pytest.mark.parametrize(
     "edges, message",
     [
@@ -135,7 +125,7 @@ class _StubGraph:
 )
 def test_invariant_checker_rejects_broken_graphs(edges, message):
     with pytest.raises(AssertionError, match=message):
-        assert_graph_invariants(_StubGraph(3, edges))
+        assert_graph_invariants(AccessGraph(np.arange(3)), tuple(np.array(side) for side in zip(*edges)))
 
 
 def test_graph_from_edges_realizes_exactly():
@@ -199,7 +189,7 @@ def test_consecutive_pairs_of_no_address():
     seq = AccessSequence(np.empty(0, dtype=np.int64))
     assert seq.bounds == (0, 0)
     assert len(predecessors(seq.addrs, *seq.bounds)) == 0
-    assert len(AccessGraph(seq).edge_arrays()[1]) == 0
+    assert len(edge_arrays(AccessGraph(seq))[1]) == 0
 
 
 _NARROW = [1, 2, 3, 2**16 - 1]  # every address below 2^16: the uint16 sort from RADIX_MIN_KEYS keys on

@@ -295,6 +295,13 @@ class TestLinearScan:
         engine.advance(srv, y, 0, 1)  # a run after a probe is one more part
         assert adversary_view(srv).addrs.tolist() == np.tile(engine._addrs, 6).tolist() + [1] + engine._addrs.tolist()
 
+    def test_scan_engines_of_one_M_share_one_read_only_pass(self):
+        """The pass a log keeps as its period is built once per M, and no engine or log can write to it."""
+        one, other = (make_engine("linear-scan", OramConfig(m=1, M=4, w=8), None) for _ in range(2))
+        assert one._addrs is other._addrs and one._kinds is other._kinds
+        assert one._addrs.tolist() == [1, 1, 2, 2, 3, 3, 4, 4] and one._kinds.tolist() == [0, 1] * 4
+        assert not one._addrs.flags.writeable and not one._kinds.flags.writeable
+        assert make_engine("linear-scan", OramConfig(m=1, M=3, w=8), None)._addrs.tolist() == [1, 1, 2, 2, 3, 3]
 
     def test_metadata_passes_are_probe_batches(self, monkeypatch):
         calls = []

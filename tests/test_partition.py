@@ -21,12 +21,14 @@ from oramlab import (
     greedy_dense_partition,
     run_sequence,
 )
-from oramlab.partition import certified_bound
+from oramlab.graph import predecessors
+from oramlab.partition import _first_heavy_cut, certified_bound
 
 from conftest import (
     ALL_ENGINES,
     brute_force_crossing,
     brute_force_dense_partition,
+    edge_arrays,
     expected_edge_lower_bound,
     graph_from_edges,
     random_degree_bounded_graph,
@@ -120,16 +122,73 @@ def test_density_monotone_in_threshold(seed, k):
     assert feasible == list(range(1, len(feasible) + 1))
 
 
-@given(
-    addrs=st.lists(st.integers(1, 5), max_size=40),
-    k=st.integers(1, 3),
-    ell=st.integers(1, 6),
+def _scan_shaped(cells: int, passes: int, probes: int) -> list[int]:
+    """A scan's trace over cells 1..cells: each pass probes every cell in turn, probes times in a row
+    (the linear scan's read and write-back is probes = 2)."""
+    return np.tile(np.repeat(np.arange(1, cells + 1), probes), passes).tolist()
+
+
+# short random traces with small thresholds, and scan-shaped ones a few hundred probes long: past
+# the first pass their largest crossing count climbs by one at every probe (probes = 1), where the
+# greedy's bounds on it are tight, or at every other probe (probes = 2)
+_WITNESS_CASES = st.one_of(
+    st.tuples(st.lists(st.integers(1, 5), max_size=40), st.integers(1, 6)),
+    st.tuples(
+        st.builds(_scan_shaped, st.integers(1, 24), st.integers(1, 16), st.sampled_from([1, 2])),
+        st.integers(1, 30),
+    ),
 )
+
+
+@given(case=_WITNESS_CASES, k=st.integers(1, 3))
+@example(case=(_scan_shaped(24, 12, 2), 20), k=3)
+@example(case=(_scan_shaped(24, 16, 1), 7), k=3)  # one crossing more at every probe: the bounds are tight
+@example(case=(_scan_shaped(16, 4, 2), 30), k=1)  # 120 of 128 probes, 14 crossings short: no end works
 @settings(max_examples=150, deadline=None)
-def test_greedy_witness_matches_definition(addrs, k, ell):
+def test_greedy_witness_matches_definition(case, k):
+    addrs, ell = case
     got = greedy_dense_partition(AccessGraph(addrs), k, ell)
     want = reference_greedy_witness(addrs, k, ell)
     assert (None if got is None else got.boundaries) == want
+
+
+def _largest_crossing(pred) -> int:
+    """The largest count, over cuts c in [0, len(pred)], of the edges (pred[v], v) with pred[v] < c <= v."""
+    return max(sum(0 <= u < c <= v for v, u in enumerate(pred)) for c in range(len(pred) + 1))
+
+
+@given(case=_WITNESS_CASES)
+@settings(max_examples=100, deadline=None)
+def test_one_vertex_raises_the_largest_crossing_by_at_most_one(case):
+    """The bound the greedy's bracket rests on: g(E) <= g(E + 1) <= g(E) + 1 for the window prefixes
+    of pred, where g is the largest crossing count, and _first_heavy_cut reports g."""
+    addrs = case[0][:80]
+    pred = predecessors(np.array(addrs, dtype=np.int64), *AccessSequence(addrs).bounds).tolist()
+    g = [_largest_crossing(pred[:e]) for e in range(len(pred) + 1)]
+    assert all(a <= b <= a + 1 for a, b in zip(g, g[1:]))
+    for e in range(len(pred) + 1):
+        assert _first_heavy_cut(np.array(pred[:e], dtype=np.int64), 1)[1] == g[e]
+
+
+def test_greedy_evaluation_counts_on_the_scan_trace_are_pinned(monkeypatch):
+    """A timing-free guard on the greedy's search: how many windows it evaluates on the n = M = 4096
+    scan trace at the frequency estimator's thresholds n/5k."""
+    n = 4096
+    y, _ = gen_write_read_blocks(n, 4, 32, random.Random(1))
+    _, srv = run_sequence("linear-scan", OramConfig(m=4, M=n, w=32), y, seed=None, record_meta=False)
+    evaluated = []
+
+    def counted(pred, threshold):
+        evaluated.append(len(pred))
+        return _first_heavy_cut(pred, threshold)
+
+    monkeypatch.setattr("oramlab.partition._first_heavy_cut", counted)
+    counts = {}
+    for k in (1, 4):
+        evaluated.clear()
+        assert greedy_dense_partition(AccessGraph(adversary_view(srv)), k, Fraction(n, 5 * k)) is not None
+        counts[k] = len(evaluated)
+    assert counts == {1: 12, 4: 64}
 
 
 @given(
@@ -202,7 +261,7 @@ class TestCertificates:
         g, cert = self._scan_certificate()
         assert 1 in cert.witnessed
         bound = edge_lower_bound_from_certificate(cert)
-        assert 0 < bound <= len(g.edge_arrays()[1])
+        assert 0 < bound <= len(edge_arrays(g)[1])
 
     def test_bound_formula(self):
         g, cert = self._scan_certificate()
@@ -265,7 +324,7 @@ class TestCertificates:
     def test_bound_never_exceeds_edge_count(self, seed):
         g = random_degree_bounded_graph(random.Random(seed), max_n=10)
         cert = certify(g, 2, 16)
-        assert edge_lower_bound_from_certificate(cert) <= len(g.edge_arrays()[1])
+        assert edge_lower_bound_from_certificate(cert) <= len(edge_arrays(g)[1])
 
     def test_nested_partitions_leave_clean_parts(self):
         g, cert = self._scan_certificate()
@@ -282,7 +341,7 @@ class TestCertificates:
     def test_inflated_base_ell_fails_the_exhibited_count(self):
         g, cert = self._scan_certificate()
         exhibited = cert.verify()
-        assert edge_lower_bound_from_certificate(cert) <= exhibited <= len(g.edge_arrays()[1])
+        assert edge_lower_bound_from_certificate(cert) <= exhibited <= len(edge_arrays(g)[1])
         # a bound one edge past what the witnesses exhibit
         cert.base_ell = Fraction(2 * (exhibited + 1), len(cert.witnessed))
         with pytest.raises(CertificateError, match=f"exhibit {exhibited} distinct crossing edges, "
@@ -315,7 +374,7 @@ class TestCertificates:
         for partition in cert.witnessed.values():
             for b, m, e in partition.parts():
                 exhibited.update(g.crossing_edges(b, m, e).tolist())
-        assert edge_lower_bound_from_certificate(cert) <= cert.verify() == len(exhibited) <= len(g.edge_arrays()[1])
+        assert edge_lower_bound_from_certificate(cert) <= cert.verify() == len(exhibited) <= len(edge_arrays(g)[1])
 
 
 class TestExpectedEdgeBound:
